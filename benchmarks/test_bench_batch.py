@@ -1,10 +1,11 @@
 """Serial vs batched execution engine throughput (BENCH_5).
 
-The batched engine (``CampaignConfig(batch_execution=True)``) is the
-PR-5 perf baseline: one vectorized havoc + execute + coverage pass per
-seed instead of one Python ``_pipeline`` call per mutation. This bench
-runs the same campaign both ways on the fig2 spot-check map size
-(64 kB) and records execs/sec for each in ``BENCH_5.json`` at the repo
+The batched engine (:class:`~repro.fuzzer.Campaign`) runs one
+vectorized havoc + execute + coverage pass per seed instead of one
+Python ``_pipeline`` call per mutation, which is what the serial
+reference engine (:class:`repro.fuzzer.oracle.SerialCampaign`) still
+does. This bench runs the same campaign both ways on the fig2
+spot-check map size (64 kB) and records execs/sec for each in ``BENCH_5.json`` at the repo
 root, asserting the batched engine is at least 2x faster and — the
 batch equivalence contract — that both engines produced bit-identical
 campaigns.
@@ -19,6 +20,7 @@ import time
 from pathlib import Path
 
 from repro.fuzzer import Campaign, CampaignConfig
+from repro.fuzzer.oracle import SerialCampaign
 from repro.target import get_benchmark
 
 #: The measured workload: zlib at the paper's 64 kB bitmap spot check
@@ -32,9 +34,8 @@ _ROUNDS = 3
 _OUT = Path(__file__).resolve().parent.parent / "BENCH_5.json"
 
 
-def _run(built, batch):
-    config = CampaignConfig(batch_execution=batch, **_WORKLOAD)
-    campaign = Campaign(config, built=built)
+def _run(built, engine):
+    campaign = engine(CampaignConfig(**_WORKLOAD), built=built)
     # Host wall time is the point of this bench — the intentional
     # exception to the repro.core.walltime rule, as in conftest.
     start = time.perf_counter()  # statlint: disable=DET001 (bench times the host on purpose)
@@ -49,9 +50,9 @@ def _measure():
     serial_times, batched_times = [], []
     serial_result = batched_result = None
     for _ in range(_ROUNDS):
-        serial_result, t = _run(built, batch=False)
+        serial_result, t = _run(built, SerialCampaign)
         serial_times.append(t)
-        batched_result, t = _run(built, batch=True)
+        batched_result, t = _run(built, Campaign)
         batched_times.append(t)
     identical = (
         serial_result.execs == batched_result.execs

@@ -6,7 +6,8 @@ backend (:class:`repro.fuzzer.mp.MPCampaign`). This bench runs the
 BENCH_5 workload — zlib at the 64 kB spot-check map — through three
 engines at the same ``batch_window=8``:
 
-* the serial scalar engine (the BENCH_5 baseline configuration),
+* the serial reference engine
+  (:class:`repro.fuzzer.oracle.SerialCampaign`, the BENCH_5 baseline),
 * the in-process cross-seed batched engine,
 * the shared-memory backend with 2 workers,
 
@@ -27,6 +28,7 @@ from pathlib import Path
 
 from repro.fuzzer import Campaign, CampaignConfig
 from repro.fuzzer.mp import MPCampaign
+from repro.fuzzer.oracle import SerialCampaign
 from repro.target import get_benchmark
 
 #: The BENCH_5 measured workload, now with a cross-seed window. The
@@ -68,21 +70,16 @@ def _run(built, factory):
 
 
 def _engines():
+    config = CampaignConfig(batch_window=_WINDOW, **_WORKLOAD)
+
     def serial(built):
-        return Campaign(CampaignConfig(batch_execution=False,
-                                       batch_window=_WINDOW,
-                                       **_WORKLOAD), built=built)
+        return SerialCampaign(config, built=built)
 
     def batched(built):
-        return Campaign(CampaignConfig(batch_execution=True,
-                                       batch_window=_WINDOW,
-                                       **_WORKLOAD), built=built)
+        return Campaign(config, built=built)
 
     def mp(built):
-        return MPCampaign(CampaignConfig(batch_execution=True,
-                                         batch_window=_WINDOW,
-                                         **_WORKLOAD), built=built,
-                          workers=_MP_WORKERS)
+        return MPCampaign(config, built=built, workers=_MP_WORKERS)
 
     return {"serial": serial, "batched": batched, "mp": mp}
 
@@ -126,8 +123,7 @@ def _measure_8mb():
         seed_scale=_BIGMAP_POINT["seed_scale"])
     point = {}
     for fuzzer in ("afl", "bigmap"):
-        config = CampaignConfig(fuzzer=fuzzer, batch_execution=True,
-                                batch_window=_WINDOW,
+        config = CampaignConfig(fuzzer=fuzzer, batch_window=_WINDOW,
                                 **{k: v for k, v in
                                    _BIGMAP_POINT.items()
                                    if k not in ("scale", "seed_scale")},

@@ -8,7 +8,7 @@ Public surface:
   multi-instance sessions with corpus sync and contention (§V-D).
 * :class:`Seed` / :class:`SeedPool` / :class:`Scheduler` — queue
   management with AFL's favored culling and energy policy.
-* :class:`Mutator` — deterministic and havoc mutation stages.
+* :class:`Mutator` — havoc mutation with splicing.
 * :class:`CrashwalkTriager` / :class:`AflCrashTriager` — crash dedup.
 """
 

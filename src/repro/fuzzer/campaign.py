@@ -70,25 +70,20 @@ class CampaignConfig:
             timeout): reported, deduplicated against ``virgin_tmout``,
             never admitted to the queue. ``None`` disables hang
             detection.
-        batch_execution: run each scheduled window's whole energy
-            budget as one vectorized batch (mutation, execution,
-            coverage compare), replaying only crash / hang /
-            possibly-interesting traces through the scalar pipeline.
-            Results are bit-identical to the serial engine at the same
-            ``batch_window`` — same RNG stream, same admits, same
-            curves, same checkpoints — it is purely an execution
-            strategy (see DESIGN.md, "batch equivalence contract").
         batch_window: how many scheduled seeds one window accumulates
             before any of their mutants execute. Scheduling, splice
             partners and havoc streams for all seeds in the window are
-            drawn up front (in schedule order); processing then walks
-            the combined mega-batch in that same order. The window is a
-            *semantic* knob — admissions discovered while processing
-            seed A cannot influence the scheduling of seeds already in
-            the window — but for any fixed window both engines (and
-            every worker count of the shared-memory backend) produce
-            bit-identical campaigns. Larger windows feed the vectorized
-            kernels bigger uniform batches; 1 reproduces the classic
+            drawn up front (in schedule order); the window's whole
+            energy then runs as one vectorized batch, processed in that
+            same order. The window is a *semantic* knob — admissions
+            discovered while processing seed A cannot influence the
+            scheduling of seeds already in the window — but for any
+            fixed window the batched engine, the one-mutant-at-a-time
+            reference engine (:mod:`repro.fuzzer.oracle`) and every
+            worker count of the shared-memory backend produce
+            bit-identical campaigns (see DESIGN.md, "batch equivalence
+            contract"). Larger windows feed the vectorized kernels
+            bigger uniform batches; 1 reproduces the classic
             one-seed-at-a-time loop.
         use_dictionary: extract the target's compare operands as an
             autodictionary and let havoc stamp them in — the *other*
@@ -116,7 +111,6 @@ class CampaignConfig:
     trim_seeds: bool = False
     persistent_mode: bool = True
     hang_factor: Optional[float] = 20.0
-    batch_execution: bool = True
     batch_window: int = 1
     use_dictionary: bool = False
     anchor_rate: Optional[float] = None
@@ -252,6 +246,9 @@ class Campaign:
         self.faults_injected = 0
         #: Extra cycle multiplier while a ``slow`` fault is active.
         self.fault_multiplier = 1.0
+        #: Contention multiplier on charged cycles (set by parallel
+        #: sessions; 1.0 when running alone).
+        self.cycle_multiplier = 1.0
         self._next_seed_id = 0
         self._hang_budget_cycles: Optional[float] = None
         self.tmout_triage = AflCrashTriager(config.map_size)
@@ -274,10 +271,6 @@ class Campaign:
                                validate_keys=False)
         return BigMapCoverage(cfg.map_size, counter_mode=cfg.counter_mode,
                               validate_keys=False)
-
-    def _resolve_nt(self):
-        """None = auto (resolved inside the calibration factory)."""
-        return self.config.non_temporal_reset
 
     def _pipeline(self, data: bytes, want_snapshot: bool = False,
                   precomputed: Optional[ExecResult] = None):
@@ -333,8 +326,7 @@ class Campaign:
             with self._span_cost:
                 ops = self.model.exec_cycles(shape)
         total = ops.total
-        multiplier = (getattr(self, "cycle_multiplier", 1.0) *
-                      self.fault_multiplier)
+        multiplier = self.cycle_multiplier * self.fault_multiplier
         self.clock.charge(total * multiplier)
         # Unrolled ops.as_dict() accumulation: per-key float order is
         # what checkpoint equality depends on, and it is unchanged.
@@ -457,7 +449,7 @@ class Campaign:
             self.config.map_size, reference,
             n_edges=self.program.n_edges, machine=self.config.machine,
             anchor_rate=self.config.anchor_rate,
-            non_temporal_reset=self._resolve_nt(),
+            non_temporal_reset=self.config.non_temporal_reset,
             fork_overhead_cycles=0.0 if self.config.persistent_mode
             else FORK_OVERHEAD_CYCLES,
             merged_classify_compare=self.config.merged_classify_compare)
@@ -500,9 +492,6 @@ class Campaign:
         self._next_sample = self._curve_step
         self.coverage_curve: List[Tuple[float, int]] = []
         self.stopped_by = "budget"
-        #: Contention multiplier on charged cycles (set by parallel
-        #: sessions; 1.0 when running alone).
-        self.cycle_multiplier = 1.0
 
     def _record_curve(self) -> None:
         while self.clock.seconds >= self._next_sample:
@@ -575,12 +564,8 @@ class Campaign:
                 continue
 
             window = self._collect_window()
-            if window is None:
-                continue
-            if self.config.batch_execution:
-                self._run_window_batched(window, deadline)
-            else:
-                self._run_window_serial(window, deadline)
+            if window is not None:
+                self._run_window(window, deadline)
 
     def _collect_window(self) -> Optional[Tuple["object", List[Seed],
                                                np.ndarray]]:
@@ -597,8 +582,8 @@ class Campaign:
         actually pays (per-seed application re-pays the kernel setup
         and the deep-stack scalar tail for every seed).
 
-        Both engines process the same collected window afterwards, so
-        switching ``batch_execution`` (or the execution backend) cannot
+        Every engine processes the same collected window afterwards, so
+        switching the window runner (or the execution backend) cannot
         move a single RNG draw. Windows never outlive a ``step_until``
         call, which keeps checkpoints window-agnostic: snapshots only
         ever see fully drained windows.
@@ -630,36 +615,22 @@ class Campaign:
             ([0], np.cumsum([d.n for d in draws], dtype=np.int64)))
         return mega, seeds, bounds
 
-    def _run_window_serial(self, window, deadline: float) -> None:
-        """Serial engine: walk every mutant through the scalar path."""
-        mega, seeds, bounds = window
-        for k, seed in enumerate(seeds):
-            with self._span_run_one:
-                stop = self._serial_portion(seed, mega, int(bounds[k]),
-                                            int(bounds[k + 1]), deadline)
-            if stop:
-                return
-
-    def _serial_portion(self, seed: Seed, mega, lo: int, hi: int,
-                        deadline: float) -> bool:
-        """One seed's pre-drawn mutants, one at a time. True = stop."""
-        for i in range(lo, hi):
-            if self._exhausted(deadline):
-                return True
-            mutant = mega.tobytes(i)
-            result, compare, shape, snapshot = self._pipeline(mutant)
-            cycles = self._charge(shape)
-            if result.crash is not None:
-                self._handle_crash(result, self._compare_limit())
-            elif self._is_hang(cycles):
-                # Hanging inputs are reported, never queued (AFL
-                # drops them from the fuzzing flow the same way).
-                self._handle_hang()
-            elif compare.interesting:
-                self._admit(mutant, cycles, seed.depth + 1,
-                            seed.seed_id, snapshot)
-            self._record_curve()
-        return False
+    def _run_mutant(self, mutant: bytes, seed: Seed,
+                    precomputed: Optional[ExecResult] = None) -> None:
+        """One mutant of ``seed`` through the scalar pipeline: charge
+        it, then dispatch the crash / hang / interesting verdict."""
+        result, compare, shape, snapshot = self._pipeline(
+            mutant, precomputed=precomputed)
+        cycles = self._charge(shape)
+        if result.crash is not None:
+            self._handle_crash(result, self._compare_limit())
+        elif self._is_hang(cycles):
+            # Hanging inputs are reported, never queued (AFL drops them
+            # from the fuzzing flow the same way).
+            self._handle_hang()
+        elif compare.interesting:
+            self._admit(mutant, cycles, seed.depth + 1, seed.seed_id,
+                        snapshot)
 
     def _batch_front(self, batch) -> BatchFront:
         """Vectorized front half of the batched engine.
@@ -703,15 +674,17 @@ class Campaign:
         self.coverage.update(mkeys, mcounts)
         self.coverage.classify()
 
-    def _run_window_batched(self, window, deadline: float) -> None:
+    def _run_window(self, window, deadline: float) -> None:
         """Batched engine: execute a whole window's energy at once.
 
         The vectorized front half (execute, key gather, fused
         aggregate/classify/compare against virgin) computes, per trace,
         a conservative "could this be interesting?" flag plus its exact
         cheap-path cycle cost. Traces that crash, would time out, or
-        might be interesting replay the scalar pipeline — which also
-        performs the virgin merge exactly as the serial engine would.
+        might be interesting replay the scalar pipeline
+        (:meth:`_run_mutant`) — which also performs the virgin merge
+        exactly as the serial reference engine
+        (:class:`repro.fuzzer.oracle.SerialCampaign`) would.
         Everything else is charged from the batch pricing without ever
         materializing a coverage map; with telemetry disabled, maximal
         runs of consecutive cheap traces are charged in one vectorized
@@ -777,20 +750,9 @@ class Campaign:
                         replays[i] = budget is not None \
                             and totals[i] > budget
                     if replays[i]:
-                        mutant = mega.tobytes(i)
                         pre = front.bres.result_for(i) \
                             if front.bres is not None else None
-                        result, compare, shape, snapshot = \
-                            self._pipeline(mutant, precomputed=pre)
-                        cycles = self._charge(shape)
-                        if result.crash is not None:
-                            self._handle_crash(result,
-                                               self._compare_limit())
-                        elif self._is_hang(cycles):
-                            self._handle_hang()
-                        elif compare.interesting:
-                            self._admit(mutant, cycles, seed.depth + 1,
-                                        seed.seed_id, snapshot)
+                        self._run_mutant(mega.tobytes(i), seed, pre)
                         last_cheap = -1
                         if bigmap and self.coverage.active_bytes() != used:
                             # used_key moved: re-price the remaining
@@ -861,8 +823,7 @@ class Campaign:
         Returns ``(n_processed, exhausted)``.
         """
         n = hi - lo
-        multiplier = (getattr(self, "cycle_multiplier", 1.0) *
-                      self.fault_multiplier)
+        multiplier = self.cycle_multiplier * self.fault_multiplier
         acc = np.add.accumulate(np.concatenate(
             ([self.clock.cycles], totals[lo:hi] * multiplier)))
         # acc[t] is the clock after t traces; the serial loop admits

@@ -107,7 +107,7 @@ def snapshot_campaign(campaign) -> CampaignCheckpoint:
         unique_hangs=campaign.unique_hangs,
         next_seed_id=campaign._next_seed_id,
         stopped_by=campaign.stopped_by,
-        cycle_multiplier=getattr(campaign, "cycle_multiplier", 1.0),
+        cycle_multiplier=campaign.cycle_multiplier,
         rng_state=copy.deepcopy(campaign.rng.bit_generator.state),
         seeds=[_copy_seed(s) for s in campaign.pool.seeds],
         top_rated=dict(campaign.pool._top_rated),

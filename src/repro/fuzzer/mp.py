@@ -74,16 +74,12 @@ def _mp_worker_main(campaign: "MPCampaign", conn) -> None:
             if hasattr(campaign.coverage, "used_key"):
                 campaign.coverage.used_key = int(
                     campaign._used_key_shm[0])
-            batch = MutantBatch(data=data, lengths=lengths)
-            bres = campaign.executor.execute_batch(data, lengths)
-            keys, counts = campaign.instrumentation.keys_for_batch(
-                bres, batch.rows())
-            _update, flags = campaign.coverage.update_compare_batch(
-                keys, counts, bres.offsets, campaign.virgin)
-            crashes = np.fromiter((c is not None for c in bres.crashes),
-                                  dtype=bool, count=bres.n)
-            conn.send((np.asarray(bres.traversals),
-                       np.asarray(_update.n_unique), flags, crashes))
+            # The in-process front, bypassing this class's sharding
+            # override.
+            front = Campaign._batch_front(
+                campaign, MutantBatch(data=data, lengths=lengths))
+            conn.send((front.traversals, front.n_unique, front.flags,
+                       front.crashes))
     finally:
         conn.close()
 
@@ -92,8 +88,7 @@ class MPCampaign(Campaign):
     """Batched campaign whose batch front runs on a process pool.
 
     Args:
-        config: campaign configuration; must have ``batch_execution``
-            enabled (the serial engine has no front to parallelize).
+        config: campaign configuration, as for :class:`Campaign`.
         built: optional pre-built benchmark, as for :class:`Campaign`.
         telemetry: optional recorder, as for :class:`Campaign`
             (telemetry stays entirely in the parent).
@@ -107,9 +102,6 @@ class MPCampaign(Campaign):
 
     def __init__(self, config: CampaignConfig,
                  built=None, telemetry=None, *, workers: int = 2) -> None:
-        if not config.batch_execution:
-            raise CampaignConfigError(
-                "MPCampaign requires batch_execution=True")
         if workers < 1:
             raise CampaignConfigError(
                 f"workers must be >= 1, got {workers}")

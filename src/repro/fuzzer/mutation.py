@@ -1,16 +1,16 @@
-"""Mutation engine: AFL's deterministic stages and havoc.
+"""Mutation engine: AFL's stacked random "havoc" with splicing.
 
-The deterministic stage (walking bitflips, arithmetic, interesting
-values) is implemented for completeness and for the master instance of
-parallel sessions, but — exactly as in the paper's evaluation setup
-(§V-A1) — campaigns skip it by default for short runs and go straight
-to stacked random "havoc" mutations with occasional splicing.
+As in the paper's evaluation setup (§V-A1), campaigns skip AFL's
+deterministic stages and go straight to havoc. Havoc is split in two:
+:meth:`Mutator.havoc_draw` consumes a seed's whole share of the RNG
+stream, and :meth:`Mutator.havoc_apply` materializes any number of such
+draws as one padded batch of mutants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -142,31 +142,6 @@ class Mutator:
 
     # -- havoc ------------------------------------------------------------
 
-    def havoc(self, data: bytes,
-              splice_with: Optional[bytes] = None) -> bytes:
-        """One stacked-random mutant of ``data``.
-
-        With a splice partner, the mutant may first be spliced (cut both
-        inputs at random points and join), as AFL does after queue
-        cycles without new finds.
-        """
-        rng = self.rng
-        buf = np.frombuffer(data, dtype=np.uint8).copy()
-        if splice_with is not None and len(splice_with) > 2 and \
-                buf.size > 2 and rng.random() < 0.5:
-            buf = self._splice(buf, np.frombuffer(splice_with,
-                                                  dtype=np.uint8))
-        n_ops = 1 << int(rng.integers(1, HAVOC_STACK_POW2 + 1))
-        for _ in range(n_ops):
-            buf = self._one_havoc_op(buf)
-        if self.dictionary:
-            buf = self.dictionary.maybe_apply(buf, rng)
-        if buf.size > self.max_len:
-            buf = buf[:self.max_len]
-        return buf.tobytes()
-
-    # -- batched havoc ----------------------------------------------------
-
     def _batch_width(self, base_size: int, partner_size: int) -> int:
         """Padded-matrix width: room to grow, capped at ``max_len``."""
         longest = max(base_size, partner_size, self.min_len)
@@ -239,17 +214,20 @@ class Mutator:
         the shared width (rows never interact), so a single-draw apply
         reproduces the classic one-seed batch exactly.
 
-        Mutants use the same op mix as :meth:`havoc` (same ops, same
-        guard fallbacks to the constant-overwrite op, same block-size
-        cap), but the stack is applied in a canonical type-major order
-        rather than strictly interleaved: each mutant's length-changing
-        block ops run first (in round order), then every byte-level op
-        is applied against the final geometry — bit flips and
-        arithmetic first (commutative), then all overwrites with
-        per-byte conflicts resolved in round order. The composition of
-        any fixed op multiset is as random as the interleaved one, the
-        result is fully deterministic given the RNG seed, and growth is
-        bounded by the matrix width instead of a final truncation.
+        Mutants use AFL's havoc op mix (bit flip, interesting
+        byte/word/dword, arithmetic, random byte, block delete, clone /
+        insert, block overwrite, constant fill; ops whose guard fails
+        fall back to the constant fill, and block sizes are capped at a
+        quarter of the input), but the stack is applied in a canonical
+        type-major order rather than strictly interleaved: each
+        mutant's length-changing block ops run first (in round order),
+        then every byte-level op is applied against the final geometry
+        — bit flips and arithmetic first (commutative), then all
+        overwrites with per-byte conflicts resolved in round order. The
+        composition of any fixed op multiset is as random as the
+        interleaved one, the result is fully deterministic given the
+        RNG seed, and growth is bounded by the matrix width instead of
+        a final truncation.
 
         Returns:
             :class:`MutantBatch`; rows are zero-padded past their
@@ -323,16 +301,6 @@ class Mutator:
                 lengths[i] = out.size
         return MutantBatch(data=mat, lengths=lengths)
 
-    def havoc_batch(self, data: bytes, n: int,
-                    splice_with: Optional[bytes] = None) -> MutantBatch:
-        """Generate ``n`` stacked-random mutants of ``data`` at once.
-
-        One-seed convenience over :meth:`havoc_draw` +
-        :meth:`havoc_apply`; both the RNG stream and the produced
-        mutants are exactly a single-draw window's.
-        """
-        return self.havoc_apply([self.havoc_draw(data, n, splice_with)])
-
     @staticmethod
     def _block_scatter(starts: np.ndarray, lens: np.ndarray):
         """Flat per-row block indices: ``(repeated_rows_base, cols)``.
@@ -365,11 +333,11 @@ class Mutator:
         arithmetic are commutative (``ufunc.at`` handles duplicate
         targets), and all overwrites are resolved per byte by round
         order — the same bytes a sequential replay of the writes would
-        leave behind. (Cell *order* never matters in this phase: every
-        (byte, round) key pair is unique, so the conflict sort is
-        total.) Guard failures (word/dword on short rows, delete at
-        the minimum length, insert at full width) fall through to the
-        constant-overwrite op, as in the scalar if/elif chain.
+        leave behind. (Cell *order* never matters in this phase: a
+        byte's round numbers are unique, so the round-latest write is
+        well defined.) Guard failures (word/dword on short rows, delete
+        at the minimum length, insert at full width) fall through to
+        the constant-overwrite op.
         """
         n = int(lengths.size)
         is_len = (op == 6) | (op == 7)
@@ -642,129 +610,3 @@ class Mutator:
         lengths[r] = np.where(
             is_del, np.maximum(self.min_len, n_ - length),
             np.minimum(width, n_ + length))
-
-    def _splice(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        cut_a = int(self.rng.integers(1, a.size))
-        cut_b = int(self.rng.integers(1, b.size))
-        return np.concatenate([a[:cut_a], b[cut_b:]])
-
-    def _one_havoc_op(self, buf: np.ndarray) -> np.ndarray:
-        rng = self.rng
-        n = buf.size
-        if n == 0:
-            return rng.integers(0, 256, size=self.min_len, dtype=np.uint8)
-        op = int(rng.integers(0, 10))
-        if op == 0:  # flip one bit
-            pos = int(rng.integers(0, n))
-            buf[pos] ^= np.uint8(1 << int(rng.integers(0, 8)))
-        elif op == 1:  # interesting byte
-            buf[int(rng.integers(0, n))] = INTERESTING_8[
-                int(rng.integers(0, INTERESTING_8.size))]
-        elif op == 2 and n >= 2:  # interesting word
-            pos = int(rng.integers(0, n - 1))
-            value = INTERESTING_16[int(rng.integers(0,
-                                                    INTERESTING_16.size))]
-            if rng.random() < 0.5:
-                value = value.byteswap()
-            buf[pos:pos + 2] = np.frombuffer(value.tobytes(),
-                                             dtype=np.uint8)
-        elif op == 3 and n >= 4:  # interesting dword
-            pos = int(rng.integers(0, n - 3))
-            value = INTERESTING_32[int(rng.integers(0,
-                                                    INTERESTING_32.size))]
-            if rng.random() < 0.5:
-                value = value.byteswap()
-            buf[pos:pos + 4] = np.frombuffer(value.tobytes(),
-                                             dtype=np.uint8)
-        elif op == 4:  # arithmetic +/-
-            pos = int(rng.integers(0, n))
-            delta = int(rng.integers(1, ARITH_MAX + 1))
-            if rng.random() < 0.5:
-                delta = -delta
-            buf[pos] = np.uint8((int(buf[pos]) + delta) & 0xFF)
-        elif op == 5:  # random byte
-            buf[int(rng.integers(0, n))] = rng.integers(0, 256,
-                                                        dtype=np.uint8)
-        elif op == 6 and n > self.min_len:  # delete block
-            length = self._block_len(n)
-            start = int(rng.integers(0, n - length + 1))
-            keep = max(self.min_len, n - length)
-            buf = np.concatenate([buf[:start],
-                                  buf[start + length:]])[:None]
-            if buf.size < self.min_len:
-                buf = np.pad(buf, (0, self.min_len - buf.size))
-        elif op == 7 and n < self.max_len:  # clone / insert block
-            length = self._block_len(n)
-            src = int(rng.integers(0, n - length + 1))
-            dst = int(rng.integers(0, n + 1))
-            if rng.random() < 0.75:
-                block = buf[src:src + length]
-            else:  # constant-byte insertion
-                block = np.full(length, rng.integers(0, 256,
-                                                     dtype=np.uint8))
-            buf = np.concatenate([buf[:dst], block, buf[dst:]])
-        elif op == 8:  # overwrite block from elsewhere
-            length = self._block_len(n)
-            src = int(rng.integers(0, n - length + 1))
-            dst = int(rng.integers(0, n - length + 1))
-            buf[dst:dst + length] = buf[src:src + length].copy()
-        else:  # overwrite block with constant byte
-            length = self._block_len(n)
-            dst = int(rng.integers(0, n - length + 1))
-            buf[dst:dst + length] = rng.integers(0, 256, dtype=np.uint8)
-        return buf
-
-    def _block_len(self, n: int) -> int:
-        cap = max(1, int(n * _BLOCK_FRACTION))
-        return int(self.rng.integers(1, cap + 1))
-
-    # -- deterministic stage ----------------------------------------------
-
-    def deterministic(self, data: bytes, *,
-                      max_mutants: Optional[int] = None) -> Iterator[bytes]:
-        """AFL's deterministic mutants of ``data``, in stage order.
-
-        Stages: walking 1/2/4-bit flips, walking byte flips, byte
-        arithmetic, interesting bytes. ``max_mutants`` truncates the
-        stream (the full stream is O(len × 100)).
-        """
-        base = np.frombuffer(data, dtype=np.uint8)
-        produced = 0
-
-        def emit(buf: np.ndarray):
-            nonlocal produced
-            produced += 1
-            return buf.tobytes()
-
-        n_bits = base.size * 8
-        for width in (1, 2, 4):
-            for bit in range(n_bits - width + 1):
-                buf = base.copy()
-                for w in range(width):
-                    pos, off = divmod(bit + w, 8)
-                    buf[pos] ^= np.uint8(1 << off)
-                yield emit(buf)
-                if max_mutants is not None and produced >= max_mutants:
-                    return
-        for pos in range(base.size):
-            buf = base.copy()
-            buf[pos] ^= np.uint8(0xFF)
-            yield emit(buf)
-            if max_mutants is not None and produced >= max_mutants:
-                return
-        for pos in range(base.size):
-            for delta in range(1, ARITH_MAX + 1):
-                for signed in (delta, -delta):
-                    buf = base.copy()
-                    buf[pos] = np.uint8((int(buf[pos]) + signed) & 0xFF)
-                    yield emit(buf)
-                    if max_mutants is not None and \
-                            produced >= max_mutants:
-                        return
-        for pos in range(base.size):
-            for value in INTERESTING_8:
-                buf = base.copy()
-                buf[pos] = value
-                yield emit(buf)
-                if max_mutants is not None and produced >= max_mutants:
-                    return

@@ -53,8 +53,8 @@ class TestMixer:
         token = max(tokens, key=len)
         mutator = Mutator(np.random.default_rng(3),
                           dictionary=[token])
-        base = bytes(64)
-        hits = sum(token in mutator.havoc(base) for _ in range(300))
+        batch = mutator.havoc_apply([mutator.havoc_draw(bytes(64), 300)])
+        hits = sum(token in batch.tobytes(i) for i in range(batch.n))
         assert hits > 10, "dictionary tokens should appear regularly"
 
     def test_never_applied_when_probability_zero(self):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fuzzer import Mutator
-from repro.fuzzer.mutation import ARITH_MAX, INTERESTING_8
 
 
 def make_mutator(seed=0, **kwargs):
@@ -14,29 +13,39 @@ def make_mutator(seed=0, **kwargs):
                    **kwargs)
 
 
+def havoc(mutator, data, n, splice_with=None):
+    return mutator.havoc_apply([mutator.havoc_draw(data, n, splice_with)])
+
+
+def havoc_one(mutator, data, splice_with=None):
+    return havoc(mutator, data, 1, splice_with).tobytes(0)
+
+
 class TestHavoc:
+    """Single-input havoc: one-row batches through havoc_draw/apply."""
+
     def test_deterministic_for_same_stream(self):
         a, b = make_mutator(7), make_mutator(7)
         data = bytes(range(64))
         for _ in range(20):
-            assert a.havoc(data) == b.havoc(data)
+            assert havoc_one(a, data) == havoc_one(b, data)
 
     def test_usually_changes_input(self):
         mutator = make_mutator(1)
         data = bytes(64)
-        changed = sum(mutator.havoc(data) != data for _ in range(50))
+        changed = sum(havoc_one(mutator, data) != data for _ in range(50))
         assert changed >= 45
 
     def test_length_bounds(self):
         mutator = make_mutator(2, max_len=128, min_len=4)
         data = bytes(100)
         for _ in range(300):
-            mutant = mutator.havoc(data)
+            mutant = havoc_one(mutator, data)
             assert 4 <= len(mutant) <= 128
 
     def test_empty_input_handled(self):
         mutator = make_mutator(3)
-        mutant = mutator.havoc(b"")
+        mutant = havoc_one(mutator, b"")
         assert len(mutant) >= 1
 
     def test_splice_mixes_partners(self):
@@ -45,7 +54,7 @@ class TestHavoc:
         b = bytes([0xBB]) * 64
         spliced_bytes = set()
         for _ in range(40):
-            spliced_bytes.update(mutator.havoc(a, splice_with=b))
+            spliced_bytes.update(havoc_one(mutator, a, splice_with=b))
         assert 0xBB in spliced_bytes, "splice partner bytes never appear"
 
     def test_invalid_bounds(self):
@@ -53,51 +62,20 @@ class TestHavoc:
             make_mutator(max_len=2, min_len=4)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.binary(min_size=1, max_size=256), st.integers(0, 1000))
-    def test_never_crashes_on_arbitrary_input(self, data, seed):
+    @given(st.binary(min_size=1, max_size=256), st.integers(0, 1000),
+           st.integers(1, 16), st.integers(4, 512))
+    def test_never_crashes_on_arbitrary_input(self, data, seed, n,
+                                              max_len):
         """min_len only guards deletions — inputs that are already
-        shorter may stay short, but mutants are never empty and never
-        exceed the cap."""
-        mutator = make_mutator(seed)
-        mutant = mutator.havoc(data)
-        assert isinstance(mutant, bytes)
-        assert 1 <= len(mutant) <= max(mutator.max_len, len(data))
-
-
-class TestDeterministicStage:
-    def test_first_mutants_are_walking_bitflips(self):
-        mutator = make_mutator(5)
-        data = bytes([0x00, 0x00])
-        mutants = []
-        for i, m in enumerate(mutator.deterministic(data)):
-            mutants.append(m)
-            if i >= 15:
-                break
-        assert mutants[0] == bytes([0x01, 0x00])
-        assert mutants[1] == bytes([0x02, 0x00])
-        assert mutants[7] == bytes([0x80, 0x00])
-        assert mutants[8] == bytes([0x00, 0x01])
-
-    def test_max_mutants_truncates(self):
-        mutator = make_mutator(5)
-        stream = list(mutator.deterministic(bytes(8), max_mutants=10))
-        assert len(stream) == 10
-
-    def test_covers_arithmetic_and_interesting(self):
-        mutator = make_mutator(5)
-        data = bytes([50])
-        mutants = set(mutator.deterministic(data))
-        assert bytes([50 + 1]) in mutants
-        assert bytes([(50 - ARITH_MAX) & 0xFF]) in mutants
-        for value in INTERESTING_8.tolist():
-            assert bytes([value]) in mutants
-
-    def test_every_mutant_same_length_in_early_stages(self):
-        """Bitflips and arithmetic never change the input length."""
-        mutator = make_mutator(6)
-        data = bytes(16)
-        for m in mutator.deterministic(data, max_mutants=500):
-            assert len(m) == 16
+        shorter may stay short, but mutants are never empty, never
+        exceed the cap, and stay zero-padded past their length."""
+        mutator = make_mutator(seed, max_len=max_len)
+        batch = havoc(mutator, data, n)
+        assert batch.n == n
+        assert (batch.lengths >= 1).all()
+        assert (batch.lengths <= max(mutator.max_len, len(data))).all()
+        for i in range(n):
+            assert not batch.data[i, int(batch.lengths[i]):].any()
 
 
 class TestHavocBatch:
@@ -105,16 +83,16 @@ class TestHavocBatch:
         a, b = make_mutator(7), make_mutator(7)
         data = bytes(range(64))
         for _ in range(5):
-            ba = a.havoc_batch(data, 16, splice_with=bytes(range(32)))
-            bb = b.havoc_batch(data, 16, splice_with=bytes(range(32)))
+            ba = havoc(a, data, 16, splice_with=bytes(range(32)))
+            bb = havoc(b, data, 16, splice_with=bytes(range(32)))
             assert np.array_equal(ba.data, bb.data)
             assert np.array_equal(ba.lengths, bb.lengths)
 
     def test_zero_padding_invariant(self):
         mutator = make_mutator(3)
         for trial in range(10):
-            batch = mutator.havoc_batch(bytes(range(40)), 32,
-                                        splice_with=bytes(range(20)))
+            batch = havoc(mutator, bytes(range(40)), 32,
+                          splice_with=bytes(range(20)))
             for i in range(batch.n):
                 tail = batch.data[i, int(batch.lengths[i]):]
                 assert not tail.any(), f"trial {trial} row {i}"
@@ -122,35 +100,35 @@ class TestHavocBatch:
     def test_length_bounds(self):
         mutator = make_mutator(5, max_len=128, min_len=4)
         for data_len in (1, 4, 40, 128):
-            batch = mutator.havoc_batch(bytes(data_len), 24)
+            batch = havoc(mutator, bytes(data_len), 24)
             assert batch.width <= 128
             # Deletes never shrink below min_len; shorter inputs can
-            # only grow (as in scalar havoc).
+            # only grow.
             assert (batch.lengths >= min(data_len, 4)).all()
             assert (batch.lengths <= batch.width).all()
 
     def test_usually_changes_input(self):
         mutator = make_mutator(1)
         data = bytes(64)
-        batch = mutator.havoc_batch(data, 50)
+        batch = havoc(mutator, data, 50)
         changed = sum(batch.tobytes(i) != data for i in range(50))
         assert changed >= 45
 
     def test_rows_are_diverse(self):
         mutator = make_mutator(9)
-        batch = mutator.havoc_batch(bytes(range(64)), 64)
+        batch = havoc(mutator, bytes(range(64)), 64)
         assert len({batch.tobytes(i) for i in range(64)}) >= 32
 
     def test_empty_input_yields_min_len_rows(self):
         mutator = make_mutator(2, min_len=4)
-        batch = mutator.havoc_batch(b"", 8)
+        batch = havoc(mutator, b"", 8)
         assert (batch.lengths >= 4).all()
         assert any(batch.row(i).any() for i in range(batch.n))
 
     def test_splice_mixes_partner_bytes(self):
         mutator = make_mutator(11)
         data, partner = b"\x01" * 64, b"\x02" * 64
-        batch = mutator.havoc_batch(data, 40, splice_with=partner)
+        batch = havoc(mutator, data, 40, splice_with=partner)
         has_partner = sum(bool((batch.row(i) == 2).any())
                           for i in range(batch.n))
         assert has_partner >= 10
@@ -159,12 +137,12 @@ class TestHavocBatch:
         token = b"MAGICTOKEN"
         mutator = Mutator(np.random.default_rng(np.random.PCG64(4)),
                           dictionary=[token])
-        batch = mutator.havoc_batch(bytes(64), 80)
+        batch = havoc(mutator, bytes(64), 80)
         stamped = sum(token in batch.tobytes(i) for i in range(batch.n))
         assert stamped >= 5
 
     def test_row_views_match_tobytes(self):
         mutator = make_mutator(6)
-        batch = mutator.havoc_batch(bytes(range(32)), 10)
+        batch = havoc(mutator, bytes(range(32)), 10)
         for i, view in enumerate(batch.rows()):
             assert view.tobytes() == batch.tobytes(i)
