@@ -9,9 +9,9 @@ the historical plain-loop cost, and report the enabled-path cost as
 ``extra_info`` for trend-watching.
 
 The guard compares medians of interleaved repeats (not single shots) so
-host noise doesn't flake CI; results between modes are also checked
-identical, which is the other half of the "observability changes
-nothing" contract.
+host noise doesn't flake CI; every run's whole ``CampaignResult`` is
+also checked equal across modes, which is the other half of the
+"observability changes nothing" contract.
 """
 
 import pytest
@@ -59,21 +59,22 @@ class TestDisabledOverhead:
         work, so this bounds the *absolute* cost of the disabled
         instrumentation points at ~the guard margin."""
         off_times, on_times = [], []
-        results = set()
+        results = []
         for _ in range(REPEATS):
             elapsed, result = timed_run(built, None)
             off_times.append(elapsed)
-            results.add((result.execs, result.discovered_locations))
+            results.append(result)
             elapsed, result = timed_run(built, TelemetryRecorder(0))
             on_times.append(elapsed)
-            results.add((result.execs, result.discovered_locations))
+            results.append(result)
         off, on = median(off_times), median(on_times)
         benchmark.extra_info["disabled_median_s"] = round(off, 4)
         benchmark.extra_info["enabled_median_s"] = round(on, 4)
         benchmark.extra_info["enabled_over_disabled"] = \
             round(on / off, 3) if off else float("inf")
         benchmark(lambda: None)
-        assert len(results) == 1, "telemetry changed campaign results"
+        assert all(r == results[0] for r in results), \
+            "telemetry changed campaign results"
         assert off <= on * DISABLED_OVERHEAD_GUARD, (
             f"telemetry-disabled run ({off:.4f}s) slower than "
             f"{DISABLED_OVERHEAD_GUARD}x the enabled run ({on:.4f}s); "

@@ -21,10 +21,12 @@ from ..core import (AflCoverage, BigMapCoverage, COUNTER_SATURATE,
 from ..core.errors import CampaignConfigError
 from ..instrumentation import apply_lafintel, build_instrumentation
 from ..memsim.calibration import model_for_benchmark
-from ..memsim.costmodel import AFL, BIGMAP, BitmapCostModel, ExecShape
+from ..memsim.costmodel import (AFL, BIGMAP, OP_CATEGORIES,
+                                BitmapCostModel, ExecShape)
 from ..memsim.machine import Machine, XEON_E5645
 from ..target import BuiltBenchmark, Executor, get_benchmark
 from ..target.executor import ExecResult
+from ..telemetry.metrics import sequential_sum
 from ..telemetry.recorder import TelemetryRecorder
 from ..telemetry.spans import NULL_TRACER
 from .clock import VirtualClock
@@ -37,6 +39,9 @@ from .triage import AflCrashTriager, CrashwalkTriager
 
 #: Classic fork-server cost per execution (~250 us at 2.4 GHz).
 FORK_OVERHEAD_CYCLES = 600_000.0
+
+#: Telemetry spans carrying each cost category's cycles.
+_OP_SPANS = tuple("op." + key for key in OP_CATEGORIES)
 
 
 @dataclass(frozen=True)
@@ -234,9 +239,8 @@ class Campaign:
         self._span_classify = self._tracer.span("classify_compare")
         self._span_cost = self._tracer.span("cost_eval")
         self.shape_stats = RunningShape()
-        self.op_cycles: Dict[str, float] = {
-            "execution": 0.0, "reset": 0.0, "classify": 0.0,
-            "compare": 0.0, "hash": 0.0, "others": 0.0}
+        self.op_cycles: Dict[str, float] = dict.fromkeys(
+            OP_CATEGORIES, 0.0)
         self.execs = 0
         self.hangs = 0
         self.unique_hangs = 0
@@ -314,49 +318,54 @@ class Campaign:
             hash_bytes=hash_bytes)
         return result, compare, shape, snapshot
 
-    def _charge(self, shape: ExecShape, ops=None) -> float:
-        """Charge one execution's modeled cost to the virtual clock.
-
-        ``ops`` may carry a precomputed :class:`OpCycles` (the batched
-        engine prices whole batches at once); it must equal
-        ``model.exec_cycles(shape)`` bit-for-bit, which
-        ``exec_cycles_batch`` guarantees.
-        """
-        if ops is None:
-            with self._span_cost:
-                ops = self.model.exec_cycles(shape)
+    def _charge(self, shape: ExecShape) -> float:
+        """Charge one execution's modeled cost to the virtual clock."""
+        with self._span_cost:
+            ops = self.model.exec_cycles(shape)
         total = ops.total
         multiplier = self.cycle_multiplier * self.fault_multiplier
         self.clock.charge(total * multiplier)
-        # Unrolled ops.as_dict() accumulation: per-key float order is
-        # what checkpoint equality depends on, and it is unchanged.
         oc = self.op_cycles
-        oc["execution"] += ops.execution
-        oc["reset"] += ops.reset
-        oc["classify"] += ops.classify
-        oc["compare"] += ops.compare
-        oc["hash"] += ops.hash
-        oc["others"] += ops.others
+        for key in OP_CATEGORIES:
+            oc[key] += getattr(ops, key)
         if self.telemetry is not None:
-            self._observe_cost(ops, shape)
+            self._observe_costs(
+                [getattr(ops, key) for key in OP_CATEGORIES],
+                shape.traversals, shape.unique_locations,
+                used_bytes=shape.used_bytes, interesting=shape.interesting,
+                hash_bytes=shape.hash_bytes)
         self.shape_stats.absorb(shape)
         self.execs += 1
         return total
 
-    def _observe_cost(self, ops, shape: ExecShape) -> None:
-        """Feed one execution's modeled cost into telemetry.
+    def _observe_costs(self, ops, traversals, n_unique, *,
+                       used_bytes: int, interesting: bool = False,
+                       hash_bytes: int = 0) -> None:
+        """Feed executions' modeled costs into telemetry.
 
-        Per-op cycles become span deposits (``op.execution`` etc., the
-        Figure 3 categories) and the cost model's hierarchy attribution
-        becomes ``memsim.share.*`` histogram observations — the per-op
-        L1/L2/LLC/DRAM/TLB decomposition of tracing cost.
+        One execution comes as plain numbers: ``ops`` lists its cycles
+        per :data:`OP_CATEGORIES` entry. A run of executions comes as
+        arrays: ``ops`` has one row per category and one column per
+        execution. The cycles fold into the ``op.*`` spans, and each
+        execution's per-level cost attribution into the
+        ``memsim.share.*`` histograms. The folds are sequential, so one
+        call for a run leaves the same bits as one call per execution.
         """
-        tracer = self._tracer
-        for key, value in ops.as_dict().items():
-            tracer.add("op." + key, value)
+        shares = self.model.level_share_batch(
+            traversals, n_unique, used_bytes=used_bytes,
+            interesting=interesting, hash_bytes=hash_bytes)
         registry = self.telemetry.registry
-        for level, share in self.model.level_share(shape).items():
-            registry.histogram("memsim.share." + level).observe(share)
+        histograms = [registry.histogram("memsim.share." + level)
+                      for level in shares]
+        if np.ndim(traversals) == 0:
+            for name, cycles in zip(_OP_SPANS, ops):
+                self._tracer.add(name, cycles)
+            for histogram, share in zip(histograms, shares.values()):
+                histogram.observe(float(share))
+        else:
+            self._tracer.add_many(_OP_SPANS, ops)
+            for histogram, values in zip(histograms, shares.values()):
+                histogram.observe_many(values)
 
     def _trace_hash(self, data: bytes) -> int:
         """Classified-trace hash of one execution, without touching
@@ -686,10 +695,11 @@ class Campaign:
         exactly as the serial reference engine
         (:class:`repro.fuzzer.oracle.SerialCampaign`) would.
         Everything else is charged from the batch pricing without ever
-        materializing a coverage map; with telemetry disabled, maximal
-        runs of consecutive cheap traces are charged in one vectorized
-        sweep whose float accumulation order is bit-identical to the
-        per-trace loop (see :meth:`_charge_cheap_run`).
+        materializing a coverage map: maximal runs of consecutive cheap
+        traces are charged in one vectorized sweep whose float
+        accumulation order — clock, op cycles and telemetry alike — is
+        bit-identical to the per-trace loop (see
+        :meth:`_charge_cheap_run`).
 
         The conservative flags are sound under in-order processing:
         virgin bits only clear monotonically, so a trace dismissed
@@ -701,9 +711,9 @@ class Campaign:
         """
         # No spans around the batch kernels: the serial engine records
         # one {execute, classify_compare, cost_eval} call per execution
-        # (zero clock delta — charging happens later), so the batched
-        # engine deposits the same per-exec calls below instead of
-        # phantom per-batch entries, keeping profiles bit-identical.
+        # (zero clock delta — charging happens later), so the cheap-run
+        # sweep deposits the same per-exec calls instead of phantom
+        # per-batch entries, keeping profiles bit-identical.
         mega, seeds, bounds = window
         front = self._batch_front(mega)
 
@@ -722,7 +732,6 @@ class Campaign:
         replays = base_replays if budget is None \
             else base_replays | (totals > budget)
 
-        fast = self.telemetry is None
         last_cheap = -1  # last processed trace that skipped the map
         i = 0
         stop = False
@@ -768,7 +777,7 @@ class Campaign:
                                 replays = base_replays | (totals > budget)
                         self._record_curve()
                         i += 1
-                    elif fast:
+                    else:
                         j = i + 1
                         while j < end and not replays[j]:
                             j += 1
@@ -782,24 +791,6 @@ class Campaign:
                         if exhausted:
                             stop = True
                             break
-                    else:
-                        shape = ExecShape(
-                            traversals=int(front.traversals[i]),
-                            unique_locations=int(front.n_unique[i]),
-                            used_bytes=used, interesting=False,
-                            hash_bytes=0)
-                        self._charge(shape, ops=batch_ops.row(i))
-                        # The per-exec span calls the scalar pipeline
-                        # would have recorded (their clock deltas are
-                        # zero: the cost is charged in _charge, outside
-                        # those spans).
-                        tracer = self._tracer
-                        tracer.add("execute", 0.0)
-                        tracer.add("classify_compare", 0.0)
-                        tracer.add("cost_eval", 0.0)
-                        last_cheap = i
-                        self._record_curve()
-                        i += 1
             if stop:
                 break
 
@@ -811,14 +802,19 @@ class Campaign:
                           deadline: float) -> Tuple[int, bool]:
         """Charge consecutive cheap traces ``[lo, hi)`` in one sweep.
 
-        Bit-identical to calling :meth:`_charge` per trace: the clock
-        and every ``op_cycles`` key advance through
+        Bit-identical to calling :meth:`_charge` per trace: the clock,
+        every ``op_cycles`` key and, with telemetry on, every ``op.*``
+        span and ``memsim.share.*`` histogram advance through
         ``np.add.accumulate`` — a strictly sequential left-to-right
         fold, the same float operations in the same order as the scalar
         loop — and the shape statistics are exact integer sums. The
         serial engine checks exhaustion *before* each trace, so the run
         stops at the first trace whose preceding clock value crosses
-        the deadline, or when the real-execution cap is reached.
+        the deadline, or when the real-execution cap is reached. It
+        also stops right after the trace whose clock reaches the next
+        coverage-curve sample, so the caller's :meth:`_record_curve`
+        sees exactly the state the per-trace loop samples. The caller
+        has checked exhaustion, so at least one trace is charged.
 
         Returns ``(n_processed, exhausted)``.
         """
@@ -827,32 +823,34 @@ class Campaign:
         acc = np.add.accumulate(np.concatenate(
             ([self.clock.cycles], totals[lo:hi] * multiplier)))
         # acc[t] is the clock after t traces; the serial loop admits
-        # trace t iff acc[t] / f < deadline (checked before charging).
+        # trace t iff acc[t] / f < deadline (checked before charging),
+        # and samples the curve after trace t iff acc[t + 1] / f
+        # reaches the next sample.
         seconds = acc / self.clock.frequency_hz
         t_clock = int(np.searchsorted(seconds, deadline, side="left"))
-        t = min(n, t_clock, self.config.max_real_execs - self.execs)
-        if t > 0:
-            self.clock.cycles = float(acc[t])
-            oc = self.op_cycles
-            oc["execution"] = float(np.add.accumulate(np.concatenate(
-                ([oc["execution"]],
-                 batch_ops.execution[lo:lo + t])))[-1])
-            for key, const in (("reset", batch_ops.reset),
-                               ("classify", batch_ops.classify),
-                               ("compare", batch_ops.compare),
-                               ("others", batch_ops.others)):
-                oc[key] = float(np.add.accumulate(np.concatenate(
-                    ([oc[key]], np.full(t, const))))[-1])
-            # batch_ops.hash is 0.0 for cheap traces: adding it would
-            # not change a single bit, so it is skipped outright.
-            stats = self.shape_stats
-            stats.execs += t
-            stats.traversals += int(np.sum(front.traversals[lo:lo + t]))
-            stats.unique_locations += int(
-                np.sum(front.n_unique[lo:lo + t]))
-            stats.used_bytes_last = used
-            self.execs += t
-        if t < n:
+        t_run = min(n, 1 + int(np.searchsorted(
+            seconds[1:], self._next_sample, side="left")))
+        t = min(t_run, t_clock, self.config.max_real_execs - self.execs)
+        self.clock.cycles = float(acc[t])
+        ops = batch_ops.columns(lo, lo + t)
+        oc = self.op_cycles
+        oc.update(zip(OP_CATEGORIES, sequential_sum(
+            [oc[key] for key in OP_CATEGORIES], ops)))
+        traversals = front.traversals[lo:lo + t]
+        n_unique = front.n_unique[lo:lo + t]
+        if self.telemetry is not None:
+            self._observe_costs(ops, traversals, n_unique, used_bytes=used)
+            # The per-exec span calls the scalar pipeline records (zero
+            # clock delta: the cost is charged outside those spans).
+            for name in ("execute", "classify_compare", "cost_eval"):
+                self._tracer.add(name, 0.0, calls=t)
+        stats = self.shape_stats
+        stats.execs += t
+        stats.traversals += int(np.sum(traversals))
+        stats.unique_locations += int(np.sum(n_unique))
+        stats.used_bytes_last = used
+        self.execs += t
+        if t < t_run:
             # Mirror the serial loop's _exhausted call at the stopping
             # trace (it is what records stopped_by="execs").
             self._exhausted(deadline)

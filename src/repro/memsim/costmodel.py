@@ -36,6 +36,7 @@ load latency plus a DTLB walk fraction (huge pages eliminate it).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Dict
 
@@ -93,6 +94,11 @@ class ExecShape:
     hash_bytes: int = 0
 
 
+#: Figure 3's cost categories, in :class:`OpCycles` field order.
+OP_CATEGORIES = ("execution", "reset", "classify", "compare", "hash",
+                 "others")
+
+
 @dataclass(frozen=True)
 class OpCycles:
     """Cycle breakdown of one fuzzing iteration (Figure 3's categories)."""
@@ -110,9 +116,7 @@ class OpCycles:
                 self.compare + self.hash + self.others)
 
     def as_dict(self) -> Dict[str, float]:
-        return {"execution": self.execution, "reset": self.reset,
-                "classify": self.classify, "compare": self.compare,
-                "hash": self.hash, "others": self.others}
+        return {key: getattr(self, key) for key in OP_CATEGORIES}
 
 
 @dataclass(frozen=True)
@@ -120,9 +124,10 @@ class BatchOpCycles:
     """Vectorized :class:`OpCycles` for a batch of non-interesting execs.
 
     ``execution`` varies per trace; the sweep components depend only on
-    the (shared) coverage state, so they are scalars. ``row(i)`` must be
-    bit-identical to ``exec_cycles(ExecShape(...))`` for that trace —
-    the batched campaign relies on this for cycle-exact determinism.
+    the (shared) coverage state, so they are scalars. Column ``i`` of
+    :meth:`columns` must be bit-identical to
+    ``exec_cycles(ExecShape(...))`` for that trace — the batched
+    campaign relies on this for cycle-exact determinism.
     """
 
     execution: np.ndarray
@@ -141,11 +146,14 @@ class BatchOpCycles:
         return ((((self.execution + self.reset) + self.classify) +
                  self.compare) + self.hash) + self.others
 
-    def row(self, i: int) -> OpCycles:
-        return OpCycles(execution=float(self.execution[i]),
-                        reset=self.reset, classify=self.classify,
-                        compare=self.compare, hash=self.hash,
-                        others=self.others)
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """Traces ``[lo, hi)`` as one row per :data:`OP_CATEGORIES`
+        entry and one column per trace."""
+        out = np.empty((len(OP_CATEGORIES), hi - lo))
+        out[0] = self.execution[lo:hi]
+        out[1:] = [[self.reset], [self.classify], [self.compare],
+                   [self.hash], [self.others]]
+        return out
 
 
 class BitmapCostModel:
@@ -192,6 +200,13 @@ class BitmapCostModel:
                 f"fork_overhead_cycles must be >= 0, got "
                 f"{fork_overhead_cycles}")
         self.fork_overhead_cycles = fork_overhead_cycles
+        # Per-level tables (cache levels smallest first, DRAM last).
+        self._level_sizes = tuple(lvl.size_bytes for lvl in machine.levels)
+        self._latency = (*(lvl.latency_cycles for lvl in machine.levels),
+                         machine.dram_latency_cycles)
+        self._attribution_keys = (
+            "core", *(lvl.name.lower() for lvl in machine.levels), "dram",
+            "tlb")
 
     # -- residency -------------------------------------------------------
 
@@ -204,21 +219,17 @@ class BitmapCostModel:
 
     def _level_index(self, footprint: int) -> int:
         """Smallest level holding ``footprint``; len(levels) = DRAM."""
-        for i, level in enumerate(self.machine.levels):
-            if footprint <= level.size_bytes:
-                return i
-        return len(self.machine.levels)
+        return bisect.bisect_left(self._level_sizes, footprint)
+
+    def _level_rows(self, footprints) -> np.ndarray:
+        """:meth:`_level_index` of every entry of ``footprints``."""
+        return np.searchsorted(self._level_sizes, footprints, side="left")
 
     def _seq_rate(self, level_idx: int, *, write: bool) -> float:
         if level_idx >= len(self.machine.levels):
             rate = self.machine.dram_seq_cycles_per_byte
             return rate * DRAM_WRITE_FACTOR if write else rate
         return self.machine.levels[level_idx].seq_cycles_per_byte
-
-    def _scat_latency(self, level_idx: int) -> float:
-        if level_idx >= len(self.machine.levels):
-            return self.machine.dram_latency_cycles
-        return self.machine.levels[level_idx].latency_cycles
 
     # -- per-operation pricing -------------------------------------------
 
@@ -244,7 +255,7 @@ class BitmapCostModel:
             return 0.0
         walk = scattered_walk_fraction(region_bytes, self.machine,
                                        self.config.huge_pages)
-        per_access = self._scat_latency(level_idx) + \
+        per_access = self._latency[level_idx] + \
             walk * self.machine.walk_cycles
         return n_accesses * per_access
 
@@ -329,7 +340,7 @@ class BitmapCostModel:
                 2 * cfg.map_size + self.target_ws_bytes)
             walk = scattered_walk_fraction(cfg.map_size, self.machine,
                                            cfg.huge_pages)
-            per_access = self._scat_latency(level_w) + \
+            per_access = self._latency[level_w] + \
                 walk * self.machine.walk_cycles
             execution = execution + uniq * per_access
             active = cfg.map_size
@@ -337,27 +348,20 @@ class BitmapCostModel:
         else:
             # BigMap's working set varies with unique_locations, so the
             # residency level of the index scatter is per-row.
-            line = self.machine.line_size
-            working_set = (2 * used_bytes + uniq * line +
-                           self.target_ws_bytes)
-            sizes = np.array([lvl.size_bytes
-                              for lvl in self.machine.levels],
-                             dtype=np.int64)
-            level_rows = np.searchsorted(sizes, working_set, side="left")
-            latency = np.array(
-                [self._scat_latency(i)
-                 for i in range(len(self.machine.levels) + 1)])
+            level_rows = self._level_rows(
+                2 * used_bytes + uniq * self.machine.line_size +
+                self.target_ws_bytes)
             execution = execution + trav * self.indirection_cycles
             index_region = cfg.map_size * cfg.index_entry_bytes
             walk_idx = scattered_walk_fraction(index_region, self.machine,
                                                cfg.huge_pages)
-            per_access_idx = latency[level_rows] + \
+            per_access_idx = np.take(self._latency, level_rows) + \
                 walk_idx * self.machine.walk_cycles
             execution = execution + uniq * per_access_idx
             dense_level = self._level_index(2 * used_bytes)
             walk_dense = scattered_walk_fraction(
                 max(used_bytes, 1), self.machine, cfg.huge_pages)
-            per_access_dense = self._scat_latency(dense_level) + \
+            per_access_dense = self._latency[dense_level] + \
                 walk_dense * self.machine.walk_cycles
             execution = execution + uniq * per_access_dense
             active = used_bytes
@@ -381,11 +385,6 @@ class BitmapCostModel:
 
     # -- cycle attribution -------------------------------------------------
 
-    def _level_key(self, level_idx: int) -> str:
-        if level_idx >= len(self.machine.levels):
-            return "dram"
-        return self.machine.levels[level_idx].name.lower()
-
     def cycle_attribution(self, shape: ExecShape) -> Dict[str, float]:
         """Where one iteration's cycles go: per hierarchy level + TLB.
 
@@ -396,81 +395,113 @@ class BitmapCostModel:
         it. ``core`` holds the memory-independent work (target compute,
         indirection arithmetic, fork, bookkeeping); ``tlb`` holds page
         walks from both sweeps and scattered accesses. Telemetry feeds
-        these as histogram observations (``memsim.share.*``), giving
-        campaigns the per-execution tracing-cost decomposition the
-        throughput figures are built from.
+        the :meth:`level_share` fractions as histogram observations
+        (``memsim.share.*``), giving campaigns the per-execution
+        tracing-cost decomposition the throughput figures are built
+        from. :meth:`cycle_attribution_batch` on this one execution.
+        """
+        return _one_row(self.cycle_attribution_batch, shape)
+
+    def level_share(self, shape: ExecShape) -> Dict[str, float]:
+        """:meth:`cycle_attribution` normalized to fractions of total."""
+        return _one_row(self.level_share_batch, shape)
+
+    def cycle_attribution_batch(self, traversals, unique_locations, *,
+                                used_bytes: int = 0,
+                                interesting: bool = False,
+                                hash_bytes: int = 0) -> Dict[str, object]:
+        """:meth:`cycle_attribution` of executions sharing one coverage state.
+
+        ``traversals`` and ``unique_locations`` are ints for one
+        execution (the walk then stays in plain floats) or equal-length
+        arrays, one entry per execution. Entry ``i`` is bit-identical to
+        the walk on entry ``i`` alone: the same float terms in the same
+        order, where a term the row does not incur (no accesses, or a
+        level that does not serve it) is an exact ``+ 0.0``.
         """
         cfg = self.config
-        attr = {"core": 0.0, "l1d": 0.0, "l2": 0.0, "llc": 0.0,
-                "dram": 0.0, "tlb": 0.0}
+        machine = self.machine
+        trav, uniq = traversals, unique_locations
+        if np.ndim(trav):
+            trav = np.asarray(trav, dtype=np.int64)
+            uniq = np.asarray(uniq, dtype=np.int64)
+        zero = trav * 0.0
+        levels = [zero] * len(self._latency)  # DRAM last
+        tlb = zero
 
-        def scatter(n_accesses: int, region_bytes: int,
-                    level_idx: int) -> None:
-            if n_accesses <= 0:
-                return
-            walk = scattered_walk_fraction(region_bytes, self.machine,
+        def scatter(region_bytes: int, level) -> None:
+            nonlocal tlb
+            if np.ndim(level):
+                # A per-row level: each row lands on exactly one level.
+                for k, latency in enumerate(self._latency):
+                    levels[k] = levels[k] + uniq * latency * (level == k)
+            else:
+                levels[level] = levels[level] + uniq * self._latency[level]
+            walk = scattered_walk_fraction(region_bytes, machine,
                                            cfg.huge_pages)
-            attr[self._level_key(level_idx)] += \
-                n_accesses * self._scat_latency(level_idx)
-            attr["tlb"] += n_accesses * walk * self.machine.walk_cycles
+            tlb = tlb + uniq * walk * machine.walk_cycles
 
         def sweep(region_bytes: int, level_idx: int, *,
                   write: bool = False, read_write: bool = False,
                   non_temporal: bool = False) -> None:
+            nonlocal tlb
             if region_bytes <= 0:
                 return
             if non_temporal:
                 # NT stores stream past the hierarchy straight to DRAM.
-                attr["dram"] += region_bytes * NON_TEMPORAL_RATE
+                levels[-1] = levels[-1] + region_bytes * NON_TEMPORAL_RATE
             else:
                 rate = self._seq_rate(level_idx, write=write or read_write)
                 passes = 2.0 if read_write else 1.0
-                attr[self._level_key(level_idx)] += \
-                    region_bytes * rate * passes
-            attr["tlb"] += sweep_walk_cycles(region_bytes, self.machine,
-                                             cfg.huge_pages)
+                levels[level_idx] = (levels[level_idx] +
+                                     region_bytes * rate * passes)
+            tlb = tlb + sweep_walk_cycles(region_bytes, machine,
+                                          cfg.huge_pages)
 
-        level_w = self._level_index(self.working_set_bytes(shape))
-        attr["core"] += (self.exec_base_cycles +
-                         self.fork_overhead_cycles +
-                         shape.traversals * self.per_traversal_cycles)
+        core = ((self.exec_base_cycles + self.fork_overhead_cycles) +
+                trav * self.per_traversal_cycles)
         if cfg.kind == AFL:
+            level_w = self._level_index(
+                2 * cfg.map_size + self.target_ws_bytes)
             active = cfg.map_size
-            scatter(shape.unique_locations, cfg.map_size, level_w)
+            scatter(cfg.map_size, level_w)
             reset_level = level_w
             hash_bytes = cfg.map_size
         else:
-            active = shape.used_bytes
-            attr["core"] += shape.traversals * self.indirection_cycles
-            index_region = cfg.map_size * cfg.index_entry_bytes
-            scatter(shape.unique_locations, index_region, level_w)
-            dense_level = self._level_index(2 * shape.used_bytes)
-            scatter(shape.unique_locations, max(shape.used_bytes, 1),
-                    dense_level)
+            level_w = self._level_rows(2 * used_bytes +
+                                       uniq * machine.line_size +
+                                       self.target_ws_bytes)
+            active = used_bytes
+            core = core + trav * self.indirection_cycles
+            scatter(cfg.map_size * cfg.index_entry_bytes, level_w)
+            dense_level = self._level_index(2 * used_bytes)
+            scatter(max(used_bytes, 1), dense_level)
             reset_level = dense_level
-            hash_bytes = shape.hash_bytes or shape.used_bytes
+            hash_bytes = hash_bytes or used_bytes
 
-        sweep_level = level_w if cfg.kind == AFL else reset_level
         sweep(active, reset_level, write=True,
               non_temporal=cfg.non_temporal_reset)
-        sweep(active, sweep_level, read_write=True)
-        sweep(active, sweep_level)
+        sweep(active, reset_level, read_write=True)
+        sweep(active, reset_level)
         if not cfg.merged_classify_compare:
             # Unmerged classify+compare costs one extra plain sweep
             # over the region (rw + 2×plain vs merged's rw + plain).
-            sweep(active, sweep_level)
-        if shape.interesting:
-            sweep(hash_bytes, sweep_level)
-        attr["core"] += self.others_cycles
-        return attr
+            sweep(active, reset_level)
+        if interesting:
+            sweep(hash_bytes, reset_level)
+        core = core + self.others_cycles
+        return dict(zip(self._attribution_keys, (core, *levels, tlb)))
 
-    def level_share(self, shape: ExecShape) -> Dict[str, float]:
-        """:meth:`cycle_attribution` normalized to fractions of total."""
-        attr = self.cycle_attribution(shape)
+    def level_share_batch(self, traversals, unique_locations,
+                          **shape) -> Dict[str, object]:
+        """:meth:`cycle_attribution_batch` normalized to fractions of
+        each execution's total."""
+        attr = self.cycle_attribution_batch(traversals, unique_locations,
+                                            **shape)
         total = sum(attr.values())
-        if total <= 0:
-            return {key: 0.0 for key in attr}
-        return {key: value / total for key, value in attr.items()}
+        # An execution whose cycles are all zero has all-zero shares.
+        divisor = np.where(total > 0, total, np.inf)
+        return {key: value / divisor for key, value in attr.items()}
 
     def throughput(self, shape: ExecShape) -> float:
         """Executions per second for a steady stream of ``shape`` execs."""
@@ -507,3 +538,12 @@ class BitmapCostModel:
         overflow = 1.0 - min(1.0, self.machine.llc.size_bytes /
                              working_set)
         return base_traffic * (1.0 + 0.8 * overflow)
+
+
+def _one_row(batch_fn, shape: ExecShape) -> Dict[str, float]:
+    """Evaluate a ``*_batch`` attribution on the one execution ``shape``."""
+    row = batch_fn(shape.traversals, shape.unique_locations,
+                   used_bytes=shape.used_bytes,
+                   interesting=shape.interesting,
+                   hash_bytes=shape.hash_bytes)
+    return {key: float(value) for key, value in row.items()}

@@ -21,8 +21,11 @@ Concretely:
 
 from __future__ import annotations
 
+import bisect
 import re
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..core.errors import TelemetryError
 
@@ -35,6 +38,17 @@ SHARE_BUCKETS: Tuple[float, ...] = (
     0.01, 0.05, 0.10, 0.20, 0.40, 0.60, 0.80, 0.95)
 
 Number = Union[int, float]
+
+
+def sequential_sum(start, values):
+    """Fold ``values`` onto ``start`` strictly left to right along the
+    last axis: a scalar ``+=`` loop's float additions, in its order
+    (``np.sum`` would add pairwise). ``start`` is a scalar for 1-D
+    ``values`` or one start per row of 2-D ``values``; returns a float
+    or a list of floats."""
+    start = np.asarray(start, dtype=np.float64)[..., None]
+    return np.add.accumulate(np.concatenate((start, values), axis=-1),
+                             axis=-1)[..., -1].tolist()
 
 
 def _check_name(name: str) -> str:
@@ -120,14 +134,20 @@ class Histogram:
         self.sum: float = 0.0
 
     def observe(self, value: Number) -> None:
-        idx = len(self.boundaries)
-        for i, bound in enumerate(self.boundaries):
-            if value <= bound:
-                idx = i
-                break
-        self.counts[idx] += 1
+        """Count ``value`` in the first bucket whose edge is ``>=`` it."""
+        self.counts[bisect.bisect_left(self.boundaries, value)] += 1
         self.total += 1
         self.sum += value
+
+    def observe_many(self, values) -> None:
+        """Bit-identical to one :meth:`observe` per value, in order."""
+        values = np.asarray(values, dtype=np.float64)
+        added = np.bincount(np.searchsorted(self.boundaries, values,
+                                            side="left"),
+                            minlength=len(self.counts))
+        self.counts = [c + k for c, k in zip(self.counts, added.tolist())]
+        self.total += values.size
+        self.sum = sequential_sum(self.sum, values)
 
     @property
     def mean(self) -> float:

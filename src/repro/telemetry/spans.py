@@ -14,7 +14,9 @@ Two cost sources feed the same profile:
   everything charged while the seed was being fuzzed;
 * **explicit attribution** — :meth:`SpanTracer.add` lets the cost model
   deposit already-priced cycles (per-op breakdowns from
-  ``BitmapCostModel.exec_cycles``) without re-measuring them.
+  ``BitmapCostModel.exec_cycles``) without re-measuring them, and
+  :meth:`SpanTracer.add_many` deposits a whole run of executions into
+  several spans at once, bit-identical to one ``add`` per execution.
 
 The disabled path matters more than the enabled one: a campaign built
 without telemetry uses :data:`NULL_TRACER`, whose ``span`` handles are
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 import functools
 from typing import Callable, Dict, List, Optional
+
+from .metrics import sequential_sum
 
 __all__ = [
     "Span", "SpanTracer", "NullSpan", "NullTracer", "NULL_TRACER",
@@ -104,6 +108,15 @@ class SpanTracer:
         span = self.span(name)
         span.calls += calls
         span.cycles += cycles
+
+    def add_many(self, names, cycles) -> None:
+        """Deposit row ``k`` of the 2-D ``cycles`` into span
+        ``names[k]``: one call per column, folded in column order."""
+        spans = [self.span(name) for name in names]
+        totals = sequential_sum([span.cycles for span in spans], cycles)
+        for span, total in zip(spans, totals):
+            span.calls += cycles.shape[1]
+            span.cycles = total
 
     def trace(self, name: str) -> Callable:
         """Decorator form of :meth:`span`."""

@@ -146,57 +146,61 @@ class TestBatchedTelemetryIdentity:
     def test_span_profile_and_events_match_serial(self):
         """Telemetry is part of the equivalence contract: the batched
         engine deposits the same per-exec span calls (execute,
-        classify_compare, cost_eval) and emits the same event stream
-        the scalar pipeline records."""
+        classify_compare, cost_eval), the same ``memsim.share.*``
+        histograms and the same event stream the scalar pipeline
+        records — every rendered artifact, ``metrics.json`` included,
+        is byte-identical."""
         from repro.telemetry.recorder import TelemetryRecorder
         built = get_benchmark("zlib").build(scale=0.2, seed_scale=1.0)
-        profiles, events, results = [], [], []
+        recorders, results = [], []
         for engine in (SerialCampaign, Campaign):
             recorder = TelemetryRecorder(instance=0)
-            result = engine(_config("bigmap", "zlib"), built=built,
-                            telemetry=recorder).run()
-            profiles.append(recorder.tracer.profile())
-            events.append(recorder.events)
-            results.append(result)
+            results.append(engine(_config("bigmap", "zlib"), built=built,
+                                  telemetry=recorder).run())
+            recorders.append(recorder)
         assert results[0] == results[1]
-        assert profiles[0] == profiles[1]
-        assert events[0] == events[1]
+        assert recorders[0].artifacts() == recorders[1].artifacts()
+        profile = recorders[1].tracer.profile()
         execs = results[0].execs
         for name in ("execute", "classify_compare", "cost_eval"):
-            assert profiles[1][name]["calls"] == execs, name
+            assert profile[name]["calls"] == execs, name
+        share = recorders[1].registry.snapshot()["memsim.share.core"]
+        assert share["total"] == execs
 
 
 class TestRandomizedCrossConfigSweep:
     """The equivalence contract over generated configurations: the
     fixed cases above pin known-tricky spots, this property guards the
-    rest of the (fuzzer, benchmark, map_size, batch_window, rng_seed)
-    space. Derandomized, so CI draws the same examples every run, and a
-    failure shrinks to a minimal configuration."""
+    rest of the (fuzzer, benchmark, map_size, batch_window,
+    curve_points, rng_seed) space. Dense curve grids put snapshot
+    samples inside runs of cheap traces. Derandomized, so CI draws the
+    same examples every run, and a failure shrinks to a minimal
+    configuration."""
 
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(fuzzer=st.sampled_from(["afl", "bigmap"]),
            bench=st.sampled_from(["zlib", "libpng"]),
            map_size=st.sampled_from([1 << 14, 1 << 16, 1 << 18]),
            window=st.sampled_from([1, 2, 5, 8]),
+           curve_points=st.sampled_from([60, 400]),
            rng_seed=st.integers(0, 999))
     def test_results_checkpoints_and_telemetry_identical(
-            self, fuzzer, bench, map_size, window, rng_seed):
+            self, fuzzer, bench, map_size, window, curve_points, rng_seed):
         from repro.telemetry.recorder import TelemetryRecorder
         built = get_benchmark(bench).build(scale=0.2, seed_scale=1.0)
         config = _config(fuzzer, bench, map_size=map_size,
-                         batch_window=window, rng_seed=rng_seed)
-        campaigns, results, events, profiles = [], [], [], []
+                         batch_window=window, curve_points=curve_points,
+                         rng_seed=rng_seed)
+        campaigns, results, artifacts = [], [], []
         for engine in (SerialCampaign, Campaign):
             recorder = TelemetryRecorder(instance=0)
             campaign = engine(config, built=built, telemetry=recorder)
             results.append(campaign.run())
             campaigns.append(campaign)
-            events.append(recorder.events)
-            profiles.append(recorder.tracer.profile())
+            artifacts.append(recorder.artifacts())
         rs, rb = results
         assert rs == rb
-        assert events[0] == events[1]
-        assert profiles[0] == profiles[1]
+        assert artifacts[0] == artifacts[1]
         assert_checkpoints_equal(campaigns[0].snapshot(),
                                  campaigns[1].snapshot())
 
@@ -293,9 +297,7 @@ class TestMPBackendEquivalence:
             mp_snapshot = campaign.snapshot()
 
         assert ref_result == mp_result
-        assert ref_recorder.events == mp_recorder.events
-        assert ref_recorder.tracer.profile() == \
-            mp_recorder.tracer.profile()
+        assert ref_recorder.artifacts() == mp_recorder.artifacts()
         assert_checkpoints_equal(reference.snapshot(), mp_snapshot)
 
     @pytest.mark.parametrize("fuzzer", ["afl", "bigmap"])
@@ -313,7 +315,7 @@ class TestMPBackendEquivalence:
         assert rs == rmp
         assert_checkpoints_equal(serial.snapshot(), mp_snapshot)
 
-    def test_rejects_serial_config(self):
+    def test_rejects_zero_workers(self):
         from repro.core.errors import CampaignConfigError
         from repro.fuzzer.mp import MPCampaign
         with pytest.raises(CampaignConfigError, match="workers"):

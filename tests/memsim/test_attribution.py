@@ -4,6 +4,7 @@ pricing branch of the model."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.memsim import (AFL, BIGMAP, BitmapCostModel, ExecShape,
@@ -71,3 +72,44 @@ def test_non_temporal_reset_moves_reset_to_dram():
         nt.exec_cycles(shape).total, rel=1e-12)
     assert sum(plain.cycle_attribution(shape).values()) == pytest.approx(
         plain.exec_cycles(shape).total, rel=1e-12)
+
+
+#: Distinct-location counts whose BigMap working sets land in L2, the
+#: LLC and DRAM, so the per-row index-scatter level varies in a batch.
+BATCH_UNIQUE = np.array([0, 120, 2_500, 60_000, 400_000], dtype=np.int64)
+BATCH_TRAVERSALS = np.array([7, 300, 9_000, 150_000, 900_000],
+                            dtype=np.int64)
+
+
+@pytest.mark.parametrize("kind", [AFL, BIGMAP])
+@pytest.mark.parametrize("map_size", [1 << 16, 1 << 20, 1 << 23])
+@pytest.mark.parametrize("nt", [True, False])
+@pytest.mark.parametrize("merged", [True, False])
+@pytest.mark.parametrize("interesting", [True, False])
+def test_batch_rows_match_single_row_calls(kind, map_size, nt, merged,
+                                           interesting):
+    """Row i of the array attribution (and of the shares) equals the
+    single-execution call on that row, bit for bit."""
+    model = BitmapCostModel(MapCostConfig(
+        kind, map_size, merged_classify_compare=merged,
+        non_temporal_reset=nt))
+    coverage = dict(used_bytes=4096, interesting=interesting,
+                    hash_bytes=2048 if interesting else 0)
+    shapes = [ExecShape(int(t), int(u), **coverage)
+              for t, u in zip(BATCH_TRAVERSALS, BATCH_UNIQUE)]
+    if kind == BIGMAP:
+        sizes = [lvl.size_bytes for lvl in model.machine.levels]
+        levels = np.searchsorted(
+            sizes, [model.working_set_bytes(s) for s in shapes])
+        assert len(set(levels.tolist())) >= 3
+    attribution = model.cycle_attribution_batch(
+        BATCH_TRAVERSALS, BATCH_UNIQUE, **coverage)
+    shares = model.level_share_batch(
+        BATCH_TRAVERSALS, BATCH_UNIQUE, **coverage)
+    for i, shape in enumerate(shapes):
+        row = model.cycle_attribution(shape)
+        share = model.level_share(shape)
+        assert {k: v[i].hex() for k, v in attribution.items()} == \
+            {k: v.hex() for k, v in row.items()}
+        assert {k: v[i].hex() for k, v in shares.items()} == \
+            {k: v.hex() for k, v in share.items()}

@@ -190,13 +190,9 @@ class TestExecCyclesBatch:
                 traversals=int(trav[i]),
                 unique_locations=int(uniq[i]),
                 used_bytes=used_bytes))
-            row = batch.row(i)
-            assert row.execution == ref.execution, f"row {i} execution"
-            assert row.reset == ref.reset
-            assert row.classify == ref.classify
-            assert row.compare == ref.compare
-            assert row.hash == ref.hash == 0.0
-            assert row.others == ref.others
+            column = batch.columns(i, i + 1)[:, 0].tolist()
+            assert column == list(ref.as_dict().values()), f"row {i}"
+            assert ref.hash == 0.0
             assert float(totals[i]) == ref.total, f"row {i} total"
 
     def test_fork_overhead_included(self):
@@ -206,4 +202,4 @@ class TestExecCyclesBatch:
         batch = m.exec_cycles_batch(np.array([100]), np.array([50]))
         ref = m.exec_cycles(ExecShape(traversals=100,
                                       unique_locations=50))
-        assert batch.row(0).execution == ref.execution
+        assert batch.columns(0, 1)[0, 0] == ref.execution

@@ -2,6 +2,8 @@
 the registry's get-or-create + snapshot + state roundtrip surface."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import TelemetryError
 from repro.telemetry.metrics import (SHARE_BUCKETS, Counter, Gauge,
@@ -46,6 +48,30 @@ class TestHistogram:
     def test_share_buckets_strictly_increasing(self):
         assert list(SHARE_BUCKETS) == sorted(SHARE_BUCKETS)
         assert len(set(SHARE_BUCKETS)) == len(SHARE_BUCKETS)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=st.lists(st.one_of(
+               st.sampled_from(SHARE_BUCKETS + (0.0, 1.0, 1.5, 7.0)),
+               st.floats(0.0, 2.0)), max_size=40),
+           split=st.integers(0, 40))
+    def test_observe_many_matches_sequential_observe(self, values, split):
+        """Bulk observation is bit-equal to one ``observe`` per value —
+        edge values, 0.0, 1.0 and overflow included — and both match a
+        first-edge-at-or-above linear scan with a scalar ``+=`` sum."""
+        bulk, single = Histogram("h.bulk"), Histogram("h.single")
+        bulk.observe_many(values[:split])
+        bulk.observe_many(values[split:])
+        for value in values:
+            single.observe(value)
+        counts, total = [0] * (len(SHARE_BUCKETS) + 1), 0.0
+        for value in values:
+            counts[next((i for i, edge in enumerate(SHARE_BUCKETS)
+                         if value <= edge), len(SHARE_BUCKETS))] += 1
+            total += value
+        for h in (bulk, single):
+            assert h.counts == counts
+            assert h.total == len(values)
+            assert h.sum.hex() == total.hex()
 
 
 class TestRegistry:
