@@ -366,8 +366,8 @@ class ResultsStore:
         The escape hatch for out-of-band store users (manual repair,
         reconciliation tooling): validates the state *name* but not the
         edge, and still bumps ``seq`` so readers observe a change.
-        Normal code paths must use :meth:`transition`; statlint's
-        FSM001 checks the state argument at every call site of both.
+        Normal code paths must use :meth:`transition`. Both reject an
+        unknown state name at runtime.
         """
         self._require_writable(f"force_state:{to_state}")
         if to_state not in TRIAL_STATES:

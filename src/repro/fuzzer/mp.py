@@ -35,11 +35,11 @@ campaign results are bit-identical for any worker count, including the
 serial engine. Workers ship only four small arrays per shard; they
 never send flat key arrays, mutate shared state, or touch the RNG.
 
-The worker entry point :func:`_mp_worker_main` is registered with the
-statlint CONC001 fork-boundary rule (``[tool.statlint]`` in
-pyproject.toml): module-level mutable state written on both sides of
-this boundary is a lint error, which is why this module keeps all of
-its state on the campaign object and in the explicit shm segments.
+The worker entry point :func:`_mp_worker_main` runs in forked
+children, so module-level mutable state written on both sides of this
+boundary would silently diverge. This module keeps all of its state on
+the campaign object and in the explicit shm segments; the 1/2/4-worker
+bit-identity tests in ``tests/fuzzer/test_batch_engine.py`` pin that.
 """
 
 from __future__ import annotations

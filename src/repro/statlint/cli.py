@@ -11,8 +11,6 @@ Exit codes:
 Configuration comes from the nearest ``pyproject.toml``'s
 ``[tool.statlint]`` table (or ``--config``); the lint root (against
 which configured path patterns match) is that file's directory.
-``--changed-only`` keeps a content-hash cache next to the root so
-unchanged files skip their file rules entirely.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from typing import List, Optional
 
 from . import rules  # noqa: F401 — ensure the rule set is registered
 from .baseline import Baseline, BaselineError
-from .cache import CACHE_FILENAME, LintCache
 from .config import find_pyproject, load_config
 from .engine import lint_paths
 from .report import render_human, render_json, render_rules
@@ -68,10 +65,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite --baseline from this run's "
                              "active findings and exit 0")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="incremental run: reuse per-file results "
-                             "for content-unchanged files "
-                             f"(cache: {CACHE_FILENAME} at the root)")
     parser.add_argument("--show-suppressed", action="store_true",
                         help="also print suppressed findings")
     parser.add_argument("--list-rules", action="store_true",
@@ -108,15 +101,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"statlint: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    cache = None
-    cache_path = root / CACHE_FILENAME
-    if args.changed_only:
-        cache = LintCache.load(cache_path)
-
-    result = lint_paths([Path(p) for p in paths], config, root=root,
-                        cache=cache)
-    if cache is not None:
-        cache.save(cache_path)
+    result = lint_paths([Path(p) for p in paths], config, root=root)
 
     if args.update_baseline:
         Baseline.from_findings(result.findings).save(args.baseline)

@@ -55,28 +55,11 @@ class LintConfig:
             counters); SNAP001 flags drift in either direction.
         snapshot_methods: methods whose ``self.<attr>`` assignments
             define the campaign's mutable state for SNAP001.
-        campaign_path / checkpoint_path / runner_path /
-            store_path / events_path / dispatcher_path / workers_path /
-            aggregator_path:
-            project-relative locations of the cross-checked modules.
-        num_hot_paths: kernel files the NUM1xx dtype-stability rules
-            police (everywhere else, float math is presumed deliberate).
-        conc_exempt: modules whose module-level mutable state is the
-            *sanctioned* cross-process layer (the store and the
-            artifact directory); CONC001 skips globals they define.
-        conc_worker_roots: function names in ``workers_path`` (and any
-            ``conc_worker_paths`` module) that run on the worker side
-            of the process boundary (spawn targets and the shared
-            trial path).
-        conc_worker_paths: additional files, beyond ``workers_path``,
-            searched for ``conc_worker_roots`` — e.g. the shared-memory
-            campaign backend's forked worker loop.
-        conc_dispatch_paths: additional files, beyond
-            ``dispatcher_path``, whose callables all count as
-            dispatcher-side roots (the parent side of a fork boundary
-            that lives outside the fleet dispatcher).
-        fsm_state_funcs: public state-writer names whose call sites
-            FSM001 checks against the transition graph.
+        campaign_path / checkpoint_path / runner_path:
+            project-relative locations of the cross-checked modules
+            (SNAP001, EXP001).
+        num_hot_paths: kernel files NUM101 polices (everywhere else,
+            float math is presumed deliberate).
     """
 
     enable: Tuple[str, ...] = ()
@@ -92,18 +75,7 @@ class LintConfig:
     campaign_path: str = "repro/fuzzer/campaign.py"
     checkpoint_path: str = "repro/fuzzer/checkpoint.py"
     runner_path: str = "repro/experiments/runner.py"
-    store_path: str = "repro/fleet/store.py"
-    events_path: str = "repro/telemetry/events.py"
-    dispatcher_path: str = "repro/fleet/dispatcher.py"
-    workers_path: str = "repro/fleet/workers.py"
-    aggregator_path: str = "repro/telemetry/serve/aggregator.py"
     num_hot_paths: Tuple[str, ...] = ("repro/core/*", "repro/fuzzer/*")
-    conc_exempt: Tuple[str, ...] = (
-        "repro/fleet/store.py", "repro/fleet/artifacts.py")
-    conc_worker_roots: Tuple[str, ...] = ("execute_trial", "_worker_main")
-    conc_worker_paths: Tuple[str, ...] = ()
-    conc_dispatch_paths: Tuple[str, ...] = ()
-    fsm_state_funcs: Tuple[str, ...] = ("transition", "force_state")
 
     def rule_enabled(self, rule_id: str) -> bool:
         return not self.enable or rule_id in self.enable

@@ -11,13 +11,11 @@ reliably) instead of aborting the run.
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from .cache import config_fingerprint
 from .config import LintConfig
 from .findings import Finding, LintResult
 from .imports import ImportMap
@@ -38,23 +36,13 @@ class SourceFile:
     tree: ast.Module
     suppressions: SuppressionIndex
     imports: ImportMap
-    content_hash: str = ""
 
 
 class Project:
-    """The collected file set handed to project rules.
-
-    Whole-program context — the symbol table, the call graph, and
-    per-function dataflow — is built lazily on first access and shared
-    by every rule in the run, so a run that enables none of the
-    cross-file rules pays nothing for them.
-    """
+    """The collected file set handed to project rules."""
 
     def __init__(self, files: List[SourceFile]) -> None:
         self.files = files
-        self._symbols = None
-        self._callgraph = None
-        self._dataflow: Dict[int, object] = {}
 
     def find(self, suffix: str) -> Optional[SourceFile]:
         """The file whose ``/``-normalized path ends with ``suffix``."""
@@ -64,36 +52,6 @@ class Project:
             if normalized == suffix or normalized.endswith("/" + suffix):
                 return source
         return None
-
-    @property
-    def symbols(self):
-        """Project-wide :class:`~repro.statlint.symbols.SymbolTable`."""
-        if self._symbols is None:
-            from .symbols import SymbolTable
-            self._symbols = SymbolTable.build(self.files)
-        return self._symbols
-
-    @property
-    def callgraph(self):
-        """Approximate :class:`~repro.statlint.callgraph.CallGraph`."""
-        if self._callgraph is None:
-            from .callgraph import CallGraph
-            self._callgraph = CallGraph(self.files, self.symbols)
-        return self._callgraph
-
-    def dataflow_for(self, source: SourceFile, func: Optional[ast.AST]):
-        """Shared per-function dataflow (``None`` func → module body)."""
-        from .dataflow import analyze_function
-        key = id(func) if func is not None else id(source.tree)
-        cached = self._dataflow.get(key)
-        if cached is None:
-            module = self.symbols.by_relpath.get(source.relpath)
-            target = func if func is not None else source.tree
-            cached = analyze_function(
-                target, source.imports, symbols=self.symbols,
-                module=module)
-            self._dataflow[key] = cached
-        return cached
 
 
 def _iter_python_files(paths: Iterable[Path]) -> Iterable[Path]:
@@ -131,9 +89,7 @@ def collect_files(paths: Iterable[Path], config: LintConfig,
         files.append(SourceFile(
             path=resolved, relpath=relpath, source=source, tree=tree,
             suppressions=SuppressionIndex(source),
-            imports=ImportMap(tree),
-            content_hash=hashlib.sha256(
-                source.encode("utf-8")).hexdigest()))
+            imports=ImportMap(tree)))
     return files, errors
 
 
@@ -152,69 +108,30 @@ def _apply_suppressions(findings: Iterable[Finding],
 
 
 def lint_paths(paths: Iterable[Path], config: LintConfig = None,
-               root: Path = None, *, cache=None) -> LintResult:
+               root: Path = None) -> LintResult:
     """Lint ``paths`` and return every (possibly suppressed) finding.
 
     Deduplication happens *before* suppression, so equal findings from
     overlapping rules can never disagree on their status flags (the
     old order made the surviving copy's ``suppressed`` flag depend on
     set iteration order).
-
-    With ``cache`` (a :class:`~repro.statlint.cache.LintCache`), runs
-    are incremental: file rules re-run only for files whose content
-    hash changed, project rules re-run unless *nothing* changed, and
-    the cache object is updated in place (the caller persists it).
-    File-rule findings are cached per checked file — valid because
-    every file rule anchors its findings to the file it is checking.
     """
     config = config or LintConfig()
     root = Path(root) if root is not None else Path.cwd()
     files, errors = collect_files(paths, config, root)
     project = Project(files)
 
-    rules = [cls() for rule_id, cls in sorted(RULES.items())
-             if config.rule_enabled(rule_id)]
-    file_rules = [r for r in rules if isinstance(r, FileRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-
-    use_cache = cache is not None and cache.valid_for(config)
-    per_file: List[Finding] = []
-    any_changed = bool(errors)
-    collected = {source.relpath for source in files}
-    if cache is not None and set(cache.files) != collected:
-        any_changed = True
-
-    for source in files:
-        cached = (cache.cached_findings(source.relpath,
-                                        source.content_hash)
-                  if use_cache else None)
-        if cached is not None:
-            per_file.extend(cached)
+    found: List[Finding] = []
+    for rule_id, cls in sorted(RULES.items()):
+        if not config.rule_enabled(rule_id):
             continue
-        any_changed = True
-        found: List[Finding] = []
-        for rule in file_rules:
-            found.extend(rule.check_file(source, config))
-        found = _apply_suppressions(sorted(set(found)), project)
-        if cache is not None:
-            cache.record_file(source.relpath, source.content_hash,
-                              found)
-        per_file.extend(found)
-
-    if use_cache and not any_changed:
-        project_findings = cache.cached_project_findings()
-    else:
-        found = []
-        for rule in project_rules:
+        rule = cls()
+        if isinstance(rule, FileRule):
+            for source in files:
+                found.extend(rule.check_file(source, config))
+        elif isinstance(rule, ProjectRule):
             found.extend(rule.check_project(project, config))
-        project_findings = _apply_suppressions(sorted(set(found)),
-                                               project)
-        if cache is not None:
-            cache.record_project(project_findings)
 
-    if cache is not None:
-        cache.prune_to(collected)
-        cache.config_key = config_fingerprint(config)
-
-    findings = sorted(errors + per_file + project_findings)
+    findings = sorted(errors + _apply_suppressions(sorted(set(found)),
+                                                   project))
     return LintResult(findings=findings, n_files=len(files))

@@ -20,17 +20,11 @@ from .findings import Finding
 
 
 class Rule:
-    """Common interface: an id, a one-line title, and a rationale.
-
-    ``severity`` feeds the SARIF ``level`` property: ``error`` for
-    violations of a hard contract, ``warning`` for hot-path efficiency
-    hazards that are legal but wasteful.
-    """
+    """Common interface: an id, a one-line title, and a rationale."""
 
     id: str = ""
     title: str = ""
     rationale: str = ""
-    severity: str = "error"
 
     def finding(self, path: str, line: int, col: int,
                 message: str) -> Finding:

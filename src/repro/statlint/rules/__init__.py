@@ -3,16 +3,11 @@
 Determinism family (per-file): DET001 wall clocks, DET002 unseeded
 randomness, DET003 unordered iteration in output paths, TEL001
 telemetry-subsystem determinism. Robustness family (per-file): ERR001
-swallowed broad excepts, NUM001 narrow-int array arithmetic.
-Consistency family (whole-project): SNAP001 checkpoint coverage,
-EXP001 experiment registry.
-
-Whole-program families (built on the symbol table / call graph /
-dataflow layers): FSM001/FSM002 trial state-machine contract,
-NUM101–NUM104 kernel dtype stability, TEL101–TEL103 telemetry schema
-at emit sites, CONC001 fork-boundary shared state.
+swallowed broad excepts, ERR002 fleet artifact writes, NUM001
+narrow-int array arithmetic, NUM101 float64 ``np.bincount`` in hot-path
+kernels. Consistency family (whole-project): SNAP001 checkpoint
+coverage, EXP001 experiment registry.
 """
 
-from . import (concurrency, determinism, fsm,  # noqa: F401 (registers)
-               numeric, project, robustness, telemetry,
-               telemetry_schema)
+from . import (determinism, numeric, project,  # noqa: F401 (registers)
+               robustness, telemetry)

@@ -1,218 +1,58 @@
-"""Kernel dtype-stability rules (NUM101–NUM104).
+"""Kernel float64 round-trip rule (NUM101).
 
 The whole point of a BigMap-style fuzzer is that the hit-count map
-stays narrow (uint8/uint16) so the hot loop stays cache-resident.
-Numpy quietly works against that: python-float scalars promote a
-uint8 array to float64 (8× the memory traffic), ``np.bincount`` with
-``weights=`` accumulates in float64 regardless of the weights' dtype,
-small-int reductions widen to the *platform* word (``intp``) unless
-told otherwise, and a redundant ``.astype`` copies megabytes for
-nothing. These rules run intraprocedural dtype inference (see
-:mod:`repro.statlint.dataflow`) over the configured hot paths
-(``num_hot_paths``; ``repro/core/*`` and ``repro/fuzzer/*`` by
-default) and flag each hazard where it happens. Everywhere else,
-float math is presumed deliberate and the rules stay silent.
+stays narrow (uint8/uint16) so the hot loop stays cache-resident, and
+that key aggregation stays integral. ``np.bincount`` with weights
+quietly works against both: it accumulates in float64 regardless of
+the weights' dtype, so a kernel that sums hit counts that way pays 8x
+the memory traffic and a float round-trip on every call. This is the
+rule that caught ``aggregate_keys`` doing exactly that.
 
-* **NUM101** — silent upcast to float64: a narrow-int array meeting a
-  python-float scalar, or ``np.bincount(..., weights=...)`` (which
-  always accumulates float64).
-* **NUM102** — ``sum``/``cumsum``/``prod`` over a small-int operand
-  without an explicit ``dtype=``: the accumulator dtype then depends
-  on the platform word, so results (and overflow behavior) differ
-  between 32- and 64-bit hosts.
-* **NUM103** — arithmetic whose *result* stays narrow-int: each
-  ``+``/``-``/``*`` on uint8/int16-class operands wraps silently on
-  overflow; widen one operand first (the dtype-inference upgrade of
-  the name-based NUM001).
-* **NUM104** — ``.astype(dt)`` where the operand is already ``dt``:
-  a full copy per call on a hot path; drop the cast or pass
-  ``copy=False``.
+* **NUM101** — a ``numpy.bincount`` call with ``weights=`` or a
+  second positional argument, in a configured hot-path file
+  (``num_hot_paths``; ``repro/core/*`` and ``repro/fuzzer/*`` by
+  default). Everywhere else, float math is presumed deliberate.
+
+The check is purely syntactic. The dtypes the kernels promise are
+pinned by ``tests/core/test_batch_kernels.py``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional
+from typing import Iterator
 
 from ..config import LintConfig, path_matches
-from ..dataflow import (NARROW_INT_DTYPES, SMALL_SUM_DTYPES,
-                        analyze_function, _dtype_name)
 from ..registry import FileRule, register
 
-#: Dtypes a python-float scalar silently explodes to float64.
-_UPCAST_PRONE = NARROW_INT_DTYPES + ("int32", "uint32")
 
-_REDUCTIONS = ("sum", "cumsum", "prod")
-
-
-def _callables(tree: ast.Module):
-    """Every analyzable callable: the module body, then each def."""
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
+def _has_weights(call: ast.Call) -> bool:
+    return (len(call.args) >= 2 or
+            any(kw.arg == "weights" for kw in call.keywords))
 
 
-def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a callable's body without descending into nested defs."""
-    stack: List[ast.AST] = list(getattr(func, "body", []))
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda, ast.ClassDef)):
-                continue
-            stack.append(child)
-
-
-def _keyword(call: ast.Call, name: str) -> Optional[ast.AST]:
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
-
-
-class _HotPathRule(FileRule):
-    """Base: run dtype inference over every callable in a hot-path file."""
+@register
+class BincountWeightsRule(FileRule):
+    id = "NUM101"
+    title = "np.bincount with weights in a hot-path kernel"
+    rationale = ("np.bincount with weights= always accumulates float64 "
+                 "(8x the memory traffic of uint8, and a float "
+                 "round-trip of integral counts); hot-path kernels must "
+                 "use an integer accumulator or cast deliberately.")
 
     def check_file(self, source, config: LintConfig) -> Iterator:
         if not path_matches(source.relpath, config.num_hot_paths):
             return
-        for func in _callables(source.tree):
-            flow = analyze_function(func, source.imports)
-            for node in _own_nodes(func):
-                yield from self.check_node(node, flow, source)
-
-    def check_node(self, node, flow, source) -> Iterator:
-        raise NotImplementedError
-
-
-@register
-class SilentUpcastRule(_HotPathRule):
-    id = "NUM101"
-    title = "silent upcast of a narrow-int kernel array to float64"
-    rationale = ("A python-float scalar promotes a narrow-int array to "
-                 "float64 (8x the memory traffic of uint8), and "
-                 "np.bincount with weights= always accumulates float64; "
-                 "hot-path kernels must widen deliberately, with an "
-                 "explicit integer accumulator or cast.")
-
-    def check_node(self, node, flow, source) -> Iterator:
-        if isinstance(node, ast.Call):
+        for node in ast.walk(source.tree):
+            if not isinstance(node, ast.Call):
+                continue
             full = source.imports.resolve_call(node)
             if (full and full.startswith("numpy") and
                     full.rsplit(".", 1)[-1] == "bincount" and
-                    (_keyword(node, "weights") is not None or
-                     len(node.args) >= 2)):
+                    _has_weights(node)):
                 yield self.finding(
                     source.relpath, node.lineno, node.col_offset,
                     "np.bincount with weights= accumulates in float64 "
                     "regardless of the weights' dtype; use an integer "
                     "accumulator (np.add.at on an int64 buffer) or "
                     "cast the result deliberately")
-        if isinstance(node, ast.BinOp) and not isinstance(
-                node.op, ast.Div):
-            result = flow.value_of(node)
-            if result.dtype != "float64":
-                return
-            left = flow.value_of(node.left)
-            right = flow.value_of(node.right)
-            for array, scalar in ((left, right), (right, left)):
-                if (array.is_array and array.dtype in _UPCAST_PRONE and
-                        isinstance(scalar.const, float)):
-                    yield self.finding(
-                        source.relpath, node.lineno, node.col_offset,
-                        f"{array.dtype} array silently upcast to "
-                        f"float64 by a python-float operand; widen "
-                        f"explicitly or keep the math integral")
-                    return
-
-
-@register
-class ImplicitAccumulatorRule(_HotPathRule):
-    id = "NUM102"
-    title = "small-int reduction without an explicit dtype"
-    rationale = ("np.sum/np.cumsum/np.prod widen small-int operands to "
-                 "the platform word (intp), so accumulator width — and "
-                 "overflow behavior — differs between 32- and 64-bit "
-                 "hosts; hot-path reductions must pin dtype= "
-                 "explicitly.")
-
-    def check_node(self, node, flow, source) -> Iterator:
-        if not isinstance(node, ast.Call):
-            return
-        operand = None
-        name = None
-        if isinstance(node.func, ast.Attribute) and \
-                node.func.attr in _REDUCTIONS:
-            full = source.imports.resolve_call(node)
-            if full and full.startswith("numpy"):
-                operand = node.args[0] if node.args else None
-            else:
-                operand = node.func.value
-            name = node.func.attr
-        if operand is None or name is None:
-            return
-        if _keyword(node, "dtype") is not None:
-            return
-        value = flow.value_of(operand)
-        if value.dtype in SMALL_SUM_DTYPES:
-            yield self.finding(
-                source.relpath, node.lineno, node.col_offset,
-                f"{name}() over a {value.dtype} operand without "
-                f"dtype= accumulates in the platform word; pass an "
-                f"explicit dtype (e.g. dtype=np.int64)")
-
-
-@register
-class NarrowArithmeticRule(_HotPathRule):
-    id = "NUM103"
-    title = "overflow-prone arithmetic on narrow-int arrays"
-    rationale = ("+/-/* on uint8/int16-class arrays wraps silently at "
-                 "the dtype boundary — exactly the saturation bug the "
-                 "classify kernels exist to avoid; widen one operand "
-                 "(or use a widening ufunc) before arithmetic.")
-
-    def check_node(self, node, flow, source) -> Iterator:
-        if not isinstance(node, ast.BinOp) or not isinstance(
-                node.op, (ast.Add, ast.Sub, ast.Mult)):
-            return
-        result = flow.value_of(node)
-        if result.dtype not in NARROW_INT_DTYPES or not result.is_array:
-            return
-        yield self.finding(
-            source.relpath, node.lineno, node.col_offset,
-            f"arithmetic result stays {result.dtype}; wraps silently "
-            f"on overflow — widen an operand (e.g. "
-            f".astype(np.int64)) before the operation")
-
-
-@register
-class RedundantCastRule(_HotPathRule):
-    id = "NUM104"
-    title = "astype to the dtype the operand already has"
-    severity = "warning"
-    rationale = ("astype copies unconditionally by default; casting an "
-                 "array to its own dtype on a hot path is a full "
-                 "redundant copy per call — drop the cast or pass "
-                 "copy=False.")
-
-    def check_node(self, node, flow, source) -> Iterator:
-        if not (isinstance(node, ast.Call) and
-                isinstance(node.func, ast.Attribute) and
-                node.func.attr == "astype"):
-            return
-        if _keyword(node, "copy") is not None:
-            return
-        target_node = (node.args[0] if node.args
-                       else _keyword(node, "dtype"))
-        if target_node is None:
-            return
-        target = _dtype_name(target_node, source.imports)
-        owner = flow.value_of(node.func.value)
-        if target is not None and owner.dtype == target:
-            yield self.finding(
-                source.relpath, node.lineno, node.col_offset,
-                f"operand is already {target}; this astype makes a "
-                f"redundant copy — drop it or pass copy=False")

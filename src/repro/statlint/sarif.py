@@ -2,8 +2,8 @@
 
 SARIF is the interchange format CI code-scanning UIs ingest (GitHub
 surfaces it as inline PR annotations). One run object carries the full
-rule catalog — id, short/full description, default severity level —
-and one result per finding:
+rule catalog — id, short/full description, level (always ``error``:
+every rule guards a hard contract) — and one result per finding:
 
 * suppressed findings are included with an ``inSource`` suppression
   record (so the UI shows them struck through, and totals reconcile
@@ -16,7 +16,7 @@ and one result per finding:
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .engine import SYNTAX
 from .findings import Finding, LintResult
@@ -26,8 +26,8 @@ SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/"
                 "sarif-spec/master/Schemata/sarif-schema-2.1.0.json")
 
-#: ``severity`` attribute → SARIF ``level``.
-_LEVELS = {"error": "error", "warning": "warning", "note": "note"}
+#: SARIF ``level`` of every rule and every result.
+LEVEL = "error"
 
 
 def _rule_catalog(result: LintResult) -> List[dict]:
@@ -39,26 +39,23 @@ def _rule_catalog(result: LintResult) -> List[dict]:
             "id": rule_id,
             "shortDescription": {"text": cls.title},
             "fullDescription": {"text": cls.rationale},
-            "defaultConfiguration": {
-                "level": _LEVELS.get(cls.severity, "error")},
+            "defaultConfiguration": {"level": LEVEL},
         })
     if any(f.rule == SYNTAX for f in result.findings):
         catalog.append({
             "id": SYNTAX,
             "shortDescription": {"text": "file does not parse"},
-            "defaultConfiguration": {"level": "error"},
+            "defaultConfiguration": {"level": LEVEL},
         })
     return catalog
 
 
 def _result(finding: Finding, rule_index: Dict[str, int],
             baseline_used: bool) -> dict:
-    cls = RULES.get(finding.rule)
-    level = _LEVELS.get(cls.severity, "error") if cls else "error"
     out = {
         "ruleId": finding.rule,
         "ruleIndex": rule_index[finding.rule],
-        "level": level,
+        "level": LEVEL,
         "message": {"text": finding.message},
         "locations": [{
             "physicalLocation": {

@@ -21,9 +21,9 @@ contract** (DESIGN.md §12):
 Dispatch is **total over the schema**: every kind in
 :data:`repro.telemetry.events.EVENT_SCHEMA` must have an
 ``_on_<kind>`` handler or appear in :data:`IGNORED_KINDS`; the
-constructor enforces it at runtime and statlint's TEL104 enforces it
-statically, so a newly declared event kind cannot silently vanish
-from the dashboard.
+constructor enforces it at runtime (and
+``test_every_schema_kind_is_covered`` pins it), so a newly declared
+event kind cannot silently vanish from the dashboard.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ __all__ = ["TelemetryAggregator", "CampaignSeries", "AggregatorService",
            "IGNORED_KINDS", "canonical_json"]
 
 #: Event kinds the aggregator deliberately does not visualize. Keep
-#: this in sync with the dashboard: statlint TEL104 treats membership
-#: here as an explicit decision, absence from both here and the
-#: ``_on_<kind>`` handler set as a bug.
+#: this in sync with the dashboard: membership here is an explicit
+#: decision, absence from both here and the ``_on_<kind>`` handler set
+#: is a bug the constructor rejects.
 IGNORED_KINDS: Tuple[str, ...] = ()
 
 #: Series names every campaign carries, in canonical order.
@@ -212,7 +212,7 @@ class TelemetryAggregator:
                 f"unknown delta op {delta['op']!r}")
         snapshot["seq"] = delta["seq"]
 
-    # -- handlers (one per EVENT_SCHEMA kind; see TEL104) --------------
+    # -- handlers (one per EVENT_SCHEMA kind; see IGNORED_KINDS) -------
 
     def _append(self, series: CampaignSeries, name: str,
                 row: list) -> dict:

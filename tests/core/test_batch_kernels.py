@@ -172,3 +172,46 @@ class TestCompareBatchProperty:
                 truth = cov.classify_and_compare(virgin).interesting
                 if truth:
                     assert bool(flags[i])
+
+
+@pytest.mark.parametrize("mode", [COUNTER_SATURATE, COUNTER_WRAP])
+@pytest.mark.parametrize("cls", [AflCoverage, BigMapCoverage])
+def test_hot_path_dtypes(cls, mode):
+    """The dtypes the hot path promises: int64 keys, counts and offsets,
+    uint8 map and virgin bytes, bool flags. A float64 or platform-word
+    intermediate leaking out of a kernel fails here."""
+    rng = np.random.default_rng(5)
+    segs, counts, fk, fc, off = make_batch(rng, 12)
+
+    unique, summed = aggregate_keys(segs[0], counts[0])
+    assert (unique.dtype, summed.dtype) == (np.int64, np.int64)
+    empty = aggregate_keys(np.empty(0, dtype=np.int64),
+                           np.empty(0, dtype=np.int64))
+    assert [a.dtype for a in empty] == [np.int64, np.int64]
+    batch = aggregate_keys_batch(fk, fc, off, MAP, return_segments=True)
+    assert [a.dtype for a in batch] == [np.int64] * 4
+    assert classified_counts(summed, mode).dtype == np.uint8
+
+    cov = cls(MAP, counter_mode=mode)
+    cov.reset()
+    cov.update(fk, fc)
+    cov.classify()
+    store = cov.trace if cls is AflCoverage else cov.cov
+    assert store.dtype == np.uint8
+    if cls is BigMapCoverage:
+        assert cov.index.dtype == np.int64
+
+    virgin = VirginMap(MAP)
+    virgin.merge(store)
+    assert virgin.virgin.dtype == np.uint8
+    virgin.merge_sparse(unique, classified_counts(summed, mode))
+    assert virgin.virgin.dtype == np.uint8
+
+    update, flags = cov.update_compare_batch(fk, fc, off, virgin)
+    assert update.keys.dtype == np.int64
+    assert update.summed.dtype == np.int64
+    assert update.classified.dtype == np.uint8
+    assert update.offsets.dtype == np.int64
+    assert update.n_unique.dtype == np.int64
+    assert update.segment_ids().dtype == np.int64
+    assert flags.dtype == np.bool_

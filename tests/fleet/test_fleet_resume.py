@@ -11,9 +11,9 @@ from repro.faults import (DISPATCHER_KILL, FleetFaultEvent,
 from repro.fleet import (DispatcherKilled, FleetDispatcher, FleetSpec,
                          ResultsStore)
 from repro.fleet.chaos import ChaosController
-from repro.fleet.store import (DISPATCHED, DONE, LOST, MEASURING,
-                               PENDING, QUARANTINED, RUNNING,
-                               TERMINAL_STATES)
+from repro.fleet.store import (_ALLOWED, DISPATCHED, DONE, LOST,
+                               MEASURING, PENDING, QUARANTINED, RUNNING,
+                               TERMINAL_STATES, TRIAL_STATES)
 from repro.fleet.workers import RESULT_FILE
 from repro.telemetry.recorder import SessionTelemetry
 
@@ -69,6 +69,25 @@ class TestStateMachine:
         store = self._store()
         with pytest.raises(FleetStateError, match="illegal"):
             store.transition(0, DONE)
+
+    def test_transition_graph_covers_exactly_the_declared_states(self):
+        assert set(_ALLOWED) == set(TRIAL_STATES)
+        for targets in _ALLOWED.values():
+            assert set(targets) <= set(TRIAL_STATES)
+
+    def test_every_state_is_reachable_from_the_initial_state(self):
+        reached = {TRIAL_STATES[0]}
+        frontier = [TRIAL_STATES[0]]
+        while frontier:
+            for target in _ALLOWED[frontier.pop()]:
+                if target not in reached:
+                    reached.add(target)
+                    frontier.append(target)
+        assert reached == set(TRIAL_STATES)
+
+    def test_terminal_states_have_no_out_edges(self):
+        for terminal in TERMINAL_STATES:
+            assert _ALLOWED[terminal] == ()
 
     def test_unknown_state_raises(self):
         store = self._store()

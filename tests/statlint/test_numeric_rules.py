@@ -1,8 +1,8 @@
-"""Golden tests for the kernel dtype-stability rules (NUM101–NUM104).
+"""Golden tests for the hot-path float64 bincount rule (NUM101).
 
-The rules run dtype inference over ``num_hot_paths`` files only;
-each case has a seeded violation, a suppressed variant, and a fixed
-variant, plus the hot-path gating negative.
+NUM101 runs over ``num_hot_paths`` files only; each case has a seeded
+violation, a suppressed variant, and a fixed variant, plus the
+hot-path gating negative.
 """
 
 from repro.statlint import LintConfig
@@ -10,24 +10,6 @@ from repro.statlint import LintConfig
 from lint_helpers import rules_fired
 
 NUM101 = LintConfig(enable=("NUM101",))
-NUM102 = LintConfig(enable=("NUM102",))
-NUM103 = LintConfig(enable=("NUM103",))
-NUM104 = LintConfig(enable=("NUM104",))
-
-
-def test_float_scalar_upcasts_narrow_array(lint_tree):
-    result = lint_tree({
-        "repro/core/kernel.py": '''
-            import numpy as np
-
-            def decay(counts):
-                m = np.zeros(64, dtype=np.uint8)
-                return m * 0.5
-        ''',
-    }, NUM101)
-    (finding,) = result.active
-    assert finding.rule == "NUM101"
-    assert "uint8 array silently upcast to float64" in finding.message
 
 
 def test_bincount_with_weights_flagged(lint_tree):
@@ -40,162 +22,59 @@ def test_bincount_with_weights_flagged(lint_tree):
         ''',
     }, NUM101)
     (finding,) = result.active
+    assert finding.rule == "NUM101"
     assert "accumulates in float64" in finding.message
+
+
+def test_positional_weights_flagged_minlength_is_not(lint_tree):
+    result = lint_tree({
+        "repro/core/agg.py": '''
+            from numpy import bincount
+
+            def aggregate(keys, counts, n):
+                hits = bincount(keys, minlength=n)
+                return bincount(keys, counts), hits
+        ''',
+    }, NUM101)
+    (finding,) = result.active
+    assert finding.line == 6
 
 
 def test_integral_math_passes_num101(lint_tree):
     result = lint_tree({
-        "repro/core/kernel.py": '''
+        "repro/core/agg.py": '''
             import numpy as np
 
-            def decay(counts):
-                m = np.zeros(64, dtype=np.uint8)
-                return m.astype(np.int64) // 2
+            def aggregate(keys, counts):
+                unique, inverse = np.unique(keys, return_inverse=True)
+                summed = np.zeros(unique.size, dtype=np.int64)
+                np.add.at(summed, inverse, counts)
+                return unique, summed
         ''',
     }, NUM101)
     assert result.ok
 
 
-def test_small_int_reduction_without_dtype(lint_tree):
-    result = lint_tree({
-        "repro/core/kernel.py": '''
-            import numpy as np
-
-            def total():
-                m = np.zeros(64, dtype=np.uint16)
-                return m.sum()
-        ''',
-    }, NUM102)
-    (finding,) = result.active
-    assert finding.rule == "NUM102"
-    assert "sum() over a uint16 operand without dtype=" in finding.message
-
-
-def test_numpy_function_form_reduction_flagged(lint_tree):
-    result = lint_tree({
-        "repro/core/kernel.py": '''
-            import numpy as np
-
-            def total():
-                m = np.zeros(64, dtype=np.uint8)
-                return np.cumsum(m)
-        ''',
-    }, NUM102)
-    (finding,) = result.active
-    assert "cumsum() over a uint8 operand" in finding.message
-
-
-def test_explicit_dtype_fixes_num102(lint_tree):
-    result = lint_tree({
-        "repro/core/kernel.py": '''
-            import numpy as np
-
-            def total():
-                m = np.zeros(64, dtype=np.uint16)
-                return m.sum(dtype=np.int64)
-        ''',
-    }, NUM102)
-    assert result.ok
-
-
-def test_wide_operand_passes_num102(lint_tree):
-    result = lint_tree({
-        "repro/core/kernel.py": '''
-            import numpy as np
-
-            def total():
-                m = np.zeros(64, dtype=np.int64)
-                return m.sum()
-        ''',
-    }, NUM102)
-    assert result.ok
-
-
-def test_narrow_arithmetic_flagged(lint_tree):
-    result = lint_tree({
-        "repro/core/kernel.py": '''
-            import numpy as np
-
-            def bump(hits):
-                m = np.zeros(64, dtype=np.uint8)
-                return m + m
-        ''',
-    }, NUM103)
-    (finding,) = result.active
-    assert finding.rule == "NUM103"
-    assert "arithmetic result stays uint8" in finding.message
-
-
-def test_widened_arithmetic_fixes_num103(lint_tree):
-    result = lint_tree({
-        "repro/core/kernel.py": '''
-            import numpy as np
-
-            def bump(hits):
-                m = np.zeros(64, dtype=np.uint8)
-                return m.astype(np.int64) + m
-        ''',
-    }, NUM103)
-    assert result.ok
-
-
-def test_redundant_astype_flagged_and_fix_accepted(lint_tree):
-    result = lint_tree({
-        "repro/core/kernel.py": '''
-            import numpy as np
-
-            def copy_map():
-                m = np.zeros(64, dtype=np.uint8)
-                return m.astype(np.uint8)
-        ''',
-    }, NUM104)
-    (finding,) = result.active
-    assert finding.rule == "NUM104"
-    assert "redundant copy" in finding.message
-
-    # Same path, fixed source (the fixture overwrites in place).
-    fixed = lint_tree({
-        "repro/core/kernel.py": '''
-            import numpy as np
-
-            def copy_map():
-                m = np.zeros(64, dtype=np.uint8)
-                return m.astype(np.uint8, copy=False)
-        ''',
-    }, NUM104)
-    assert fixed.ok
-
-
-def test_num104_is_a_warning(lint_tree):
-    from repro.statlint.registry import RULES
-    assert RULES["NUM104"].severity == "warning"
-    assert RULES["NUM103"].severity == "error"
-
-
 def test_hot_path_gating(lint_tree):
-    """The same hazard outside num_hot_paths is presumed deliberate."""
+    """The same call outside num_hot_paths is presumed deliberate."""
     source = '''
         import numpy as np
 
-        def decay(counts):
-            m = np.zeros(64, dtype=np.uint8)
-            return m * 0.5
+        def histogram(keys, counts):
+            return np.bincount(keys, weights=counts)
     '''
-    result = lint_tree({"repro/analysis/plots.py": source},
-                       LintConfig(enable=("NUM101", "NUM102", "NUM103",
-                                          "NUM104")))
+    result = lint_tree({"repro/analysis/plots.py": source}, NUM101)
     assert result.ok
 
 
 def test_num_suppression(lint_tree):
     result = lint_tree({
-        "repro/core/kernel.py": '''
+        "repro/core/agg.py": '''
             import numpy as np
 
-            def decay(counts):
-                m = np.zeros(64, dtype=np.uint8)
-                # statlint: disable=NUM101 (decay is float by design)
-                return m * 0.5
+            def mean_weight(keys, weights):
+                # statlint: disable=NUM101 (float weights by design)
+                return np.bincount(keys, weights=weights)
         ''',
     }, NUM101)
     assert result.ok

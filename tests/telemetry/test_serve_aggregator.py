@@ -86,7 +86,7 @@ class TestFold:
         assert agg.campaign("f").fleet_counts["failed"] == 1
 
     def test_every_schema_kind_is_covered(self):
-        # The TEL104 invariant, checked dynamically: constructing the
+        # Schema coverage, checked dynamically: constructing the
         # aggregator must not raise, and handlers+ignores == schema.
         agg = TelemetryAggregator()
         covered = set(agg._dispatch) | set(IGNORED_KINDS)
