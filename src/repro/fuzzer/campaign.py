@@ -18,6 +18,7 @@ import numpy as np
 
 from ..core import (AflCoverage, BigMapCoverage, COUNTER_SATURATE,
                     CoverageMap, VirginMap)
+from ..core.bitmap_base import BatchUpdate
 from ..core.errors import CampaignConfigError
 from ..instrumentation import apply_lafintel, build_instrumentation
 from ..memsim.calibration import model_for_benchmark
@@ -25,12 +26,12 @@ from ..memsim.costmodel import (AFL, BIGMAP, OP_CATEGORIES,
                                 BitmapCostModel, ExecShape)
 from ..memsim.machine import Machine, XEON_E5645
 from ..target import BuiltBenchmark, Executor, get_benchmark
-from ..target.executor import ExecResult
+from ..target.executor import BatchExecResult, ExecResult
 from ..telemetry.metrics import sequential_sum
 from ..telemetry.recorder import TelemetryRecorder
 from ..telemetry.spans import NULL_TRACER
 from .clock import VirtualClock
-from .mutation import Mutator
+from .mutation import MutantBatch, Mutator
 from .pool import SeedPool
 from .scheduling import Scheduler
 from .seed import Seed
@@ -137,43 +138,50 @@ class CampaignConfig:
 
 @dataclass
 class BatchFront:
-    """Vectorized front-half summary of one (mega-)batch.
+    """Vectorized front half of one (mega-)batch.
 
-    Everything the batched processing loop needs per trace, and nothing
-    more — deliberately free of flat key arrays so execution backends
-    (``repro.fuzzer.mp``) can compute it in worker processes and ship
-    only these four small arrays back. Replayed traces re-derive their
-    full state through the scalar pipeline in the parent.
+    Everything the batched processing loop needs per trace: the
+    mutants themselves, their batched traces and aggregated keys, and
+    the conservative interest flags. The in-process backend keeps every
+    row's trace; the process backend (``repro.fuzzer.mp``) computes the
+    front in worker processes, which return their rows and per-trace
+    arrays in full but ``bres``/``update`` segments only for the rows
+    they flag or see crash — the only rows that can need a stale-flag
+    re-test or a trace-reusing replay. Every other row has an empty
+    segment and ``kept`` False, and a replay of it re-executes, which
+    the executor contract makes bit-identical.
 
     Attributes:
-        traversals: per-trace edge-traversal counts (``int64``).
-        n_unique: distinct map locations per trace after collision
-            aliasing (the cost model's ``unique_locations``).
+        batch: the mutants, rows in window order.
+        bres: the :class:`BatchExecResult`; its per-row ``traversals``
+            and ``crashes`` are always complete.
+        update: the aggregated :class:`BatchUpdate`; its per-row
+            ``n_unique`` (the cost model's ``unique_locations``) is
+            always complete. It lets the processing loop re-test a
+            flagged trace's keys against the *current* virgin map right
+            before its replay and downgrade stale flags to the cheap
+            path.
         flags: conservative "could be interesting" flags from the fused
             batched compare (see ``CoverageMap.update_compare_batch``).
         crashes: per-trace crash mask.
-        bres: the full :class:`BatchExecResult`, kept by the in-process
-            backend so replays reuse the already-computed traces instead
-            of re-executing. Optional — backends that compute the front
-            remotely ship only the four arrays above and leave it None;
-            replays then re-execute, producing bit-identical traces.
-        update: the aggregated :class:`BatchUpdate`, kept for the same
-            reason: it lets the processing loop re-test a flagged
-            trace's keys against the *current* virgin map right before
-            its replay and downgrade stale flags to the cheap path.
-            Equally optional, equally result-neutral.
+        kept: per-trace mask of rows whose ``bres``/``update`` segments
+            are present.
     """
 
-    traversals: np.ndarray
-    n_unique: np.ndarray
+    batch: MutantBatch
+    bres: BatchExecResult
+    update: BatchUpdate
     flags: np.ndarray
     crashes: np.ndarray
-    bres: Optional[object] = None
-    update: Optional[object] = None
+    kept: np.ndarray
 
     @property
-    def n(self) -> int:
-        return int(self.traversals.size)
+    def traversals(self) -> np.ndarray:
+        return self.bres.traversals
+
+    @property
+    def n_unique(self) -> np.ndarray:
+        return self.update.n_unique
 
 
 class Campaign:
@@ -576,7 +584,7 @@ class Campaign:
             if window is not None:
                 self._run_window(window, deadline)
 
-    def _collect_window(self) -> Optional[Tuple["object", List[Seed],
+    def _collect_window(self) -> Optional[Tuple[list, List[Seed],
                                                np.ndarray]]:
         """Schedule a window of seeds and draw their havoc streams.
 
@@ -584,12 +592,14 @@ class Campaign:
         the scheduler's skip walk, the splice-partner pick and the
         whole-energy :meth:`Mutator.havoc_draw` happen here, up front —
         the canonical mutation stream, consumed per seed in schedule
-        order regardless of window size. The drawn stacks are then
-        materialized by one cross-seed :meth:`Mutator.havoc_apply`
-        pass: the mutation kernels run once per window over the
-        combined row count, which is where the queue-cycle batching
-        actually pays (per-seed application re-pays the kernel setup
-        and the deep-stack scalar tail for every seed).
+        order regardless of window size. Nothing is applied yet: the
+        window runner materializes the drawn stacks with one cross-seed
+        :meth:`Mutator.havoc_apply` pass (the batched engine inside
+        :meth:`_batch_front`), so the mutation kernels run once per
+        window over the combined row count, which is where the
+        queue-cycle batching actually pays (per-seed application
+        re-pays the kernel setup and the deep-stack scalar tail for
+        every seed).
 
         Every engine processes the same collected window afterwards, so
         switching the window runner (or the execution backend) cannot
@@ -597,9 +607,9 @@ class Campaign:
         call, which keeps checkpoints window-agnostic: snapshots only
         ever see fully drained windows.
 
-        Returns ``(mega_batch, seeds, bounds)`` — seed ``k``'s mutants
-        are rows ``bounds[k]:bounds[k+1]`` — or None if nothing was
-        scheduled with energy.
+        Returns ``(draws, seeds, bounds)`` — seed ``k``'s mutants are
+        rows ``bounds[k]:bounds[k+1]`` of the applied window — or None
+        if nothing was scheduled with energy.
         """
         seeds: List[Seed] = []
         draws = []
@@ -619,10 +629,9 @@ class Campaign:
             seeds.append(seed)
         if not seeds:
             return None
-        mega = self.mutator.havoc_apply(draws)
         bounds = np.concatenate(
             ([0], np.cumsum([d.n for d in draws], dtype=np.int64)))
-        return mega, seeds, bounds
+        return draws, seeds, bounds
 
     def _run_mutant(self, mutant: bytes, seed: Seed,
                     precomputed: Optional[ExecResult] = None) -> None:
@@ -641,16 +650,25 @@ class Campaign:
             self._admit(mutant, cycles, seed.depth + 1, seed.seed_id,
                         snapshot)
 
-    def _batch_front(self, batch) -> BatchFront:
+    def _batch_front(self, draws, width: Optional[int] = None
+                     ) -> BatchFront:
         """Vectorized front half of the batched engine.
 
-        Execute the whole (mega-)batch, gather instrumentation keys,
-        and run the fused aggregate/classify/compare kernel. Execution
-        backends override this — ``repro.fuzzer.mp`` shards the rows
-        across worker processes and concatenates their results in
-        worker order, which is bit-identical because every per-trace
-        quantity is row/segment-local.
+        Apply the window's havoc draws at ``width`` (default: the
+        widest draw's), execute the whole (mega-)batch, gather
+        instrumentation keys, and run the fused
+        aggregate/classify/compare kernel. Execution backends override
+        this — ``repro.fuzzer.mp`` has each worker process run it on
+        its own row shard and concatenates the results in worker
+        order, which is bit-identical because every per-trace quantity
+        is row/segment-local.
+
+        Empties ``draws``: the window's list would otherwise keep every
+        drawn op matrix alive (several times the batch's size) while
+        the batch executes.
         """
+        batch = self.mutator.havoc_apply(draws, width)
+        draws.clear()
         bres = self.executor.execute_batch(batch.data, batch.lengths)
         keys, counts = self.instrumentation.keys_for_batch(
             bres, list(batch.rows()))
@@ -658,12 +676,11 @@ class Campaign:
             keys, counts, bres.offsets, self.virgin)
         crashes = np.fromiter((c is not None for c in bres.crashes),
                               dtype=bool, count=bres.n)
-        return BatchFront(traversals=np.asarray(bres.traversals),
-                          n_unique=np.asarray(update.n_unique),
+        return BatchFront(batch=batch, bres=bres, update=update,
                           flags=flags, crashes=crashes,
-                          bres=bres, update=update)
+                          kept=np.ones(bres.n, dtype=bool))
 
-    def _repair_map(self, batch, i: int, front: BatchFront = None) -> None:
+    def _repair_map(self, front: BatchFront, i: int) -> None:
         """Leave the map exactly as the serial engine would: holding
         the classified trace of the last processed mutant (checkpoints
         capture the coverage map). The trace comes from the batch
@@ -673,8 +690,8 @@ class Campaign:
         ``classify_and_compare``'s map effect (the merge never writes
         the local map). Host-only work: no clock, no virgin, no
         counters."""
-        row = batch.row(i)
-        if front is not None and front.bres is not None:
+        row = front.batch.row(i)
+        if front.kept[i]:
             result = front.bres.result_for(i)
         else:
             result = self.executor.execute(row.tobytes())
@@ -714,8 +731,8 @@ class Campaign:
         # (zero clock delta — charging happens later), so the cheap-run
         # sweep deposits the same per-exec calls instead of phantom
         # per-batch entries, keeping profiles bit-identical.
-        mega, seeds, bounds = window
-        front = self._batch_front(mega)
+        draws, seeds, bounds = window
+        front = self._batch_front(draws)
 
         bigmap = self.config.fuzzer == BIGMAP
         used = self.coverage.active_bytes() if bigmap else 0
@@ -744,7 +761,6 @@ class Campaign:
                         break
                     if replays[i] and front.flags[i] \
                             and not front.crashes[i] \
-                            and front.update is not None \
                             and not self.coverage.segment_interesting(
                                 front.update, i, self.virgin):
                         # The flag went stale: earlier traces already
@@ -760,8 +776,8 @@ class Campaign:
                             and totals[i] > budget
                     if replays[i]:
                         pre = front.bres.result_for(i) \
-                            if front.bres is not None else None
-                        self._run_mutant(mega.tobytes(i), seed, pre)
+                            if front.kept[i] else None
+                        self._run_mutant(front.batch.tobytes(i), seed, pre)
                         last_cheap = -1
                         if bigmap and self.coverage.active_bytes() != used:
                             # used_key moved: re-price the remaining
@@ -795,7 +811,7 @@ class Campaign:
                 break
 
         if last_cheap >= 0:
-            self._repair_map(mega, last_cheap, front)
+            self._repair_map(front, last_cheap)
 
     def _charge_cheap_run(self, front: BatchFront, batch_ops, totals,
                           lo: int, hi: int, used: int,

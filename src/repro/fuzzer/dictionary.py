@@ -45,7 +45,10 @@ class DictionaryMixer:
     Used by :class:`~repro.fuzzer.mutation.Mutator` when a dictionary
     is supplied: with probability ``use_probability`` per havoc mutant,
     one token is overwritten into (or inserted at) a random position —
-    AFL's ``EXTRAS`` havoc cases.
+    AFL's ``EXTRAS`` havoc cases. The randomness is drawn up front by
+    :meth:`~repro.fuzzer.mutation.Mutator.havoc_draw` (four uniforms
+    per mutant), so :meth:`stamp` is a pure function of the batch and
+    those uniforms.
     """
 
     def __init__(self, tokens: Sequence[bytes], *,
@@ -55,27 +58,51 @@ class DictionaryMixer:
                              f"{use_probability}")
         self.tokens = [t for t in tokens if t]
         self.use_probability = use_probability
+        longest = max((len(t) for t in self.tokens), default=1)
+        #: Tokens as a zero-padded ``(n_tokens, longest)`` matrix.
+        self._table = np.zeros((len(self.tokens), longest), dtype=np.uint8)
+        for i, token in enumerate(self.tokens):
+            self._table[i, :len(token)] = np.frombuffer(token, np.uint8)
+        self._sizes = np.array([len(t) for t in self.tokens],
+                               dtype=np.int64)
 
     def __bool__(self) -> bool:
         return bool(self.tokens)
 
-    def maybe_apply(self, buf: np.ndarray,
-                    rng: np.random.Generator) -> np.ndarray:
-        """Possibly stamp one token into ``buf``; returns the buffer."""
-        if not self.tokens or rng.random() >= self.use_probability:
-            return buf
-        token = np.frombuffer(
-            self.tokens[int(rng.integers(0, len(self.tokens)))],
-            dtype=np.uint8)
-        if buf.size == 0:
-            return token.copy()
-        if rng.random() < 0.75 or buf.size <= token.size:
-            # Overwrite at a random position (clamped to fit).
-            if token.size >= buf.size:
-                return token[:buf.size].copy()
-            pos = int(rng.integers(0, buf.size - token.size + 1))
-            buf[pos:pos + token.size] = token
-            return buf
-        # Insert.
-        pos = int(rng.integers(0, buf.size + 1))
-        return np.concatenate([buf[:pos], token, buf[pos:]])
+    def stamp(self, mat: np.ndarray, lengths: np.ndarray,
+              u: np.ndarray) -> None:
+        """Stamp tokens into the rows of a zero-padded batch, in place.
+
+        ``u`` is a ``(4, n)`` matrix of uniforms per row: use/skip,
+        token, overwrite/insert and position. A used row gets its token
+        overwritten at a position scaled to fit (clamped to the row
+        when the token is longer), or — one time in four, when the row
+        is longer than the token — inserted at a position in
+        ``[0, length]``, truncated at the matrix width. An empty row
+        becomes the token. Rows stay zero-padded past their lengths.
+        """
+        rows = np.flatnonzero(u[0] < self.use_probability)
+        if not self.tokens or not rows.size:
+            return
+        width = mat.shape[1]
+        tok = (u[1, rows] * len(self.tokens)).astype(np.int64)
+        size = self._sizes[tok]
+        ln = lengths[rows]
+        insert = (ln == 0) | ((u[2, rows] >= 0.75) & (ln > size))
+        wrote = np.where(insert, size, np.minimum(size, ln))
+        pos = (u[3, rows] * np.where(insert, ln + 1, ln - wrote + 1)
+               ).astype(np.int64)
+        shift = np.where(insert, size, 0)
+        # Output byte c is the row's byte c before the token, the
+        # token's byte c - pos inside it, and the row's byte c - shift
+        # after it (zero padding past the old length carries over).
+        cols = np.arange(width, dtype=np.int64)
+        off = cols - pos[:, None]
+        src = np.where(off < 0, cols, np.maximum(cols - shift[:, None], 0))
+        out = np.take_along_axis(mat[rows], src, axis=1)
+        token = np.take_along_axis(
+            self._table[tok], np.clip(off, 0, self._table.shape[1] - 1),
+            axis=1)
+        mat[rows] = np.where((off >= 0) & (off < wrote[:, None]), token,
+                             out)
+        lengths[rows] = np.minimum(width, ln + shift)

@@ -2,8 +2,8 @@
 
 :class:`MPCampaign` runs the exact same batched engine as
 :class:`~repro.fuzzer.campaign.Campaign` — same RNG stream, same
-scheduling, same replay semantics — but computes the vectorized *front
-half* of every mega-batch (execute, key gather, fused
+scheduling, same replay semantics — but computes the whole vectorized
+*front* of every mega-batch (havoc apply, execute, key gather, fused
 aggregate/classify/compare) across a pool of forked worker processes.
 
 Design (mirrors the runner/measurer split of Klees et al.):
@@ -18,22 +18,40 @@ Design (mirrors the runner/measurer split of Klees et al.):
   visible to every worker with zero copies and no synchronization
   protocol: workers only ever *read* the shared segments, and only
   between windows-fronts, when the parent is blocked waiting for them.
-* **Deterministic sharding.** A mega-batch of ``n`` rows is split into
-  ``workers`` contiguous shards with bounds ``n * w // workers`` —
-  a pure function of ``(n, workers)``, independent of timing.
+* **Recipes, not rows, go out.** The parent alone draws the window's
+  havoc randomness from the canonical RNG stream
+  (:meth:`~repro.fuzzer.mutation.Mutator.havoc_draw`, which records
+  each draw's *recipe*: the PCG64 state just before it, the seed and
+  partner bytes and the energy). A window of ``n`` rows is split into
+  ``workers`` contiguous shards with bounds ``n * w // workers`` — a
+  pure function of ``(n, workers)``, independent of timing — and each
+  worker receives the window width, its bounds and the recipes of the
+  draws overlapping its shard. It re-draws those on its own forked RNG
+  copy (:meth:`~repro.fuzzer.mutation.Mutator.redraw`, which puts the
+  state back afterwards), cuts them to its rows, applies them at the
+  window width and runs the in-process front.
+* **Rows and sparse replay state come back.** Each worker returns its
+  mutant rows, the per-trace arrays (traversals, unique-location
+  counts, interest flags, crash marks) and *sparse replay state*: the
+  trace and aggregated-key segments of the rows it flagged or saw
+  crash, empty segments elsewhere, and the mask of kept rows
+  (:class:`~repro.fuzzer.campaign.BatchFront`).
 * **Fixed reduction order.** The parent collects shard results in
   worker-index order (a blocking ``recv`` per pipe, in order), then
-  concatenates. Every per-trace quantity the front produces
-  (traversals, unique-location counts, interest flags, crash marks) is
-  row/segment-local, so the concatenation is bit-identical to the
-  in-process front no matter how many workers computed it — the
-  equivalence contract of DESIGN.md §8.
+  concatenates. A draw is a pure function of its recipe, a row's
+  mutant depends only on its own draw and the window width, and every
+  front quantity is row/segment-local, so the concatenation is
+  bit-identical to the in-process front no matter how many workers
+  computed it — the equivalence contract of DESIGN.md §8.
 
-Everything after the front — charging, hang prediction, replays,
-admissions, checkpoints, telemetry — runs unchanged in the parent, so
-campaign results are bit-identical for any worker count, including the
-serial engine. Workers ship only four small arrays per shard; they
-never send flat key arrays, mutate shared state, or touch the RNG.
+Everything after the front — charging, hang prediction, stale-flag
+downgrades, replays, admissions, checkpoints, telemetry — runs
+unchanged in the parent, so campaign results are bit-identical for any
+worker count, including the serial engine. Replays of kept rows reuse
+the worker's trace; the rest (budget-driven hang replays and the one
+map-repair row per window) re-execute, which the executor contract
+makes bit-identical. Workers never mutate shared state and never touch
+the parent's RNG.
 
 The worker entry point :func:`_mp_worker_main` runs in forked
 children, so module-level mutable state written on both sides of this
@@ -44,14 +62,61 @@ bit-identity tests in ``tests/fuzzer/test_batch_engine.py`` pin that.
 
 from __future__ import annotations
 
+import dataclasses
 from multiprocessing import get_context, shared_memory
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from ..core.errors import CampaignConfigError
 from .campaign import BatchFront, Campaign, CampaignConfig
-from .mutation import MutantBatch
+
+
+def _keep_segments(record, kept: np.ndarray, flat):
+    """``record`` with every segment outside ``kept`` emptied; ``flat``
+    names its per-entry arrays."""
+    sizes = np.diff(record.offsets)
+    take = np.repeat(kept, sizes)
+    offsets = np.concatenate(
+        ([0], np.cumsum(np.where(kept, sizes, 0), dtype=np.int64)))
+    fields = {name: getattr(record, name)[take] for name in flat}
+    return dataclasses.replace(record, offsets=offsets, **fields)
+
+
+def _sparse_front(front: BatchFront) -> BatchFront:
+    """A worker's reply: segments kept only for flagged/crashed rows."""
+    kept = front.flags | front.crashes
+    return dataclasses.replace(
+        front, kept=kept,
+        bres=_keep_segments(front.bres, kept, ("edges", "counts")),
+        update=dataclasses.replace(
+            _keep_segments(front.update, kept,
+                           ("keys", "summed", "classified")),
+            seg=None))
+
+
+def _concat(parts):
+    """Concatenate per-shard records in shard order, field by field.
+
+    Covers every record a front is made of (:class:`BatchFront` and the
+    mutant batch, trace and key records inside it): nested records
+    recurse, arrays and lists concatenate, segment ``offsets`` are
+    rebased, and absent (None) fields stay absent.
+    """
+    fields = {}
+    for field in dataclasses.fields(parts[0]):
+        values = [getattr(p, field.name) for p in parts]
+        if field.name == "offsets":
+            shift = np.cumsum([0] + [int(v[-1]) for v in values])
+            values = [values[0][:1]] + [v[1:] + s
+                                        for v, s in zip(values, shift)]
+        if dataclasses.is_dataclass(values[0]):
+            fields[field.name] = _concat(values)
+        elif isinstance(values[0], list):
+            fields[field.name] = [x for v in values for x in v]
+        elif values[0] is not None:
+            fields[field.name] = np.concatenate(values)
+    return dataclasses.replace(parts[0], **fields)
 
 
 def _mp_worker_main(campaign: "MPCampaign", conn) -> None:
@@ -59,27 +124,32 @@ def _mp_worker_main(campaign: "MPCampaign", conn) -> None:
 
     Runs in a forked child. Reads the inherited (read-only for the
     worker) executor/instrumentation tables and the shared-memory
-    virgin/index/used_key state; writes nothing but its reply pipe.
-    One request computes one shard's front and ships back exactly the
-    four per-trace arrays :class:`BatchFront` needs.
+    virgin/index/used_key state; writes nothing but its reply pipe and
+    its own forked RNG copy (each re-draw restores it). One request
+    re-draws the recipes overlapping one shard, applies that shard's
+    rows at the window width, computes their front and ships it back
+    with sparse replay state.
     """
     try:
         while True:
             msg = conn.recv()
             if msg[0] == "stop":
                 break
-            _, data, lengths = msg
+            _, width, lo, hi, recipes = msg
             # Refresh the one scalar mirrored through shared memory
             # (arrays need no refresh: they *are* the shared segments).
             if hasattr(campaign.coverage, "used_key"):
                 campaign.coverage.used_key = int(
                     campaign._used_key_shm[0])
+            draws = []
+            for start, recipe in recipes:
+                draw = campaign.mutator.redraw(recipe)
+                draws.append(draw.rows(max(lo - start, 0),
+                                       min(hi - start, draw.n)))
             # The in-process front, bypassing this class's sharding
             # override.
-            front = Campaign._batch_front(
-                campaign, MutantBatch(data=data, lengths=lengths))
-            conn.send((front.traversals, front.n_unique, front.flags,
-                       front.crashes))
+            front = Campaign._batch_front(campaign, draws, width)
+            conn.send(_sparse_front(front))
     finally:
         conn.close()
 
@@ -152,30 +222,29 @@ class MPCampaign(Campaign):
 
     # -- engine override -----------------------------------------------
 
-    def _batch_front(self, batch) -> BatchFront:
+    def _batch_front(self, draws) -> BatchFront:
         """Sharded batch front: deterministic split, ordered reduce.
 
-        Ships each worker its contiguous row shard over the pipe and
-        concatenates the replies in worker order. ``bres``/``update``
-        stay ``None`` — the flat arrays live in the workers — so
-        replays in the parent re-execute scalar traces, which the
-        executor contract makes bit-identical.
+        Sends each worker the window width, its contiguous row shard
+        and the recipes of the draws overlapping it, and concatenates
+        the replies in worker order. Empties ``draws`` once the
+        recipes are out, as the in-process front does after applying.
         """
         if not self._procs:
             self._start_workers()
         self._used_key_shm[0] = getattr(self.coverage, "used_key", 0)
-        n = int(batch.lengths.size)
+        width = max(d.width for d in draws)
+        bounds = np.cumsum([0] + [d.n for d in draws])
+        n = int(bounds[-1])
         w = self.workers
-        cuts = [n * k // w for k in range(w + 1)]
         for k, conn in enumerate(self._conns):
-            conn.send(("front", batch.data[cuts[k]:cuts[k + 1]],
-                       batch.lengths[cuts[k]:cuts[k + 1]]))
-        parts = [conn.recv() for conn in self._conns]
-        return BatchFront(
-            traversals=np.concatenate([p[0] for p in parts]),
-            n_unique=np.concatenate([p[1] for p in parts]),
-            flags=np.concatenate([p[2] for p in parts]),
-            crashes=np.concatenate([p[3] for p in parts]))
+            lo, hi = n * k // w, n * (k + 1) // w
+            conn.send(("front", width, lo, hi,
+                       [(int(bounds[j]), d.recipe)
+                        for j, d in enumerate(draws)
+                        if bounds[j] < hi and bounds[j + 1] > lo]))
+        draws.clear()
+        return _concat([conn.recv() for conn in self._conns])
 
     # -- lifecycle -----------------------------------------------------
 

@@ -9,8 +9,9 @@ draws as one padded batch of mutants.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,7 +83,10 @@ class HavocDraw:
     byte views plus every random draw — splice decisions, stacking
     depths, and the ``(rounds, n)`` per-op parameter matrices — so
     that application is a pure function of this record and the shared
-    batch width.
+    batch width. :meth:`rows` cuts a draw down to a range of its rows,
+    and ``recipe`` re-draws the whole record (:meth:`Mutator.redraw`):
+    together they let a worker process materialize just its shard of a
+    window without the draws ever crossing a process boundary.
 
     Attributes:
         base: seed bytes as a uint8 view.
@@ -97,6 +101,11 @@ class HavocDraw:
         n_ops: per-mutant stacking depth.
         op / f1..f4 / sel / val: ``(rounds, n)`` op-parameter
             matrices, or None when ``n`` is zero.
+        stamp: ``(4, n)`` dictionary uniforms (use, token, insert,
+            position), or None without a dictionary.
+        recipe: ``(rng_state, data, n, splice_with)``: the PCG64 state
+            just before the draw plus its arguments. None on a row
+            slice.
     """
 
     base: np.ndarray
@@ -115,6 +124,21 @@ class HavocDraw:
     f4: Optional[np.ndarray]
     sel: Optional[np.ndarray]
     val: Optional[np.ndarray]
+    stamp: Optional[np.ndarray] = None
+    recipe: Optional[Tuple] = None
+
+    def rows(self, lo: int, hi: int) -> "HavocDraw":
+        """Rows ``[lo, hi)`` as a draw of their own: applied at the same
+        width, it yields exactly those rows of the whole draw's apply."""
+        cut = {name: getattr(self, name)[lo:hi]
+               for name in ("fill", "do_splice", "cut_a", "cut_b")
+               if getattr(self, name) is not None}
+        cut.update({name: getattr(self, name)[:, lo:hi]
+                    for name in ("op", "f1", "f2", "f3", "f4", "sel", "val",
+                                 "stamp")
+                    if getattr(self, name) is not None})
+        return dataclasses.replace(self, n=hi - lo, n_ops=self.n_ops[lo:hi],
+                                   recipe=None, **cut)
 
 
 class Mutator:
@@ -160,7 +184,8 @@ class Mutator:
         mask and cut points (one vector each), per-row stacking depths,
         then one ``(rounds, n)`` matrix per op parameter covering every
         round at once (op codes, four uniform floats, a selector and a
-        value byte).
+        value byte), and — only with a dictionary — four uniforms per
+        row for the token stamp. The draw records its own ``recipe``.
 
         Application is deferred to :meth:`havoc_apply`, which may fuse
         the draws of several seeds into one uniform batch — the
@@ -168,6 +193,7 @@ class Mutator:
         fed with large matrices.
         """
         rng = self.rng
+        recipe = (rng.bit_generator.state, data, n, splice_with)
         base = np.frombuffer(data, dtype=np.uint8)
         partner = None if splice_with is None else \
             np.frombuffer(splice_with, dtype=np.uint8)
@@ -195,24 +221,44 @@ class Mutator:
             sel_m = rng.integers(0, 1 << 30, size=(rounds, n))
             val_m = rng.integers(0, 256, size=(rounds, n),
                                  dtype=np.uint8)
+        stamp = rng.random((4, n)) if self.dictionary else None
         return HavocDraw(base=base, partner=partner, n=n, width=width,
                          fill=fill, do_splice=do_splice, cut_a=cut_a,
                          cut_b=cut_b, n_ops=n_ops, op=op_m, f1=f1_m,
                          f2=f2_m, f3=f3_m, f4=f4_m, sel=sel_m,
-                         val=val_m)
+                         val=val_m, stamp=stamp, recipe=recipe)
 
-    def havoc_apply(self, draws: Sequence["HavocDraw"]) -> MutantBatch:
+    def redraw(self, recipe: Tuple) -> "HavocDraw":
+        """Re-draw a :class:`HavocDraw` from its ``recipe``.
+
+        Bit-identical to the original draw. The mutator's own RNG is
+        left where it was, so re-drawing never moves the stream.
+        """
+        state, data, n, splice_with = recipe
+        bit_generator = self.rng.bit_generator
+        saved = bit_generator.state
+        bit_generator.state = state
+        try:
+            return self.havoc_draw(data, n, splice_with)
+        finally:
+            bit_generator.state = saved
+
+    def havoc_apply(self, draws: Sequence["HavocDraw"],
+                    width: Optional[int] = None) -> MutantBatch:
         """Materialize pre-drawn havoc stacks as one uniform batch.
 
         Row block ``k`` holds draw ``k``'s mutants, in draw order. All
-        rows share one padded width — the widest draw's — so a whole
+        rows share one padded width — ``width`` if given, else the
+        widest draw's (``min_len`` for no draws) — so a whole
         scheduling window's mutation work runs as a single
         :meth:`_apply_stacked` pass: the per-round vectorized steps see
         ``sum(n_k)`` rows instead of ``n_k``, and the scalar tail of
         the deepest stacks is paid once per window rather than once per
         seed. Per-row results depend only on that row's own draw and
         the shared width (rows never interact), so a single-draw apply
-        reproduces the classic one-seed batch exactly.
+        reproduces the classic one-seed batch exactly, and applying
+        :meth:`HavocDraw.rows` slices at the window's width reproduces
+        the matching rows of the whole window.
 
         Mutants use AFL's havoc op mix (bit flip, interesting
         byte/word/dword, arithmetic, random byte, block delete, clone /
@@ -227,17 +273,15 @@ class Mutator:
         composition of any fixed op multiset is as random as the
         interleaved one, the result is fully deterministic given the
         RNG seed, and growth is bounded by the matrix width instead of
-        a final truncation.
+        a final truncation. With a dictionary, the token stamp runs
+        last, against each row's post-havoc length.
 
         Returns:
             :class:`MutantBatch`; rows are zero-padded past their
             logical lengths.
         """
-        if not draws:
-            return MutantBatch(
-                data=np.zeros((0, self.min_len), dtype=np.uint8),
-                lengths=np.zeros(0, dtype=np.int64))
-        width = max(d.width for d in draws)
+        if width is None:
+            width = max((d.width for d in draws), default=self.min_len)
         bounds = np.concatenate(
             ([0], np.cumsum([d.n for d in draws], dtype=np.int64)))
         total = int(bounds[-1])
@@ -255,8 +299,9 @@ class Mutator:
             sub = mat[lo:hi]
             base = d.base
             if base.size:
-                lengths[lo:hi] = min(base.size, width)
-                sub[:, :int(lengths[lo])] = base[:width]
+                size = min(base.size, width)
+                lengths[lo:hi] = size
+                sub[:, :size] = base[:size]
             else:
                 sub[:, :self.min_len] = d.fill
                 lengths[lo:hi] = self.min_len
@@ -290,15 +335,10 @@ class Mutator:
             self._apply_stacked(mat, lengths, width, rows, rnds, op,
                                 f1, f2, f3, f4, sel, val)
 
-        if self.dictionary:
-            rng = self.rng
-            for i in range(total):
-                out = self.dictionary.maybe_apply(
-                    mat[i, :int(lengths[i])].copy(), rng)
-                out = out[:width]
-                mat[i] = 0
-                mat[i, :out.size] = out
-                lengths[i] = out.size
+        if self.dictionary and draws:
+            self.dictionary.stamp(
+                mat, lengths, np.concatenate([d.stamp for d in draws],
+                                             axis=1))
         return MutantBatch(data=mat, lengths=lengths)
 
     @staticmethod

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fuzzer import Campaign, CampaignConfig
+from repro.fuzzer.mp import MPCampaign
 from repro.fuzzer.oracle import SerialCampaign
 from repro.target import get_benchmark
 
@@ -273,32 +274,75 @@ class TestCrossSeedHangAttribution:
         assert_checkpoints_equal(sa, sb)
 
 
+class _ReplayCounting:
+    """Mixin: counts scalar-pipeline replays (``_run_mutant`` calls)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.replays = 0
+
+    def _run_mutant(self, *args, **kwargs):
+        self.replays += 1
+        return super()._run_mutant(*args, **kwargs)
+
+
+class _CountingBatched(_ReplayCounting, Campaign):
+    pass
+
+
+class _CountingMP(_ReplayCounting, MPCampaign):
+    pass
+
+
+#: Campaign shapes the process backend must reproduce exactly: the
+#: base bigmap window, a dictionary campaign (token stamps re-drawn in
+#: the workers), a hang-heavy one (budget-driven replays of rows whose
+#: trace the workers did not keep) and a flat-map AFL one.
+MP_CONFIGS = {
+    "bigmap": dict(fuzzer="bigmap", batch_window=8),
+    "dictionary": dict(fuzzer="bigmap", batch_window=8,
+                       use_dictionary=True),
+    "hang-heavy": dict(fuzzer="bigmap", batch_window=5, rng_seed=2,
+                       hang_factor=1.5),
+    "afl": dict(fuzzer="afl", batch_window=8),
+}
+
+
 class TestMPBackendEquivalence:
     """The shared-memory process-pool backend is a pure execution
     strategy: results, checkpoints and telemetry must be bit-identical
-    to the in-process batched engine for any worker count."""
+    to the in-process batched engine for any worker count, and the
+    parent must replay exactly the traces the in-process engine
+    replays (stale flags are downgraded from the workers' sparse
+    replay state, not re-executed)."""
 
+    @pytest.mark.parametrize("shape", sorted(MP_CONFIGS))
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_results_checkpoints_telemetry_identical(self, workers):
-        from repro.fuzzer.mp import MPCampaign
+    def test_results_checkpoints_telemetry_identical(self, workers, shape):
         from repro.telemetry.recorder import TelemetryRecorder
+        overrides = dict(MP_CONFIGS[shape])
         built = get_benchmark("zlib").build(scale=0.2, seed_scale=1.0)
-        config = _config("bigmap", "zlib", batch_window=8)
+        config = _config(overrides.pop("fuzzer"), "zlib", **overrides)
 
         ref_recorder = TelemetryRecorder(instance=0)
-        reference = Campaign(config, built=built,
-                             telemetry=ref_recorder)
+        reference = _CountingBatched(config, built=built,
+                                     telemetry=ref_recorder)
         ref_result = reference.run()
 
         mp_recorder = TelemetryRecorder(instance=0)
-        with MPCampaign(config, built=built, telemetry=mp_recorder,
-                        workers=workers) as campaign:
+        with _CountingMP(config, built=built, telemetry=mp_recorder,
+                         workers=workers) as campaign:
             mp_result = campaign.run()
             mp_snapshot = campaign.snapshot()
+            mp_replays = campaign.replays
 
         assert ref_result == mp_result
         assert ref_recorder.artifacts() == mp_recorder.artifacts()
         assert_checkpoints_equal(reference.snapshot(), mp_snapshot)
+        assert reference.replays > 0
+        assert mp_replays == reference.replays
+        if shape == "hang-heavy":
+            assert ref_result.hangs > 0
 
     @pytest.mark.parametrize("fuzzer", ["afl", "bigmap"])
     def test_matches_the_serial_engine_too(self, fuzzer):
@@ -307,6 +351,22 @@ class TestMPBackendEquivalence:
         from repro.fuzzer.mp import MPCampaign
         built = get_benchmark("zlib").build(scale=0.2, seed_scale=1.0)
         config = _config(fuzzer, "zlib", batch_window=4)
+        serial = SerialCampaign(config, built=built)
+        rs = serial.run()
+        with MPCampaign(config, built=built, workers=2) as campaign:
+            rmp = campaign.run()
+            mp_snapshot = campaign.snapshot()
+        assert rs == rmp
+        assert_checkpoints_equal(serial.snapshot(), mp_snapshot)
+
+    def test_dictionary_campaign_matches_the_serial_engine(self):
+        """The token stamp is drawn at schedule time and applied as a
+        pure function of the draws, so a dictionary campaign chains
+        serial ≡ batched ≡ mp like any other."""
+        from repro.fuzzer.mp import MPCampaign
+        built = get_benchmark("zlib").build(scale=0.2, seed_scale=1.0)
+        config = _config("afl", "zlib", batch_window=3,
+                         use_dictionary=True)
         serial = SerialCampaign(config, built=built)
         rs = serial.run()
         with MPCampaign(config, built=built, workers=2) as campaign:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fuzzer import Mutator, extract_dictionary
 from repro.fuzzer.dictionary import DictionaryMixer
@@ -60,16 +62,51 @@ class TestMixer:
     def test_never_applied_when_probability_zero(self):
         mixer = DictionaryMixer([b"\xde\xad\xbe\xef"],
                                 use_probability=0.0)
-        rng = np.random.default_rng(0)
-        buf = np.zeros(32, dtype=np.uint8)
-        out = mixer.maybe_apply(buf, rng)
-        assert not np.any(out)
+        mat = np.zeros((8, 32), dtype=np.uint8)
+        lengths = np.full(8, 32, dtype=np.int64)
+        mixer.stamp(mat, lengths, np.random.default_rng(0).random((4, 8)))
+        assert not np.any(mat)
+        assert (lengths == 32).all()
 
     def test_empty_buffer_handled(self):
         mixer = DictionaryMixer([b"\x01\x02"], use_probability=1.0)
-        rng = np.random.default_rng(1)
-        out = mixer.maybe_apply(np.empty(0, dtype=np.uint8), rng)
-        assert out.tolist() == [1, 2]
+        mat = np.zeros((1, 8), dtype=np.uint8)
+        lengths = np.zeros(1, dtype=np.int64)
+        mixer.stamp(mat, lengths, np.random.default_rng(1).random((4, 1)))
+        assert mat[0, :int(lengths[0])].tolist() == [1, 2]
+        assert not mat[0, 2:].any()
+
+    @pytest.mark.parametrize("insert_u, pos_u, expect", [
+        # Overwrite: position scaled over [0, len - token].
+        (0.1, 0.0, b"ABxxxx"), (0.1, 0.99, b"xxxxAB"),
+        # Insert: position scaled over [0, len].
+        (0.9, 0.0, b"ABxxxxxx"), (0.9, 0.5, b"xxxABxxx"),
+        (0.9, 0.99, b"xxxxxxAB")])
+    def test_overwrite_and_insert_positions(self, insert_u, pos_u, expect):
+        mixer = DictionaryMixer([b"AB"], use_probability=1.0)
+        mat = np.zeros((1, 16), dtype=np.uint8)
+        mat[0, :6] = np.frombuffer(b"xxxxxx", dtype=np.uint8)
+        lengths = np.array([6], dtype=np.int64)
+        mixer.stamp(mat, lengths,
+                    np.array([[0.0], [0.0], [insert_u], [pos_u]]))
+        assert mat[0, :int(lengths[0])].tobytes() == expect
+        assert not mat[0, int(lengths[0]):].any()
+
+    def test_long_token_is_clamped_and_insert_truncated(self):
+        mixer = DictionaryMixer([b"LONGTOKEN"], use_probability=1.0)
+        mat = np.zeros((2, 12), dtype=np.uint8)
+        mat[0, :4] = 7
+        mat[1, :10] = 7
+        lengths = np.array([4, 10], dtype=np.int64)
+        # Row 0: the token is longer than the row, so it overwrites the
+        # whole row, clamped, even though the insert uniform fired.
+        # Row 1: an insert at position 5, truncated at the width.
+        mixer.stamp(mat, lengths, np.array([[0.0, 0.0], [0.0, 0.0],
+                                            [0.9, 0.9], [0.5, 0.5]]))
+        assert mat[0].tobytes() == b"LONG" + bytes(8)
+        assert lengths[0] == 4
+        assert mat[1].tobytes() == bytes([7] * 5) + b"LONGTOK"
+        assert lengths[1] == 12
 
 
 class TestCampaignIntegration:
@@ -93,3 +130,41 @@ class TestCampaignIntegration:
         # Magic region is sizable (60+ edges); the dictionary must
         # unlock coverage blind mutation does not reach.
         assert with_dict.true_edge_coverage > without.true_edge_coverage
+
+
+def _reference_stamp(buf, u, tokens, use_probability, width):
+    """The per-row stamp, one row at a time (AFL's EXTRAS cases with
+    the uniforms drawn up front): the oracle for the vectorized
+    ``DictionaryMixer.stamp``."""
+    use, pick, insert, where = u
+    if use >= use_probability:
+        return buf
+    token = tokens[int(pick * len(tokens))]
+    if buf and (insert < 0.75 or len(buf) <= len(token)):
+        if len(token) >= len(buf):
+            return token[:len(buf)]
+        pos = int(where * (len(buf) - len(token) + 1))
+        return buf[:pos] + token + buf[pos + len(token):]
+    pos = int(where * (len(buf) + 1))
+    return (buf[:pos] + token + buf[pos:])[:width]
+
+
+class TestStampMatchesRowReference:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.binary(max_size=24), min_size=1, max_size=12),
+           tokens=st.lists(st.binary(min_size=1, max_size=10),
+                           min_size=1, max_size=4),
+           width=st.integers(24, 40), seed=st.integers(0, 2**32 - 1))
+    def test_vectorized_stamp_equals_per_row_loop(self, rows, tokens,
+                                                  width, seed):
+        mixer = DictionaryMixer(tokens, use_probability=0.6)
+        mat = np.zeros((len(rows), width), dtype=np.uint8)
+        for i, row in enumerate(rows):
+            mat[i, :len(row)] = np.frombuffer(row, dtype=np.uint8)
+        lengths = np.array([len(r) for r in rows], dtype=np.int64)
+        u = np.random.default_rng(seed).random((4, len(rows)))
+        mixer.stamp(mat, lengths, u)
+        for i, row in enumerate(rows):
+            want = _reference_stamp(row, u[:, i], tokens, 0.6, width)
+            assert mat[i, :int(lengths[i])].tobytes() == want
+            assert not mat[i, int(lengths[i]):].any()

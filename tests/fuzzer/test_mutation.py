@@ -1,5 +1,7 @@
 """Unit tests for the mutation engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,3 +148,95 @@ class TestHavocBatch:
         batch = havoc(mutator, bytes(range(32)), 10)
         for i, view in enumerate(batch.rows()):
             assert view.tobytes() == batch.tobytes(i)
+
+
+def _assert_draws_equal(a, b):
+    for field in dataclasses.fields(a):
+        va, vb = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(va, np.ndarray):
+            assert np.array_equal(va, vb), field.name
+            assert va.dtype == vb.dtype, field.name
+        else:
+            assert va == vb, field.name
+
+
+def _shard(draws, lo, hi):
+    """Rows ``[lo, hi)`` of a window, as row-sliced draws (what a
+    worker applies)."""
+    bounds = np.cumsum([0] + [d.n for d in draws])
+    return [d.rows(max(lo - start, 0), min(hi - start, d.n))
+            for d, start in zip(draws, bounds)
+            if start < hi and start + d.n > lo]
+
+
+class TestShardPurity:
+    """A worker process re-draws its shard of a window from recipes and
+    applies only those rows at the window's width. That is sound only
+    if ``havoc_apply`` is a pure function of ``(draws, width)`` — the
+    dictionary stamp included — and re-drawing reproduces a draw bit
+    for bit."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           window=st.lists(st.tuples(st.binary(max_size=80),
+                                     st.integers(0, 12),
+                                     st.one_of(st.none(),
+                                               st.binary(max_size=60))),
+                           min_size=1, max_size=4),
+           dictionary=st.booleans(), data=st.data())
+    def test_any_row_range_matches_the_full_apply(self, seed, window,
+                                                  dictionary, data):
+        tokens = [b"TOKEN", b"\xff\xfe", b"0123456789ABCDEF"]
+        mutator = make_mutator(seed, max_len=256,
+                               dictionary=tokens if dictionary else None)
+        draws = [mutator.havoc_draw(base, n, partner)
+                 for base, n, partner in window]
+        state = mutator.rng.bit_generator.state
+        for draw in draws:
+            _assert_draws_equal(mutator.redraw(draw.recipe), draw)
+        assert mutator.rng.bit_generator.state == state
+
+        full = mutator.havoc_apply(draws)
+        total = full.n
+        lo = data.draw(st.integers(0, total), label="lo")
+        hi = data.draw(st.integers(lo, total), label="hi")
+        part = mutator.havoc_apply(_shard(draws, lo, hi), full.width)
+        assert part.data.shape == (hi - lo, full.width)
+        assert np.array_equal(part.data, full.data[lo:hi])
+        assert np.array_equal(part.lengths, full.lengths[lo:hi])
+
+        # Worker-style cuts, including shards with zero rows when the
+        # window has fewer rows than workers: the parts concatenate
+        # back to the whole window.
+        for workers in (2, 3, 4):
+            cuts = [total * k // workers for k in range(workers + 1)]
+            parts = [mutator.havoc_apply(_shard(draws, a, b), full.width)
+                     for a, b in zip(cuts, cuts[1:])]
+            assert np.array_equal(
+                np.concatenate([p.data for p in parts]), full.data)
+            assert np.array_equal(
+                np.concatenate([p.lengths for p in parts]), full.lengths)
+        # Applying consumed no randomness.
+        assert mutator.rng.bit_generator.state == state
+
+    def test_empty_apply_takes_the_explicit_width(self):
+        mutator = make_mutator(0, min_len=4)
+        assert mutator.havoc_apply([]).data.shape == (0, 4)
+        assert mutator.havoc_apply([], 37).data.shape == (0, 37)
+        draw = mutator.havoc_draw(bytes(10), 5)
+        assert mutator.havoc_apply([draw], 200).data.shape == (5, 200)
+        assert mutator.havoc_apply([draw.rows(2, 2)], 200).data.shape \
+            == (0, 200)
+
+    def test_dictionary_draws_extend_the_stream_only(self):
+        """Without a dictionary the stream is untouched; with one, the
+        stamp uniforms come after every havoc draw of the seed."""
+        plain = make_mutator(5)
+        stamped = make_mutator(5, dictionary=[b"AB"])
+        a = plain.havoc_draw(bytes(range(30)), 9)
+        b = stamped.havoc_draw(bytes(range(30)), 9)
+        assert a.stamp is None and b.stamp.shape == (4, 9)
+        assert np.array_equal(a.op, b.op) and np.array_equal(a.val, b.val)
+        assert np.array_equal(b.stamp, plain.rng.random((4, 9)))
+        assert plain.rng.bit_generator.state == \
+            stamped.rng.bit_generator.state
