@@ -20,14 +20,15 @@ def test_executor_throughput(benchmark, sqlite_small):
     benchmark.extra_info["program_edges"] = sqlite_small.program.n_edges
 
 
-def _one_mutant(mutator, seed):
-    return mutator.havoc_apply([mutator.havoc_draw(seed, 1)]).tobytes(0)
+def _one_mutant(mutator, keys, seed):
+    return mutator.havoc_apply(
+        [mutator.havoc_draw(keys.random_raw(), seed, 1)]).tobytes(0)
 
 
 def test_havoc_throughput(benchmark, sqlite_small):
-    mutator = Mutator(np.random.default_rng(0))
+    mutator, keys = Mutator(), np.random.PCG64(0)
     seed = sqlite_small.seeds[0]
-    benchmark(lambda: _one_mutant(mutator, seed))
+    benchmark(lambda: _one_mutant(mutator, keys, seed))
 
 
 def test_full_pipeline_iteration(benchmark, sqlite_small):
@@ -40,11 +41,11 @@ def test_full_pipeline_iteration(benchmark, sqlite_small):
     inst = build_instrumentation("afl-edge", program, 1 << 21)
     cov = BigMapCoverage(1 << 21)
     virgin = VirginMap(1 << 21)
-    mutator = Mutator(np.random.default_rng(1))
+    mutator, keys = Mutator(), np.random.PCG64(1)
     seed = sqlite_small.seeds[0]
 
     def iteration():
-        data = _one_mutant(mutator, seed)
+        data = _one_mutant(mutator, keys, seed)
         result = ex.execute(data)
         keys, counts = inst.keys_for(
             result, np.frombuffer(data, dtype=np.uint8))

@@ -66,6 +66,11 @@ class CampaignConfig:
         non_temporal_reset: §IV-E option; ``None`` resolves to the
             paper's setup (auto: enabled for AFL once the map is
             DRAM-bound, pointless for BigMap).
+        merged_classify_compare: §IV-E option: price classification
+            and the virgin compare as one merged pass over the map
+            (the paper's setup) instead of two sweeps. Only the cost
+            model reads it (:mod:`repro.memsim.costmodel`); Figure 3
+            switches it off to show AFL's separate sweeps.
         trim_seeds: run AFL's trim stage on every admitted queue entry
             (trial executions are charged like any others).
         persistent_mode: feed inputs in a loop without fork() overhead,
@@ -78,7 +83,7 @@ class CampaignConfig:
             detection.
         batch_window: how many scheduled seeds one window accumulates
             before any of their mutants execute. Scheduling, splice
-            partners and havoc streams for all seeds in the window are
+            partners and havoc keys for all seeds in the window are
             drawn up front (in schedule order); the window's whole
             energy then runs as one vectorized batch, processed in that
             same order. The window is a *semantic* knob — admissions
@@ -230,8 +235,7 @@ class Campaign:
         if config.use_dictionary:
             from .dictionary import extract_dictionary
             dictionary = extract_dictionary(program)
-        self.mutator = Mutator(self.rng,
-                               max_len=max(program.input_len * 4, 64),
+        self.mutator = Mutator(max_len=max(program.input_len * 4, 64),
                                dictionary=dictionary)
         self.clock = VirtualClock(config.machine.frequency_hz)
         self.telemetry = telemetry
@@ -586,16 +590,17 @@ class Campaign:
 
     def _collect_window(self) -> Optional[Tuple[list, List[Seed],
                                                np.ndarray]]:
-        """Schedule a window of seeds and draw their havoc streams.
+        """Schedule a window of seeds and key their havoc draws.
 
         Up to ``batch_window`` seeds are scheduled in order; for each,
-        the scheduler's skip walk, the splice-partner pick and the
-        whole-energy :meth:`Mutator.havoc_draw` happen here, up front —
-        the canonical mutation stream, consumed per seed in schedule
-        order regardless of window size. Nothing is applied yet: the
-        window runner materializes the drawn stacks with one cross-seed
+        the scheduler's skip walk, the energy, the splice-partner pick
+        and the draw's key — exactly one word of the campaign stream,
+        whatever the energy — happen here, in schedule order regardless
+        of window size. Nothing is drawn yet: a draw is a pure function
+        of its spec (:meth:`Mutator.havoc_draw`), so the window runner
+        draws and materializes the specs with one cross-seed
         :meth:`Mutator.havoc_apply` pass (the batched engine inside
-        :meth:`_batch_front`), so the mutation kernels run once per
+        :meth:`_batch_front`), and the mutation kernels run once per
         window over the combined row count, which is where the
         queue-cycle batching actually pays (per-seed application
         re-pays the kernel setup and the deep-stack scalar tail for
@@ -607,12 +612,13 @@ class Campaign:
         call, which keeps checkpoints window-agnostic: snapshots only
         ever see fully drained windows.
 
-        Returns ``(draws, seeds, bounds)`` — seed ``k``'s mutants are
+        Returns ``(specs, seeds, bounds)`` — ``specs`` lists ``(key,
+        data, energy, partner)`` per seed, and seed ``k``'s mutants are
         rows ``bounds[k]:bounds[k+1]`` of the applied window — or None
         if nothing was scheduled with energy.
         """
         seeds: List[Seed] = []
-        draws = []
+        specs = []
         for _ in range(self.config.batch_window):
             if not self.pool.seeds:
                 break
@@ -623,15 +629,15 @@ class Campaign:
             if energy <= 0:
                 continue
             with self._span_mutate:
-                draws.append(self.mutator.havoc_draw(
-                    seed.data, energy,
-                    splice_with=partner.data if partner else None))
+                specs.append((self.rng.bit_generator.random_raw(),
+                              seed.data, energy,
+                              partner.data if partner else None))
             seeds.append(seed)
         if not seeds:
             return None
         bounds = np.concatenate(
-            ([0], np.cumsum([d.n for d in draws], dtype=np.int64)))
-        return draws, seeds, bounds
+            ([0], np.cumsum([n for _, _, n, _ in specs], dtype=np.int64)))
+        return specs, seeds, bounds
 
     def _run_mutant(self, mutant: bytes, seed: Seed,
                     precomputed: Optional[ExecResult] = None) -> None:
@@ -650,25 +656,23 @@ class Campaign:
             self._admit(mutant, cycles, seed.depth + 1, seed.seed_id,
                         snapshot)
 
-    def _batch_front(self, draws, width: Optional[int] = None
-                     ) -> BatchFront:
+    def _batch_front(self, specs, width: Optional[int] = None,
+                     lo: int = 0, hi: Optional[int] = None) -> BatchFront:
         """Vectorized front half of the batched engine.
 
-        Apply the window's havoc draws at ``width`` (default: the
-        widest draw's), execute the whole (mega-)batch, gather
+        Draw the window's havoc specs covering rows ``[lo, hi)``
+        (default: all rows) and apply those rows at ``width`` (default:
+        the widest draw's), execute the whole (mega-)batch, gather
         instrumentation keys, and run the fused
         aggregate/classify/compare kernel. Execution backends override
         this — ``repro.fuzzer.mp`` has each worker process run it on
         its own row shard and concatenates the results in worker
-        order, which is bit-identical because every per-trace quantity
-        is row/segment-local.
-
-        Empties ``draws``: the window's list would otherwise keep every
-        drawn op matrix alive (several times the batch's size) while
-        the batch executes.
+        order, which is bit-identical because every draw is a pure
+        function of its spec and every per-trace quantity is
+        row/segment-local.
         """
-        batch = self.mutator.havoc_apply(draws, width)
-        draws.clear()
+        batch = self.mutator.havoc_apply(
+            self.mutator.draw_rows(specs, lo, hi), width)
         bres = self.executor.execute_batch(batch.data, batch.lengths)
         keys, counts = self.instrumentation.keys_for_batch(
             bres, list(batch.rows()))
@@ -731,8 +735,8 @@ class Campaign:
         # (zero clock delta — charging happens later), so the cheap-run
         # sweep deposits the same per-exec calls instead of phantom
         # per-batch entries, keeping profiles bit-identical.
-        draws, seeds, bounds = window
-        front = self._batch_front(draws)
+        specs, seeds, bounds = window
+        front = self._batch_front(specs)
 
         bigmap = self.config.fuzzer == BIGMAP
         used = self.coverage.active_bytes() if bigmap else 0

@@ -45,10 +45,11 @@ class DictionaryMixer:
     Used by :class:`~repro.fuzzer.mutation.Mutator` when a dictionary
     is supplied: with probability ``use_probability`` per havoc mutant,
     one token is overwritten into (or inserted at) a random position —
-    AFL's ``EXTRAS`` havoc cases. The randomness is drawn up front by
-    :meth:`~repro.fuzzer.mutation.Mutator.havoc_draw` (four uniforms
-    per mutant), so :meth:`stamp` is a pure function of the batch and
-    those uniforms.
+    AFL's ``EXTRAS`` havoc cases. The randomness is drawn with the
+    rest of a seed's havoc draw
+    (:meth:`~repro.fuzzer.mutation.Mutator.havoc_draw`, four uniforms
+    per mutant, after the op parameters), so :meth:`stamp` is a pure
+    function of the batch and those uniforms.
     """
 
     def __init__(self, tokens: Sequence[bytes], *,

@@ -18,18 +18,18 @@ Design (mirrors the runner/measurer split of Klees et al.):
   visible to every worker with zero copies and no synchronization
   protocol: workers only ever *read* the shared segments, and only
   between windows-fronts, when the parent is blocked waiting for them.
-* **Recipes, not rows, go out.** The parent alone draws the window's
-  havoc randomness from the canonical RNG stream
-  (:meth:`~repro.fuzzer.mutation.Mutator.havoc_draw`, which records
-  each draw's *recipe*: the PCG64 state just before it, the seed and
-  partner bytes and the energy). A window of ``n`` rows is split into
-  ``workers`` contiguous shards with bounds ``n * w // workers`` — a
-  pure function of ``(n, workers)``, independent of timing — and each
-  worker receives the window width, its bounds and the recipes of the
-  draws overlapping its shard. It re-draws those on its own forked RNG
-  copy (:meth:`~repro.fuzzer.mutation.Mutator.redraw`, which puts the
-  state back afterwards), cuts them to its rows, applies them at the
-  window width and runs the in-process front.
+* **Specs, not rows, go out.** The parent draws no havoc randomness.
+  Scheduling takes one key per seed from the canonical RNG stream and
+  pairs it with the seed and partner bytes and the energy: the draw's
+  *spec* (:meth:`~repro.fuzzer.campaign.Campaign._collect_window`). A
+  window of ``n`` rows is split into ``workers`` contiguous shards
+  with bounds ``n * w // workers`` — a pure function of ``(n,
+  workers)``, independent of timing — and each worker receives the
+  window width, its bounds and the window's specs. It draws only the
+  specs overlapping its shard
+  (:meth:`~repro.fuzzer.mutation.Mutator.draw_rows`), cuts them to its
+  rows, applies them at the window width and runs the in-process
+  front.
 * **Rows and sparse replay state come back.** Each worker returns its
   mutant rows, the per-trace arrays (traversals, unique-location
   counts, interest flags, crash marks) and *sparse replay state*: the
@@ -38,7 +38,7 @@ Design (mirrors the runner/measurer split of Klees et al.):
   (:class:`~repro.fuzzer.campaign.BatchFront`).
 * **Fixed reduction order.** The parent collects shard results in
   worker-index order (a blocking ``recv`` per pipe, in order), then
-  concatenates. A draw is a pure function of its recipe, a row's
+  concatenates. A draw is a pure function of its spec, a row's
   mutant depends only on its own draw and the window width, and every
   front quantity is row/segment-local, so the concatenation is
   bit-identical to the in-process front no matter how many workers
@@ -124,31 +124,25 @@ def _mp_worker_main(campaign: "MPCampaign", conn) -> None:
 
     Runs in a forked child. Reads the inherited (read-only for the
     worker) executor/instrumentation tables and the shared-memory
-    virgin/index/used_key state; writes nothing but its reply pipe and
-    its own forked RNG copy (each re-draw restores it). One request
-    re-draws the recipes overlapping one shard, applies that shard's
-    rows at the window width, computes their front and ships it back
-    with sparse replay state.
+    virgin/index/used_key state; writes nothing but its reply pipe.
+    One request draws the specs overlapping one shard, applies that
+    shard's rows at the window width, computes their front and ships
+    it back with sparse replay state.
     """
     try:
         while True:
             msg = conn.recv()
             if msg[0] == "stop":
                 break
-            _, width, lo, hi, recipes = msg
+            _, specs, width, lo, hi = msg
             # Refresh the one scalar mirrored through shared memory
             # (arrays need no refresh: they *are* the shared segments).
             if hasattr(campaign.coverage, "used_key"):
                 campaign.coverage.used_key = int(
                     campaign._used_key_shm[0])
-            draws = []
-            for start, recipe in recipes:
-                draw = campaign.mutator.redraw(recipe)
-                draws.append(draw.rows(max(lo - start, 0),
-                                       min(hi - start, draw.n)))
             # The in-process front, bypassing this class's sharding
             # override.
-            front = Campaign._batch_front(campaign, draws, width)
+            front = Campaign._batch_front(campaign, specs, width, lo, hi)
             conn.send(_sparse_front(front))
     finally:
         conn.close()
@@ -222,28 +216,23 @@ class MPCampaign(Campaign):
 
     # -- engine override -----------------------------------------------
 
-    def _batch_front(self, draws) -> BatchFront:
+    def _batch_front(self, specs) -> BatchFront:
         """Sharded batch front: deterministic split, ordered reduce.
 
-        Sends each worker the window width, its contiguous row shard
-        and the recipes of the draws overlapping it, and concatenates
-        the replies in worker order. Empties ``draws`` once the
-        recipes are out, as the in-process front does after applying.
+        Sends each worker the window's specs and width plus the
+        worker's contiguous row shard, and concatenates the replies in
+        worker order.
         """
         if not self._procs:
             self._start_workers()
         self._used_key_shm[0] = getattr(self.coverage, "used_key", 0)
-        width = max(d.width for d in draws)
-        bounds = np.cumsum([0] + [d.n for d in draws])
-        n = int(bounds[-1])
+        width = max(self.mutator.width(data, partner)
+                    for _, data, _, partner in specs)
+        n = sum(energy for _, _, energy, _ in specs)
         w = self.workers
         for k, conn in enumerate(self._conns):
-            lo, hi = n * k // w, n * (k + 1) // w
-            conn.send(("front", width, lo, hi,
-                       [(int(bounds[j]), d.recipe)
-                        for j, d in enumerate(draws)
-                        if bounds[j] < hi and bounds[j + 1] > lo]))
-        draws.clear()
+            conn.send(("front", specs, width, n * k // w,
+                       n * (k + 1) // w))
         return _concat([conn.recv() for conn in self._conns])
 
     # -- lifecycle -----------------------------------------------------

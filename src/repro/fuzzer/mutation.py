@@ -2,16 +2,16 @@
 
 As in the paper's evaluation setup (§V-A1), campaigns skip AFL's
 deterministic stages and go straight to havoc. Havoc is split in two:
-:meth:`Mutator.havoc_draw` consumes a seed's whole share of the RNG
-stream, and :meth:`Mutator.havoc_apply` materializes any number of such
-draws as one padded batch of mutants.
+:meth:`Mutator.havoc_draw` draws a seed's whole havoc randomness from
+one key, and :meth:`Mutator.havoc_apply` materializes any number of
+such draws as one padded batch of mutants.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +74,10 @@ class MutantBatch:
         return self.row(i).tobytes()
 
 
+#: Per-cell op parameters of a :class:`HavocDraw`, in draw order.
+_CELL_FIELDS = ("op", "f1", "f2", "f3", "f4", "sel", "val")
+
+
 @dataclass
 class HavocDraw:
     """One seed's fully-drawn havoc randomness, not yet applied.
@@ -81,31 +85,29 @@ class HavocDraw:
     Produced by :meth:`Mutator.havoc_draw`; consumed (possibly many at
     a time) by :meth:`Mutator.havoc_apply`. Holds the base/partner
     byte views plus every random draw — splice decisions, stacking
-    depths, and the ``(rounds, n)`` per-op parameter matrices — so
-    that application is a pure function of this record and the shared
-    batch width. :meth:`rows` cuts a draw down to a range of its rows,
-    and ``recipe`` re-draws the whole record (:meth:`Mutator.redraw`):
-    together they let a worker process materialize just its shard of a
-    window without the draws ever crossing a process boundary.
+    depths, and one entry per live ``(row, round)`` stack cell for each
+    op parameter — so that application is a pure function of this
+    record and the shared batch width. The cells are flat and
+    row-major: row ``i``'s ``n_ops[i]`` rounds follow row ``i - 1``'s,
+    so a draw holds ``n_ops.sum()`` cells, never a padded
+    ``(max n_ops, n)`` matrix. :meth:`rows` cuts a draw down to a range
+    of its rows, which lets a worker process materialize just its shard
+    of a window.
 
     Attributes:
         base: seed bytes as a uint8 view.
         partner: splice partner bytes, or None.
         n: number of mutants (the seed's energy).
-        width: this draw's own padded width
-            (:meth:`Mutator._batch_width`); a fused apply uses the max
-            over the window.
+        width: this draw's own padded width (:meth:`Mutator.width`); a
+            fused apply uses the max over the window.
         fill: random ``(n, min_len)`` fill for empty bases, else None.
         do_splice / cut_a / cut_b: splice mask and cut points, or None
             when splicing was not eligible.
         n_ops: per-mutant stacking depth.
-        op / f1..f4 / sel / val: ``(rounds, n)`` op-parameter
-            matrices, or None when ``n`` is zero.
+        op / f1..f4 / sel / val: flat per-cell op parameters (op code,
+            four uniform floats, a selector and a value byte).
         stamp: ``(4, n)`` dictionary uniforms (use, token, insert,
             position), or None without a dictionary.
-        recipe: ``(rng_state, data, n, splice_with)``: the PCG64 state
-            just before the draw plus its arguments. None on a row
-            slice.
     """
 
     base: np.ndarray
@@ -117,48 +119,50 @@ class HavocDraw:
     cut_a: Optional[np.ndarray]
     cut_b: Optional[np.ndarray]
     n_ops: np.ndarray
-    op: Optional[np.ndarray]
-    f1: Optional[np.ndarray]
-    f2: Optional[np.ndarray]
-    f3: Optional[np.ndarray]
-    f4: Optional[np.ndarray]
-    sel: Optional[np.ndarray]
-    val: Optional[np.ndarray]
+    op: np.ndarray
+    f1: np.ndarray
+    f2: np.ndarray
+    f3: np.ndarray
+    f4: np.ndarray
+    sel: np.ndarray
+    val: np.ndarray
     stamp: Optional[np.ndarray] = None
-    recipe: Optional[Tuple] = None
 
     def rows(self, lo: int, hi: int) -> "HavocDraw":
         """Rows ``[lo, hi)`` as a draw of their own: applied at the same
         width, it yields exactly those rows of the whole draw's apply."""
+        if (lo, hi) == (0, self.n):
+            return self
         cut = {name: getattr(self, name)[lo:hi]
                for name in ("fill", "do_splice", "cut_a", "cut_b")
                if getattr(self, name) is not None}
-        cut.update({name: getattr(self, name)[:, lo:hi]
-                    for name in ("op", "f1", "f2", "f3", "f4", "sel", "val",
-                                 "stamp")
-                    if getattr(self, name) is not None})
+        a, b = int(self.n_ops[:lo].sum()), int(self.n_ops[:hi].sum())
+        cut.update({name: getattr(self, name)[a:b]
+                    for name in _CELL_FIELDS})
+        if self.stamp is not None:
+            cut["stamp"] = self.stamp[:, lo:hi]
         return dataclasses.replace(self, n=hi - lo, n_ops=self.n_ops[lo:hi],
-                                   recipe=None, **cut)
+                                   **cut)
 
 
 class Mutator:
-    """Stateful random mutator (one per campaign instance).
+    """Havoc mutator configuration (one per campaign instance).
+
+    Holds no randomness: every draw gets its own generator from a key
+    (see :meth:`havoc_draw`).
 
     Args:
-        rng: the campaign's random stream.
         max_len: hard cap on mutant length (AFL's MAX_FILE analogue).
         min_len: mutants are never shrunk below this.
         dictionary: optional tokens (AFL ``-x`` / autodictionary);
             havoc occasionally stamps one into the mutant.
     """
 
-    def __init__(self, rng: np.random.Generator, *,
-                 max_len: int = 8192, min_len: int = 4,
+    def __init__(self, *, max_len: int = 8192, min_len: int = 4,
                  dictionary: Optional[Sequence[bytes]] = None) -> None:
         if min_len < 1 or max_len < min_len:
             raise ValueError(f"invalid length bounds [{min_len}, "
                              f"{max_len}]")
-        self.rng = rng
         self.max_len = max_len
         self.min_len = min_len
         self.dictionary = DictionaryMixer(dictionary) \
@@ -166,39 +170,38 @@ class Mutator:
 
     # -- havoc ------------------------------------------------------------
 
-    def _batch_width(self, base_size: int, partner_size: int) -> int:
-        """Padded-matrix width: room to grow, capped at ``max_len``."""
-        longest = max(base_size, partner_size, self.min_len)
+    def width(self, data: bytes, splice_with: Optional[bytes] = None) -> int:
+        """Padded-matrix width of a draw of ``data`` (spliced with
+        ``splice_with``): room to grow, capped at ``max_len``. Known
+        without drawing."""
+        longest = max(len(data), len(splice_with or b""), self.min_len)
         return int(min(self.max_len, max(64, 2 * longest)))
 
-    def havoc_draw(self, data: bytes, n: int,
+    def havoc_draw(self, key: int, data: bytes, n: int,
                    splice_with: Optional[bytes] = None) -> "HavocDraw":
         """Draw one seed's whole havoc randomness, without applying it.
 
-        This is the canonical havoc stream for campaigns: every
-        execution strategy draws a scheduled seed's energy through this
-        method, in schedule order, so the RNG consumption — and
-        therefore every downstream decision — is identical no matter
-        how (or in what grouping) the mutants are later materialized.
-        The draw order is fixed: random fill for empty bases, splice
-        mask and cut points (one vector each), per-row stacking depths,
-        then one ``(rounds, n)`` matrix per op parameter covering every
-        round at once (op codes, four uniform floats, a selector and a
-        value byte), and — only with a dictionary — four uniforms per
-        row for the token stamp. The draw records its own ``recipe``.
+        The draw is a pure function of its arguments: it builds its own
+        generator from ``key``, one word a campaign takes from its RNG
+        stream per scheduled seed. So a draw can happen anywhere — in
+        the scheduling process or a worker, in any order, once or
+        twice — and always yields the same record. The draw order is
+        fixed: random fill for empty bases, splice mask and cut points
+        (one vector each), per-row stacking depths, then one flat
+        vector per op parameter covering every live cell at once (op
+        codes, four uniform floats, a selector and a value byte), and —
+        only with a dictionary — four uniforms per row for the token
+        stamp.
 
         Application is deferred to :meth:`havoc_apply`, which may fuse
         the draws of several seeds into one uniform batch — the
         cross-seed batching that keeps the vectorized mutation kernels
         fed with large matrices.
         """
-        rng = self.rng
-        recipe = (rng.bit_generator.state, data, n, splice_with)
+        rng = np.random.Generator(np.random.PCG64(key))
         base = np.frombuffer(data, dtype=np.uint8)
         partner = None if splice_with is None else \
             np.frombuffer(splice_with, dtype=np.uint8)
-        width = self._batch_width(base.size,
-                                  0 if partner is None else partner.size)
         fill = None
         if not base.size:
             fill = rng.integers(0, 256, size=(n, self.min_len),
@@ -210,38 +213,34 @@ class Mutator:
             cut_b = rng.integers(1, partner.size, size=n)
         n_ops = (1 << rng.integers(1, HAVOC_STACK_POW2 + 1,
                                    size=n)).astype(np.int64)
-        rounds = int(n_ops.max()) if n else 0
-        op_m = f1_m = f2_m = f3_m = f4_m = sel_m = val_m = None
-        if rounds:
-            op_m = rng.integers(0, 10, size=(rounds, n))
-            f1_m = rng.random((rounds, n))
-            f2_m = rng.random((rounds, n))
-            f3_m = rng.random((rounds, n))
-            f4_m = rng.random((rounds, n))
-            sel_m = rng.integers(0, 1 << 30, size=(rounds, n))
-            val_m = rng.integers(0, 256, size=(rounds, n),
-                                 dtype=np.uint8)
-        stamp = rng.random((4, n)) if self.dictionary else None
-        return HavocDraw(base=base, partner=partner, n=n, width=width,
-                         fill=fill, do_splice=do_splice, cut_a=cut_a,
-                         cut_b=cut_b, n_ops=n_ops, op=op_m, f1=f1_m,
-                         f2=f2_m, f3=f3_m, f4=f4_m, sel=sel_m,
-                         val=val_m, stamp=stamp, recipe=recipe)
+        cells = int(n_ops.sum())
+        return HavocDraw(
+            base=base, partner=partner, n=n,
+            width=self.width(data, splice_with), fill=fill,
+            do_splice=do_splice, cut_a=cut_a, cut_b=cut_b, n_ops=n_ops,
+            op=rng.integers(0, 10, size=cells), f1=rng.random(cells),
+            f2=rng.random(cells), f3=rng.random(cells),
+            f4=rng.random(cells), sel=rng.integers(0, 1 << 30, size=cells),
+            val=rng.integers(0, 256, size=cells, dtype=np.uint8),
+            stamp=rng.random((4, n)) if self.dictionary else None)
 
-    def redraw(self, recipe: Tuple) -> "HavocDraw":
-        """Re-draw a :class:`HavocDraw` from its ``recipe``.
+    def draw_rows(self, specs: Sequence[Tuple], lo: int = 0,
+                  hi: Optional[int] = None) -> List["HavocDraw"]:
+        """Draw the rows ``[lo, hi)`` of a window (default: all rows).
 
-        Bit-identical to the original draw. The mutator's own RNG is
-        left where it was, so re-drawing never moves the stream.
+        ``specs`` lists the window's draws as ``(key, data, n,
+        splice_with)`` tuples, row blocks in order. Only the specs
+        overlapping the range are drawn, each cut to its part of it.
         """
-        state, data, n, splice_with = recipe
-        bit_generator = self.rng.bit_generator
-        saved = bit_generator.state
-        bit_generator.state = state
-        try:
-            return self.havoc_draw(data, n, splice_with)
-        finally:
-            bit_generator.state = saved
+        draws, start = [], 0
+        for key, data, n, splice_with in specs:
+            a = max(lo - start, 0)
+            b = n if hi is None else min(hi - start, n)
+            if a < b:
+                draws.append(self.havoc_draw(key, data, n,
+                                             splice_with).rows(a, b))
+            start += n
+        return draws
 
     def havoc_apply(self, draws: Sequence["HavocDraw"],
                     width: Optional[int] = None) -> MutantBatch:
@@ -272,9 +271,9 @@ class Mutator:
         overwrites with per-byte conflicts resolved in round order. The
         composition of any fixed op multiset is as random as the
         interleaved one, the result is fully deterministic given the
-        RNG seed, and growth is bounded by the matrix width instead of
-        a final truncation. With a dictionary, the token stamp runs
-        last, against each row's post-havoc length.
+        draws, and growth is bounded by the matrix width instead of a
+        final truncation. With a dictionary, the token stamp runs last,
+        against each row's post-havoc length.
 
         Returns:
             :class:`MutantBatch`; rows are zero-padded past their
@@ -287,12 +286,6 @@ class Mutator:
         total = int(bounds[-1])
         mat = np.zeros((total, width), dtype=np.uint8)
         lengths = np.empty(total, dtype=np.int64)
-        # The stacks are flattened to one entry per live (row, round)
-        # cell — only ~n_ops/rounds of a padded matrix is live, so the
-        # flat form skips zero-filling and re-gathering the rest.
-        # Built per draw in row-major (row, then round) order, which
-        # :meth:`_apply_stacked` requires.
-        c_rows, c_rnds, c_cols = [], [], []
 
         for k, d in enumerate(draws):
             lo, hi = int(bounds[k]), int(bounds[k + 1])
@@ -313,27 +306,17 @@ class Mutator:
                     sub[i] = 0
                     sub[i, :joined.size] = joined
                     lengths[lo + i] = joined.size
-            if d.op is not None:
-                n_ops = d.n_ops
-                local = np.repeat(np.arange(d.n, dtype=np.int64), n_ops)
-                rnds = (np.arange(local.size, dtype=np.int64) -
-                        np.repeat(np.cumsum(n_ops) - n_ops, n_ops))
-                c_rows.append(local + lo)
-                c_rnds.append(rnds)
-                c_cols.append((rnds, local, d))
 
-        if c_rows:
-            rows = np.concatenate(c_rows)
-            rnds = np.concatenate(c_rnds)
-            op = np.concatenate([d.op[r, c] for r, c, d in c_cols])
-            f1 = np.concatenate([d.f1[r, c] for r, c, d in c_cols])
-            f2 = np.concatenate([d.f2[r, c] for r, c, d in c_cols])
-            f3 = np.concatenate([d.f3[r, c] for r, c, d in c_cols])
-            f4 = np.concatenate([d.f4[r, c] for r, c, d in c_cols])
-            sel = np.concatenate([d.sel[r, c] for r, c, d in c_cols])
-            val = np.concatenate([d.val[r, c] for r, c, d in c_cols])
-            self._apply_stacked(mat, lengths, width, rows, rnds, op,
-                                f1, f2, f3, f4, sel, val)
+        if total:
+            # The draws' cells are already flat and row-major, which
+            # :meth:`_apply_stacked` requires: the window's are their
+            # concatenation.
+            n_ops = np.concatenate([d.n_ops for d in draws])
+            rnds, _ = self._block_scatter(np.zeros_like(n_ops), n_ops)
+            self._apply_stacked(
+                mat, lengths, width, np.repeat(np.arange(total), n_ops),
+                rnds, *(np.concatenate([getattr(d, name) for d in draws])
+                        for name in _CELL_FIELDS))
 
         if self.dictionary and draws:
             self.dictionary.stamp(

@@ -16,8 +16,8 @@ class SerialCampaign(Campaign):
     """A :class:`Campaign` whose window runner is the scalar loop."""
 
     def _run_window(self, window, deadline: float) -> None:
-        draws, seeds, bounds = window
-        mega = self.mutator.havoc_apply(draws)
+        specs, seeds, bounds = window
+        mega = self.mutator.havoc_apply(self.mutator.draw_rows(specs))
         for k, seed in enumerate(seeds):
             with self._span_run_one:
                 for i in range(int(bounds[k]), int(bounds[k + 1])):

@@ -5,7 +5,7 @@ block a random compile-time ID uniform over ``[0, MAP_SIZE)`` and keys
 an edge as ``(B_src >> 1) ^ B_dst``. Distinct edges can collide — the
 paper's central problem — and the collision probability falls as the
 map grows, which is why instrumentations are parameterized by map size
-(recompiling with a larger ``MAP_SIZE`` redraws the block IDs).
+(recompiling with a larger ``MAP_SIZE`` draws new block IDs).
 
 The alternative ``trace-pc-guard`` style instead numbers static edges
 sequentially, which is collision-free for direct edges but cannot see

@@ -21,9 +21,9 @@ class TestLoader:
         assert any(r.pr == 5 for r in records)
         (rec,) = [r for r in records if r.pr == 5]
         assert rec.bench == "batch_engine"
-        assert rec.serial_execs_per_sec == pytest.approx(5515.3)
-        assert rec.batched_execs_per_sec == pytest.approx(13780.3)
-        assert rec.speedup == pytest.approx(2.499)
+        assert rec.serial_execs_per_sec == pytest.approx(3015.2)
+        assert rec.batched_execs_per_sec == pytest.approx(10294.4)
+        assert rec.speedup == pytest.approx(3.414)
         assert rec.identical_results is True
         assert "zlib/bigmap @ 64k" in rec.workload
 

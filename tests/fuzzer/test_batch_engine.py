@@ -86,11 +86,17 @@ def _run_pair(fuzzer, benchmark, **overrides):
     return serial, batched, rs, rb
 
 
-@pytest.mark.parametrize("fuzzer", ["afl", "bigmap"])
-@pytest.mark.parametrize("bench", ["zlib", "libpng"])
+@pytest.mark.parametrize("fuzzer", ["afl", "bigmap"], scope="class")
+@pytest.mark.parametrize("bench", ["zlib", "libpng"], scope="class")
 class TestBatchSerialEquivalence:
-    def test_results_bit_identical(self, fuzzer, bench):
-        serial, batched, rs, rb = _run_pair(fuzzer, bench)
+    @pytest.fixture(scope="class")
+    def pair(self, fuzzer, bench):
+        """One serial/batched run per parameter pair, shared by the
+        class's tests."""
+        return _run_pair(fuzzer, bench)
+
+    def test_results_bit_identical(self, pair):
+        serial, batched, rs, rb = pair
         assert rs.execs == rb.execs
         assert rs.virtual_seconds == rb.virtual_seconds
         assert rs.corpus == rb.corpus
@@ -107,13 +113,11 @@ class TestBatchSerialEquivalence:
         assert rs.stopped_by == rb.stopped_by
         assert_checkpoints_equal(serial.snapshot(), batched.snapshot())
 
-    def test_work_was_actually_found(self, fuzzer, bench):
+    def test_work_was_actually_found(self, pair):
         """Guard against vacuous equivalence: the workload must admit
         seeds (and exercise crash handling on libpng)."""
-        _, _, rs, _ = _run_pair(fuzzer, bench)
-        assert len(rs.corpus) > len(
-            get_benchmark(bench).build(scale=0.2,
-                                       seed_scale=1.0).seeds)
+        serial, _, rs, _ = pair
+        assert len(rs.corpus) > len(serial.built.seeds)
 
 
 class TestBatchCoversDispatchPaths:
@@ -295,7 +299,7 @@ class _CountingMP(_ReplayCounting, MPCampaign):
 
 
 #: Campaign shapes the process backend must reproduce exactly: the
-#: base bigmap window, a dictionary campaign (token stamps re-drawn in
+#: base bigmap window, a dictionary campaign (token stamps drawn in
 #: the workers), a hang-heavy one (budget-driven replays of rows whose
 #: trace the workers did not keep) and a flat-map AFL one.
 MP_CONFIGS = {

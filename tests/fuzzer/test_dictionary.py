@@ -53,9 +53,8 @@ class TestMixer:
     def test_tokens_appear_in_mutants(self, magic_program):
         tokens = extract_dictionary(magic_program)
         token = max(tokens, key=len)
-        mutator = Mutator(np.random.default_rng(3),
-                          dictionary=[token])
-        batch = mutator.havoc_apply([mutator.havoc_draw(bytes(64), 300)])
+        mutator = Mutator(dictionary=[token])
+        batch = mutator.havoc_apply([mutator.havoc_draw(3, bytes(64), 300)])
         hits = sum(token in batch.tobytes(i) for i in range(batch.n))
         assert hits > 10, "dictionary tokens should appear regularly"
 

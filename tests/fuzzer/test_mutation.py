@@ -1,22 +1,33 @@
 """Unit tests for the mutation engine."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fuzzer import Mutator
+from repro.fuzzer import Campaign, CampaignConfig, Mutator
+from repro.target import get_benchmark
+
+
+class KeyedMutator(Mutator):
+    """A mutator fed one key per draw from its own stream, the way a
+    campaign feeds its mutator."""
+
+    def __init__(self, seed, **kwargs):
+        super().__init__(**kwargs)
+        self.keys = np.random.PCG64(seed)
+
+    def draw(self, data, n, splice_with=None):
+        return self.havoc_draw(self.keys.random_raw(), data, n,
+                               splice_with)
 
 
 def make_mutator(seed=0, **kwargs):
-    return Mutator(np.random.default_rng(np.random.PCG64(seed)),
-                   **kwargs)
+    return KeyedMutator(seed, **kwargs)
 
 
 def havoc(mutator, data, n, splice_with=None):
-    return mutator.havoc_apply([mutator.havoc_draw(data, n, splice_with)])
+    return mutator.havoc_apply([mutator.draw(data, n, splice_with)])
 
 
 def havoc_one(mutator, data, splice_with=None):
@@ -137,8 +148,7 @@ class TestHavocBatch:
 
     def test_dictionary_tokens_appear(self):
         token = b"MAGICTOKEN"
-        mutator = Mutator(np.random.default_rng(np.random.PCG64(4)),
-                          dictionary=[token])
+        mutator = make_mutator(4, dictionary=[token])
         batch = havoc(mutator, bytes(64), 80)
         stamped = sum(token in batch.tobytes(i) for i in range(batch.n))
         assert stamped >= 5
@@ -150,57 +160,41 @@ class TestHavocBatch:
             assert view.tobytes() == batch.tobytes(i)
 
 
-def _assert_draws_equal(a, b):
-    for field in dataclasses.fields(a):
-        va, vb = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(va, np.ndarray):
-            assert np.array_equal(va, vb), field.name
-            assert va.dtype == vb.dtype, field.name
-        else:
-            assert va == vb, field.name
+#: A window of havoc specs, minus the keys: ``(data, energy,
+#: partner)`` per seed.
+_WINDOWS = st.lists(st.tuples(st.binary(max_size=80), st.integers(0, 12),
+                              st.one_of(st.none(), st.binary(max_size=60))),
+                    min_size=1, max_size=4)
+_TOKENS = [b"TOKEN", b"\xff\xfe", b"0123456789ABCDEF"]
 
 
-def _shard(draws, lo, hi):
-    """Rows ``[lo, hi)`` of a window, as row-sliced draws (what a
-    worker applies)."""
-    bounds = np.cumsum([0] + [d.n for d in draws])
-    return [d.rows(max(lo - start, 0), min(hi - start, d.n))
-            for d, start in zip(draws, bounds)
-            if start < hi and start + d.n > lo]
+def _keyed(mutator, window):
+    """The window's specs, one key per seed from the mutator's stream."""
+    return [(mutator.keys.random_raw(), base, n, partner)
+            for base, n, partner in window]
 
 
 class TestShardPurity:
-    """A worker process re-draws its shard of a window from recipes and
-    applies only those rows at the window's width. That is sound only
-    if ``havoc_apply`` is a pure function of ``(draws, width)`` — the
-    dictionary stamp included — and re-drawing reproduces a draw bit
-    for bit."""
+    """A worker process draws the specs overlapping its shard of a
+    window and applies only those rows at the window's width. That is
+    sound only if a draw is a pure function of its spec and
+    ``havoc_apply`` is a pure function of ``(draws, width)`` — the
+    dictionary stamp included."""
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1),
-           window=st.lists(st.tuples(st.binary(max_size=80),
-                                     st.integers(0, 12),
-                                     st.one_of(st.none(),
-                                               st.binary(max_size=60))),
-                           min_size=1, max_size=4),
+    @given(seed=st.integers(0, 2**32 - 1), window=_WINDOWS,
            dictionary=st.booleans(), data=st.data())
     def test_any_row_range_matches_the_full_apply(self, seed, window,
                                                   dictionary, data):
-        tokens = [b"TOKEN", b"\xff\xfe", b"0123456789ABCDEF"]
         mutator = make_mutator(seed, max_len=256,
-                               dictionary=tokens if dictionary else None)
-        draws = [mutator.havoc_draw(base, n, partner)
-                 for base, n, partner in window]
-        state = mutator.rng.bit_generator.state
-        for draw in draws:
-            _assert_draws_equal(mutator.redraw(draw.recipe), draw)
-        assert mutator.rng.bit_generator.state == state
-
-        full = mutator.havoc_apply(draws)
+                               dictionary=_TOKENS if dictionary else None)
+        specs = _keyed(mutator, window)
+        full = mutator.havoc_apply(mutator.draw_rows(specs))
         total = full.n
         lo = data.draw(st.integers(0, total), label="lo")
         hi = data.draw(st.integers(lo, total), label="hi")
-        part = mutator.havoc_apply(_shard(draws, lo, hi), full.width)
+        part = mutator.havoc_apply(mutator.draw_rows(specs, lo, hi),
+                                   full.width)
         assert part.data.shape == (hi - lo, full.width)
         assert np.array_equal(part.data, full.data[lo:hi])
         assert np.array_equal(part.lengths, full.lengths[lo:hi])
@@ -210,33 +204,88 @@ class TestShardPurity:
         # back to the whole window.
         for workers in (2, 3, 4):
             cuts = [total * k // workers for k in range(workers + 1)]
-            parts = [mutator.havoc_apply(_shard(draws, a, b), full.width)
+            parts = [mutator.havoc_apply(mutator.draw_rows(specs, a, b),
+                                         full.width)
                      for a, b in zip(cuts, cuts[1:])]
             assert np.array_equal(
                 np.concatenate([p.data for p in parts]), full.data)
             assert np.array_equal(
                 np.concatenate([p.lengths for p in parts]), full.lengths)
-        # Applying consumed no randomness.
-        assert mutator.rng.bit_generator.state == state
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), window=_WINDOWS,
+           dictionary=st.booleans(), data=st.data())
+    def test_a_draw_depends_only_on_its_own_spec(self, seed, window,
+                                                 dictionary, data):
+        """Drawing a window's specs in shuffled order, or one spec
+        alone, gives bit-identical rows."""
+        mutator = make_mutator(seed, max_len=256,
+                               dictionary=_TOKENS if dictionary else None)
+        specs = _keyed(mutator, window)
+        full = mutator.havoc_apply(mutator.draw_rows(specs))
+        bounds = np.cumsum([0] + [n for _, _, n, _ in specs])
+        order = data.draw(st.permutations(range(len(specs))),
+                          label="order")
+        shuffled = mutator.havoc_apply(
+            mutator.draw_rows([specs[j] for j in order]), full.width)
+        at = 0
+        for j in order:
+            rows = slice(bounds[j], bounds[j + 1])
+            alone = mutator.havoc_apply(mutator.draw_rows([specs[j]]),
+                                        full.width)
+            moved = slice(at, at + alone.n)
+            at += alone.n
+            for batch, cut in ((alone, slice(None)), (shuffled, moved)):
+                assert np.array_equal(batch.data[cut], full.data[rows])
+                assert np.array_equal(batch.lengths[cut],
+                                      full.lengths[rows])
 
     def test_empty_apply_takes_the_explicit_width(self):
         mutator = make_mutator(0, min_len=4)
         assert mutator.havoc_apply([]).data.shape == (0, 4)
         assert mutator.havoc_apply([], 37).data.shape == (0, 37)
-        draw = mutator.havoc_draw(bytes(10), 5)
+        draw = mutator.draw(bytes(10), 5)
         assert mutator.havoc_apply([draw], 200).data.shape == (5, 200)
         assert mutator.havoc_apply([draw.rows(2, 2)], 200).data.shape \
             == (0, 200)
 
     def test_dictionary_draws_extend_the_stream_only(self):
-        """Without a dictionary the stream is untouched; with one, the
+        """A dictionary leaves a draw's havoc randomness untouched: its
         stamp uniforms come after every havoc draw of the seed."""
-        plain = make_mutator(5)
-        stamped = make_mutator(5, dictionary=[b"AB"])
-        a = plain.havoc_draw(bytes(range(30)), 9)
-        b = stamped.havoc_draw(bytes(range(30)), 9)
+        plain = Mutator()
+        stamped = Mutator(dictionary=[b"AB"])
+        a = plain.havoc_draw(5, bytes(range(30)), 9)
+        b = stamped.havoc_draw(5, bytes(range(30)), 9)
         assert a.stamp is None and b.stamp.shape == (4, 9)
-        assert np.array_equal(a.op, b.op) and np.array_equal(a.val, b.val)
-        assert np.array_equal(b.stamp, plain.rng.random((4, 9)))
-        assert plain.rng.bit_generator.state == \
-            stamped.rng.bit_generator.state
+        for name in ("n_ops", "op", "f1", "f2", "f3", "f4", "sel", "val"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.fixture(scope="module")
+def zlib_small():
+    return get_benchmark("zlib").build(scale=0.2, seed_scale=1.0)
+
+
+class TestCampaignKeyStream:
+    @pytest.mark.parametrize("energy", [1, 16, 300])
+    def test_one_word_per_draw_whatever_the_energy(self, zlib_small,
+                                                   energy):
+        """Scheduling a seed with energy takes exactly one word more
+        from the campaign stream than scheduling it with none — the
+        draw's key — and nothing else moves it."""
+        after = {}
+        for e in (0, energy):
+            campaign = Campaign(
+                CampaignConfig(benchmark="zlib", fuzzer="bigmap",
+                               map_size=1 << 16, scale=0.2,
+                               seed_scale=1.0, batch_window=1),
+                built=zlib_small)
+            campaign.start()
+            campaign.scheduler.energy_for = lambda seed, e=e: e
+            window = campaign._collect_window()
+            after[e] = campaign.rng.bit_generator.state
+        assert window is not None and window[0][0][2] == energy
+        words = np.random.PCG64()
+        words.state = after[0]
+        assert window[0][0][0] == words.random_raw()
+        assert words.state == after[energy]
