@@ -80,8 +80,8 @@ def compute(profile: Profile, cache: BenchmarkCache = None) -> Dict:
     return out
 
 
-def run(profile: Profile, cache: BenchmarkCache = None) -> str:
-    data = compute(profile, cache)
+def render(data: Dict) -> str:
+    """The report for :func:`compute`'s result."""
     rows = []
     for label in ("stacked", "ensemble"):
         d = data[label]
@@ -98,6 +98,10 @@ def run(profile: Profile, cache: BenchmarkCache = None) -> str:
                "diversifies cheaply but each member sees a coarser "
                "signal. Crash columns decide which wins at this budget.")
     return report
+
+
+def run(profile: Profile, cache: BenchmarkCache = None) -> str:
+    return render(compute(profile, cache))
 
 
 def main() -> None:

@@ -551,8 +551,7 @@ class Campaign:
             collision_rate=collision_rate(self.config.map_size, edges),
             queue_depth=len(seeds),
             pending_total=sum(1 for s in seeds if not s.fuzzed),
-            pending_favs=sum(1 for s in seeds
-                             if s.favored and not s.fuzzed),
+            pending_favs=self.pool.pending_favored(),
             favored=favored,
             queue_cycles=self.scheduler.queue_cycles,
             cur_path=min(self.scheduler._cursor, max(len(seeds) - 1, 0)),

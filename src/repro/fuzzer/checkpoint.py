@@ -28,10 +28,6 @@ from .stats import RunningShape
 from .triage import CrashRecord
 
 
-def _copy_seed(seed: Seed) -> Seed:
-    return replace(seed, covered_locations=seed.covered_locations.copy())
-
-
 def _copy_records(records: Dict[int, CrashRecord]) -> Dict[int, CrashRecord]:
     return {key: replace(record) for key, record in records.items()}
 
@@ -48,6 +44,9 @@ class CampaignCheckpoint:
     stopped_by: str
     cycle_multiplier: float
     rng_state: Dict[str, Any]
+    #: The pool as :meth:`SeedPool.capture` returns it; ``top_rated``
+    #: maps location -> seed index in first-seen order. Restoring
+    #: rebuilds the table from ``seeds``.
     seeds: List[Seed]
     top_rated: Dict[int, int]
     cull_pending: bool
@@ -109,9 +108,7 @@ def snapshot_campaign(campaign) -> CampaignCheckpoint:
         stopped_by=campaign.stopped_by,
         cycle_multiplier=campaign.cycle_multiplier,
         rng_state=copy.deepcopy(campaign.rng.bit_generator.state),
-        seeds=[_copy_seed(s) for s in campaign.pool.seeds],
-        top_rated=dict(campaign.pool._top_rated),
-        cull_pending=campaign.pool._cull_pending,
+        **campaign.pool.capture(),
         scheduler_cursor=campaign.scheduler._cursor,
         queue_cycles=campaign.scheduler.queue_cycles,
         virgin=campaign.virgin.virgin.copy(),
@@ -167,9 +164,7 @@ def restore_campaign(campaign, checkpoint: CampaignCheckpoint) -> None:
     campaign.cycle_multiplier = checkpoint.cycle_multiplier
     campaign.fault_multiplier = 1.0
     campaign.rng.bit_generator.state = copy.deepcopy(checkpoint.rng_state)
-    campaign.pool.seeds = [_copy_seed(s) for s in checkpoint.seeds]
-    campaign.pool._top_rated = dict(checkpoint.top_rated)
-    campaign.pool._cull_pending = checkpoint.cull_pending
+    campaign.pool.restore(checkpoint.seeds, checkpoint.cull_pending)
     campaign.scheduler._cursor = checkpoint.scheduler_cursor
     campaign.scheduler.queue_cycles = checkpoint.queue_cycles
     campaign.virgin.virgin[:] = checkpoint.virgin

@@ -107,9 +107,8 @@ class Scheduler:
         return seed
 
     def energy_for(self, seed: Seed) -> int:
-        max_locs = max((s.n_locations for s in self.pool.seeds), default=0)
         return self.policy.energy_for(seed, self.pool.mean_exec_cycles(),
-                                      max_locs)
+                                      self.pool.max_locations)
 
     def iterate(self) -> Iterator:
         """Endless stream of ``(seed, energy)`` pairs."""

@@ -49,16 +49,21 @@ class TestDedupBiasExtension:
 
 
 class TestEnsembleExtension:
-    def test_both_strategies_run(self, cache):
+    @pytest.fixture(scope="class")
+    def ensemble(self, cache):
+        """One ensemble comparison, shared: ``run`` is ``render`` over
+        the same ``compute`` result."""
         from repro.experiments.extra_ensemble import compute
-        data = compute(MICRO, cache)
-        for label in ("stacked", "ensemble"):
-            assert data[label]["execs"] > 0
-            assert data[label]["true_coverage"] > 0
+        return compute(MICRO, cache)
 
-    def test_report_renders(self, cache):
-        from repro.experiments.extra_ensemble import run
-        report = run(MICRO, cache)
+    def test_both_strategies_run(self, ensemble):
+        for label in ("stacked", "ensemble"):
+            assert ensemble[label]["execs"] > 0
+            assert ensemble[label]["true_coverage"] > 0
+
+    def test_report_renders(self, ensemble):
+        from repro.experiments.extra_ensemble import render
+        report = render(ensemble)
         assert "stacked" in report and "ensemble" in report
 
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fuzzer import EnergyPolicy, Scheduler, Seed, SeedPool
+from repro.fuzzer.oracle import DictSeedPool
 
 
 def make_seed(seed_id, locations, exec_cycles=1000.0, data=b"xxxx",
@@ -240,4 +243,79 @@ class TestCullInvariants:
             [s.seed_id for s in campaign.pool]
         assert [s.favored for s in resumed.pool] == \
             [s.favored for s in campaign.pool]
-        assert resumed.pool._top_rated == campaign.pool._top_rated
+        assert list(resumed.pool.top_rated().items()) == \
+            list(campaign.pool.top_rated().items())
+
+
+#: Small ids re-cover each other's locations; large ones span the AFL
+#: 8 MB map's index range.
+_LOCATION = st.one_of(st.integers(0, 7), st.integers(0, (1 << 23) - 1))
+#: Few distinct exec costs and lengths, so cull scores tie often
+#: (lengths 0 and 1 score alike).
+_ADD = st.tuples(st.just("add"), st.lists(_LOCATION, max_size=10),
+                 st.sampled_from([1.0, 2.0]), st.integers(0, 2),
+                 st.integers(0, 6))
+_OPS = st.lists(st.one_of(
+    _ADD,
+    st.tuples(st.just("fuzz"), st.integers(0, 63)),
+    st.tuples(st.just("force")),
+    st.tuples(st.just("cull")),
+    st.tuples(st.just("restore")),
+    st.tuples(st.just("splice"), st.integers(0, 6),
+              st.integers(0, 2**32 - 1))), max_size=40)
+
+
+def _position(pool, seed):
+    return next(i for i, s in enumerate(pool.seeds) if s is seed)
+
+
+class TestArrayPoolMatchesDictOracle:
+    """The array pool must reproduce the per-location dict pool exactly:
+    same top-rated table in the same first-seen order, same favored set
+    and counts, and the same splice pick from the same RNG state — also
+    after a checkpoint capture/restore round trip."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(ops=_OPS)
+    def test_random_admission_sequences(self, ops):
+        oracle, pool = DictSeedPool(), SeedPool()
+        for op in ops:
+            kind = op[0]
+            if kind == "add":
+                _, locations, cycles, length, seed_id = op
+                for target in (oracle, pool):
+                    target.add(make_seed(seed_id, locations,
+                                         exec_cycles=cycles,
+                                         data=b"d" * length))
+            elif kind == "fuzz" and pool.seeds:
+                i = op[1] % len(pool.seeds)
+                oracle.seeds[i].fuzzed = pool.seeds[i].fuzzed = True
+            elif kind == "force":
+                oracle._cull_pending = pool._cull_pending = True
+            elif kind == "cull":
+                assert pool.cull() == oracle.cull()
+            elif kind == "restore":
+                state = pool.capture()
+                pool.restore(state["seeds"], state["cull_pending"])
+                assert list(pool.top_rated().items()) == \
+                    list(state["top_rated"].items())
+            elif kind == "splice":
+                _, exclude_id, rng_seed = op
+                rngs = [np.random.default_rng(rng_seed) for _ in "ab"]
+                want = oracle.pick_splice_partner(rngs[0], exclude_id)
+                got = pool.pick_splice_partner(rngs[1], exclude_id)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert _position(pool, got) == \
+                        _position(oracle, want)
+                assert rngs[0].bit_generator.state == \
+                    rngs[1].bit_generator.state
+
+        assert list(pool.top_rated().items()) == \
+            list(oracle._top_rated.items())
+        assert pool.pending_favored() == oracle.pending_favored()
+        assert pool.cull() == oracle.cull()
+        assert [s.favored for s in pool] == [s.favored for s in oracle]
+        assert pool.mean_exec_cycles() == oracle.mean_exec_cycles()
+        assert pool.max_locations == max(
+            (s.n_locations for s in oracle), default=0)
