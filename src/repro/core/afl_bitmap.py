@@ -21,14 +21,12 @@ modes produce byte-identical maps and identical compare outcomes).
 from __future__ import annotations
 
 import zlib
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
 from .access import Op
-from .bitmap_base import (BatchUpdate, CoverageMap, aggregate_keys,
-                          aggregate_keys_batch, apply_counts,
-                          classified_counts)
+from .bitmap_base import CoverageMap, aggregate_keys, apply_counts
 from .classify import classify_counts
 from .compare import CompareResult, VirginMap
 from .hashing import crc32_full
@@ -123,50 +121,10 @@ class AflCoverage(CoverageMap):
                        write=result.interesting)
         return result
 
-    def compare_batch(self, update: BatchUpdate,
-                      virgin: VirginMap) -> np.ndarray:
-        """Per-trace would-be-interesting flags: keys index virgin
-        directly (flat map), so one gather covers the whole batch."""
-        if update.keys.size == 0:
-            return np.zeros(update.n, dtype=bool)
-        hit = (update.classified & virgin.virgin[update.keys]) != 0
-        seg = update.segment_ids()
-        return np.bincount(seg[hit], minlength=update.n) > 0
-
-    def update_compare_batch(self, keys: np.ndarray, counts: np.ndarray,
-                             offsets: np.ndarray, virgin: VirginMap):
-        """Fused aggregate + classify + virgin gather (one key pass).
-
-        The flat map needs no indirection: aggregated keys index the
-        virgin array directly, so the interest flags ride the same pass
-        that produced the aggregation — a cold batch is dismissed
-        without a second walk over its keys.
-        """
-        self._check_keys(keys)
-        u_keys, summed, u_off, seg = aggregate_keys_batch(
-            keys, counts, offsets, self.map_size, return_segments=True)
-        classified = classified_counts(summed, self.counter_mode)
-        update = BatchUpdate(keys=u_keys, summed=summed,
-                             classified=classified, offsets=u_off,
-                             n_unique=np.diff(u_off), seg=seg)
-        if u_keys.size == 0:
-            return update, np.zeros(update.n, dtype=bool)
-        hit = (classified & virgin.virgin[u_keys]) != 0
-        return update, np.bincount(seg[hit], minlength=update.n) > 0
-
-    def segment_interesting(self, update: BatchUpdate, i: int,
-                            virgin: VirginMap) -> bool:
-        """Re-test one batched trace's flag against the current virgin.
-
-        Flat-map version of the stale-flag re-check: keys index virgin
-        directly. Virgin bits only clear, so False is final. Host-only;
-        no access accounting.
-        """
-        lo, hi = int(update.offsets[i]), int(update.offsets[i + 1])
-        if hi == lo:
-            return False
-        return bool(((update.classified[lo:hi] &
-                      virgin.virgin[update.keys[lo:hi]]) != 0).any())
+    def _new_bits(self, keys: np.ndarray, classified: np.ndarray,
+                  virgin: np.ndarray) -> np.ndarray:
+        # Flat map: keys index the virgin bytes directly.
+        return (classified & virgin[keys]) != 0
 
     def hash(self) -> int:
         """Path identifier of the classified trace.
@@ -195,3 +153,7 @@ class AflCoverage(CoverageMap):
             touched = self._touched_unique()
             return touched[self.trace[touched] != 0]
         return np.flatnonzero(self.trace)
+
+    def classified_trace(self) -> Tuple[np.ndarray, np.ndarray]:
+        locations = self.nonzero_locations()
+        return locations, self.trace[locations]

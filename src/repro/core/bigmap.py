@@ -26,12 +26,12 @@ for the whole campaign, so every key keeps one stable slot.)
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from .access import Op
-from .bitmap_base import (BatchUpdate, CoverageMap, aggregate_keys,
-                          aggregate_keys_batch, apply_counts,
-                          classified_counts)
+from .bitmap_base import CoverageMap, aggregate_keys, apply_counts
 from .classify import classify_counts
 from .compare import CompareResult, VirginMap
 from .errors import MapFullError
@@ -117,73 +117,15 @@ class BigMapCoverage(CoverageMap):
                        write=result.interesting)
         return result
 
-    def compare_batch(self, update: BatchUpdate,
-                      virgin: VirginMap) -> np.ndarray:
-        """Per-trace would-be-interesting flags (read-only).
-
-        A key with no condensed slot yet would allocate one on a real
-        update — a brand-new edge — so it flags its trace outright.
-        Assigned keys test their classified byte against the virgin
-        byte of their slot, like :meth:`compare` restricted to the
-        condensed prefix.
-        """
-        if update.keys.size == 0:
-            return np.zeros(update.n, dtype=bool)
-        slots = self.index[update.keys]
-        fresh = slots == self.UNASSIGNED
-        virgin_vals = virgin.virgin[np.where(fresh, 0, slots)]
-        hit = fresh | ((update.classified & virgin_vals) != 0)
-        seg = update.segment_ids()
-        return np.bincount(seg[hit], minlength=update.n) > 0
-
-    def update_compare_batch(self, keys: np.ndarray, counts: np.ndarray,
-                             offsets: np.ndarray, virgin: VirginMap):
-        """Fused aggregate + classify + index/virgin gather.
-
-        The interest flags need one index gather (slot lookup) and one
-        virgin gather per aggregated key; fusing them into the
-        aggregation pass lets a cold batch skip the second walk over
-        its keys entirely. Flag semantics match :meth:`compare_batch`:
-        unassigned keys are brand-new edges and flag outright.
-        """
-        self._check_keys(keys)
-        u_keys, summed, u_off, seg = aggregate_keys_batch(
-            keys, counts, offsets, self.map_size, return_segments=True)
-        classified = classified_counts(summed, self.counter_mode)
-        update = BatchUpdate(keys=u_keys, summed=summed,
-                             classified=classified, offsets=u_off,
-                             n_unique=np.diff(u_off), seg=seg)
-        if u_keys.size == 0:
-            return update, np.zeros(update.n, dtype=bool)
-        slots = self.index[u_keys]
-        fresh = slots == self.UNASSIGNED
-        virgin_vals = virgin.virgin[np.where(fresh, 0, slots)]
-        hit = fresh | ((classified & virgin_vals) != 0)
-        return update, np.bincount(seg[hit], minlength=update.n) > 0
-
-    def segment_interesting(self, update: BatchUpdate, i: int,
-                            virgin: VirginMap) -> bool:
-        """Re-test one batched trace's flag against the *current* state.
-
-        Same semantics as :meth:`compare_batch` restricted to trace
-        ``i``, but evaluated against the index/virgin as they stand now
-        rather than at batch time. Because the index only gains entries
-        and virgin bits only clear, a False here is final — the batched
-        engine uses this to dismiss flags that went stale after earlier
-        traces in the same window claimed the bits. Host-only: no
-        access accounting (the serial engine discovers the same verdict
-        inside its normally-priced pipeline).
-        """
-        lo, hi = int(update.offsets[i]), int(update.offsets[i + 1])
-        if hi == lo:
-            return False
-        keys = update.keys[lo:hi]
+    def _new_bits(self, keys: np.ndarray, classified: np.ndarray,
+                  virgin: np.ndarray) -> np.ndarray:
+        # A key with no condensed slot yet would allocate one on a real
+        # update — a brand-new edge — so it flags outright. Assigned
+        # keys test their byte against the virgin byte of their slot.
         slots = self.index[keys]
         fresh = slots == self.UNASSIGNED
-        if fresh.any():
-            return True
-        return bool(((update.classified[lo:hi] &
-                      virgin.virgin[slots]) != 0).any())
+        return fresh | ((classified & virgin[np.where(fresh, 0, slots)])
+                        != 0)
 
     def hash(self) -> int:
         last = last_nonzero_index(self.cov, self.used_key)
@@ -207,6 +149,10 @@ class BigMapCoverage(CoverageMap):
 
     def nonzero_locations(self) -> np.ndarray:
         return np.flatnonzero(self.cov[:self.used_key])
+
+    def classified_trace(self) -> Tuple[np.ndarray, np.ndarray]:
+        locations = self.nonzero_locations()
+        return locations, self.cov[locations]
 
     def check_invariants(self) -> None:
         """Assert the structural invariants; used by property tests.

@@ -160,11 +160,11 @@ def classified_counts(summed: np.ndarray, mode: str) -> np.ndarray:
 class BatchUpdate:
     """Aggregated, classified view of a batch of traces.
 
-    Produced by :meth:`CoverageMap.update_batch`. Nothing here touches
-    the coverage map itself — per-execution maps are reset-scoped, so
-    the classified bytes are derivable from the counts alone (see
-    :func:`classified_counts`); the map is only materialized for the
-    rare traces that survive the batched compare pre-filter.
+    Produced by :meth:`CoverageMap.update_compare_batch`. Nothing here
+    touches the coverage map itself — per-execution maps are
+    reset-scoped, so the classified bytes are derivable from the counts
+    alone (see :func:`classified_counts`); the map is only materialized
+    for the rare traces that survive the batched compare pre-filter.
 
     Attributes:
         keys: flat per-segment-unique map keys, ascending per segment.
@@ -173,9 +173,6 @@ class BatchUpdate:
         offsets: segment boundaries (``n + 1`` entries).
         n_unique: distinct locations per trace (the cost model's
             ``unique_locations``).
-        seg: optional cached segment id per flat entry (the aggregation
-            pass produces it for free; ``segment_ids`` falls back to
-            expanding ``offsets`` when absent).
     """
 
     keys: np.ndarray
@@ -183,23 +180,10 @@ class BatchUpdate:
     classified: np.ndarray
     offsets: np.ndarray
     n_unique: np.ndarray
-    seg: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
         return int(self.offsets.size - 1)
-
-    def segment(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(keys, summed) views for trace ``i``."""
-        lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
-        return self.keys[lo:hi], self.summed[lo:hi]
-
-    def segment_ids(self) -> np.ndarray:
-        """Segment index of every flat entry."""
-        if self.seg is None:
-            self.seg = np.repeat(np.arange(self.n, dtype=np.int64),
-                                 np.diff(self.offsets))
-        return self.seg
 
 
 def apply_counts(store: np.ndarray, slots: np.ndarray, summed: np.ndarray,
@@ -274,53 +258,67 @@ class CoverageMap(ABC):
 
     # -- batched pipeline -------------------------------------------------
 
-    def update_batch(self, keys: np.ndarray, counts: np.ndarray,
-                     offsets: np.ndarray) -> BatchUpdate:
-        """Aggregate + classify a whole batch of traces at once.
+    def update_compare_batch(self, keys: np.ndarray, counts: np.ndarray,
+                             offsets: np.ndarray, virgin: VirginMap
+                             ) -> Tuple[BatchUpdate, np.ndarray]:
+        """Aggregate, classify and flag a whole batch of traces at once.
 
         The flat ``keys``/``counts`` arrays hold one segment per trace
         (``offsets`` as in :class:`BatchExecResult`). Unlike
         :meth:`update` this does NOT touch the map: it computes, per
         trace, exactly what ``reset(); update(seg)`` would store and
         what ``classify()`` would bucket it to (see
-        :func:`classified_counts`). Traces that turn out to need real
-        map state (interesting / crash / hang) replay the scalar path.
+        :func:`classified_counts`).
+
+        The flags are per-trace "could this be interesting?" verdicts: a
+        conservative superset of :meth:`compare`'s ``interesting``
+        against the virgin map *as it is now*, and exact when nothing
+        merges in between. Virgin bits only clear, so a trace flagged
+        ``False`` stays uninteresting no matter what earlier traces in
+        the batch merge in the meantime. Flagged traces replay the full
+        scalar pipeline to learn the truth (and to perform the merge).
+        One pass produces both, so a cold batch never walks its keys
+        twice.
         """
         self._check_keys(keys)
-        u_keys, summed, u_off, u_seg = aggregate_keys_batch(
+        u_keys, summed, u_off, seg = aggregate_keys_batch(
             keys, counts, offsets, self.map_size, return_segments=True)
-        return BatchUpdate(
-            keys=u_keys, summed=summed,
-            classified=classified_counts(summed, self.counter_mode),
-            offsets=u_off, n_unique=np.diff(u_off), seg=u_seg)
+        classified = classified_counts(summed, self.counter_mode)
+        update = BatchUpdate(keys=u_keys, summed=summed,
+                             classified=classified, offsets=u_off,
+                             n_unique=np.diff(u_off))
+        if u_keys.size == 0:
+            return update, np.zeros(update.n, dtype=bool)
+        hit = self._new_bits(u_keys, classified, virgin.virgin)
+        return update, np.bincount(seg[hit], minlength=update.n) > 0
 
-    def compare_batch(self, update: BatchUpdate,
-                      virgin: VirginMap) -> np.ndarray:
-        """Per-trace "could this be interesting?" flags (read-only).
+    def segment_interesting(self, update: BatchUpdate, i: int,
+                            virgin: VirginMap) -> bool:
+        """Re-test trace ``i``'s flag against the *current* state.
 
-        Conservative superset of :meth:`compare`'s ``interesting``
-        against the virgin map *as it is now*: virgin bits only clear
-        monotonically, so a trace flagged ``False`` here stays
-        uninteresting no matter what earlier traces in the batch merge
-        in the meantime. Flagged traces must replay the full scalar
-        pipeline to learn the truth (and to perform the merge).
+        :meth:`update_compare_batch`'s flag for one trace, evaluated
+        against the map and virgin as they stand now rather than at
+        batch time. A map's key-to-slot state only grows and virgin
+        bits only clear, so a False here is final — the batched engine
+        uses this to dismiss flags that went stale after earlier traces
+        in the same window claimed the bits. Host-only: no access
+        accounting (the serial engine discovers the same verdict inside
+        its normally-priced pipeline).
         """
-        raise NotImplementedError
+        lo, hi = int(update.offsets[i]), int(update.offsets[i + 1])
+        return bool(self._new_bits(update.keys[lo:hi],
+                                   update.classified[lo:hi],
+                                   virgin.virgin).any())
 
-    def update_compare_batch(self, keys: np.ndarray, counts: np.ndarray,
-                             offsets: np.ndarray, virgin: VirginMap
-                             ) -> Tuple[BatchUpdate, np.ndarray]:
-        """Fused :meth:`update_batch` + :meth:`compare_batch`.
+    @abstractmethod
+    def _new_bits(self, keys: np.ndarray, classified: np.ndarray,
+                  virgin: np.ndarray) -> np.ndarray:
+        """Which aggregated ``keys`` could clear ``virgin`` bits.
 
-        One pass produces both the aggregated/classified view and the
-        conservative interest flags, so a cold batch (no new coverage,
-        no crash or hang candidates) never takes a second pass over its
-        keys. Subclasses fuse the virgin gather into the aggregation
-        pass; this default simply chains the two methods and is
-        guaranteed to return identical values.
+        ``classified`` holds each key's bucketed trace byte and
+        ``virgin`` is the virgin byte array. The one place a map's key
+        to virgin-byte mapping lives. Read-only.
         """
-        update = self.update_batch(keys, counts, offsets)
-        return update, self.compare_batch(update, virgin)
 
     # -- introspection ---------------------------------------------------
 
@@ -335,6 +333,11 @@ class CoverageMap(ABC):
     @abstractmethod
     def nonzero_locations(self) -> np.ndarray:
         """Storage slots with a nonzero count (structure-native indexing)."""
+
+    @abstractmethod
+    def classified_trace(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(nonzero_locations(), their stored bytes)``: the trace as
+        the sparse pairs :meth:`VirginMap.merge_sparse` takes."""
 
     # -- shared helpers ---------------------------------------------------
 

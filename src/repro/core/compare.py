@@ -117,17 +117,6 @@ class VirginMap:
         level = NEW_EDGE if new_edges else NEW_HIT_COUNT
         return CompareResult(level, new_edges, new_buckets)
 
-    def would_be_new(self, classified: np.ndarray, limit: int = None) -> int:
-        """Like :meth:`merge` but without mutating the virgin map."""
-        trace = classified if limit is None else classified[:limit]
-        virgin = self.virgin if limit is None else self.virgin[:limit]
-        hits = (trace & virgin) != 0
-        if not hits.any():
-            return NO_NEW_COVERAGE
-        if ((virgin == 0xFF) & (trace != 0) & hits).any():
-            return NEW_EDGE
-        return NEW_HIT_COUNT
-
     def count_discovered(self) -> int:
         """Number of map locations with at least one bucket cleared."""
         return int(np.count_nonzero(self.virgin != 0xFF))

@@ -70,16 +70,6 @@ class FaultPlanError(ReproError, ValueError):
     """
 
 
-class InstanceLostError(ReproError, RuntimeError):
-    """A supervised parallel instance exhausted its restart budget.
-
-    Sessions do not propagate this by default — the supervisor marks the
-    instance as lost and carries on with the survivors — but callers
-    that require a full fleet can check
-    :attr:`~repro.fuzzer.ParallelResultSummary.lost_instances`.
-    """
-
-
 class InstanceFaultError(ReproError, RuntimeError):
     """An unplanned exception inside a supervised parallel instance.
 

@@ -150,13 +150,6 @@ class SessionSupervisor:
         self._emit("quarantine", now, importer,
                    exporter=exporter, entries=entries)
 
-    def slice_began(self, i: int, execs: int) -> None:
-        self.health[i].execs_at_slice_start = execs
-
-    def progressed(self, i: int, execs: int) -> bool:
-        """Heartbeat check: did the instance execute anything this slice?"""
-        return execs > self.health[i].execs_at_slice_start
-
     @property
     def total_faults(self) -> int:
         return sum(h.faults for h in self.health)

@@ -154,7 +154,7 @@ class BatchFront:
     they flag or see crash — the only rows that can need a stale-flag
     re-test or a trace-reusing replay. Every other row has an empty
     segment and ``kept`` False, and a replay of it re-executes, which
-    the executor contract makes bit-identical.
+    gives the same trace: ``execute`` is the batch kernel on one row.
 
     Attributes:
         batch: the mutants, rows in window order.
@@ -293,8 +293,8 @@ class Campaign:
         """Execute one test case through the full coverage pipeline.
 
         ``precomputed`` may carry the trace from a batched execution of
-        the same input — bit-identical to ``executor.execute(data)`` by
-        the executor's contract — so replays skip the re-execution. The
+        the same input — ``executor.execute(data)`` is the same kernel
+        on one row — so replays skip the re-execution. The
         execute span is still entered (zero host work, zero clock
         delta) to keep telemetry call counts engine-independent.
 
@@ -423,26 +423,14 @@ class Campaign:
 
     def _handle_hang(self) -> None:
         self.hangs += 1
-        if self.config.fuzzer == AFL:
-            locations = self.coverage.nonzero_locations()
-            new = self.tmout_triage.observe_sparse(
-                locations, self.coverage.trace[locations])
-        else:
-            new = self.tmout_triage.observe(
-                self.coverage.cov, limit=self.coverage.used_key)
-        if new:
+        if self.tmout_triage.observe(*self.coverage.classified_trace()):
             self.unique_hangs += 1
 
-    def _handle_crash(self, result, limit: Optional[int]) -> None:
+    def _handle_crash(self, result) -> None:
         self.crashwalk.observe(result.crash, self.clock.seconds)
-        if self.config.fuzzer == AFL:
-            # Sparse merge: equivalent to the full-map merge, without
-            # sweeping a multi-MB array on the host per crash.
-            locations = self.coverage.nonzero_locations()
-            self.afl_triage.observe_sparse(
-                locations, self.coverage.trace[locations])
-        else:
-            self.afl_triage.observe(self.coverage.cov, limit=limit)
+        # Sparse merge: equivalent to the full-map merge, without
+        # sweeping a multi-MB array on the host per crash.
+        self.afl_triage.observe(*self.coverage.classified_trace())
 
     # ------------------------------------------------------------------
 
@@ -451,12 +439,20 @@ class Campaign:
 
         The model needs a representative execution shape, which only
         exists after running the seeds — so seed executions are recorded
-        first and charged retroactively once the model exists.
+        first and charged retroactively once the model exists. The
+        seeds execute as one zero-padded batch; each trace then runs
+        the scalar pipeline as ``precomputed``.
         """
+        seeds = self.built.seeds
+        rows = np.zeros((len(seeds), self.program.input_len), dtype=np.uint8)
+        for row, data in zip(rows, seeds):
+            raw = np.frombuffer(data, dtype=np.uint8)[:row.size]
+            row[:raw.size] = raw
+        bres = self.executor.execute_batch(rows)
         pending = []
-        for data in self.built.seeds:
+        for i, data in enumerate(seeds):
             result, compare, shape, snapshot = self._pipeline(
-                data, want_snapshot=True)
+                data, want_snapshot=True, precomputed=bres.result_for(i))
             pending.append((data, result, compare, shape, snapshot))
 
         shapes = [p[3] for p in pending]
@@ -485,16 +481,12 @@ class Campaign:
         for data, result, compare, shape, snapshot in pending:
             cycles = self._charge(shape)
             if result.crash is not None:
-                self._handle_crash(result, self._compare_limit())
+                self._handle_crash(result)
             else:
                 # User seeds are always admitted, as in AFL.
                 self._admit(data, cycles, depth=0, parent_id=None,
                             snapshot=snapshot)
         return pending
-
-    def _compare_limit(self) -> Optional[int]:
-        return (self.coverage.used_key
-                if self.config.fuzzer == BIGMAP else None)
 
     def start(self) -> None:
         """Dry-run the seeds and calibrate; idempotent."""
@@ -646,7 +638,7 @@ class Campaign:
             mutant, precomputed=precomputed)
         cycles = self._charge(shape)
         if result.crash is not None:
-            self._handle_crash(result, self._compare_limit())
+            self._handle_crash(result)
         elif self._is_hang(cycles):
             # Hanging inputs are reported, never queued (AFL drops them
             # from the fuzzing flow the same way).
@@ -672,7 +664,7 @@ class Campaign:
         """
         batch = self.mutator.havoc_apply(
             self.mutator.draw_rows(specs, lo, hi), width)
-        bres = self.executor.execute_batch(batch.data, batch.lengths)
+        bres = self.executor.execute_batch(batch.data)
         keys, counts = self.instrumentation.keys_for_batch(
             bres, list(batch.rows()))
         update, flags = self.coverage.update_compare_batch(
@@ -688,7 +680,7 @@ class Campaign:
         the classified trace of the last processed mutant (checkpoints
         capture the coverage map). The trace comes from the batch
         result when the backend kept it, else from one scalar
-        re-execution — bit-identical by the executor's contract — then
+        re-execution — the same kernel on one row — then
         reset + update + classify, which reproduces
         ``classify_and_compare``'s map effect (the merge never writes
         the local map). Host-only work: no clock, no virgin, no
@@ -741,7 +733,7 @@ class Campaign:
         used = self.coverage.active_bytes() if bigmap else 0
         batch_ops = self.model.exec_cycles_batch(
             front.traversals, front.n_unique, used_bytes=used)
-        totals = batch_ops.totals()
+        totals = batch_ops.total
 
         budget = self._hang_budget_cycles
         # The cheap-path cost is exact for non-replayed traces, so the
@@ -791,7 +783,7 @@ class Campaign:
                             batch_ops = self.model.exec_cycles_batch(
                                 front.traversals, front.n_unique,
                                 used_bytes=used)
-                            totals = batch_ops.totals()
+                            totals = batch_ops.total
                             if budget is not None:
                                 replays = base_replays | (totals > budget)
                         self._record_curve()
@@ -904,7 +896,7 @@ class Campaign:
         result, compare, shape, snapshot = self._pipeline(data)
         cycles = self._charge(shape)
         if result.crash is not None:
-            self._handle_crash(result, self._compare_limit())
+            self._handle_crash(result)
             return False
         if compare.interesting:
             self._admit(data, cycles, 0, None, snapshot)

@@ -49,9 +49,9 @@ downgrades, replays, admissions, checkpoints, telemetry — runs
 unchanged in the parent, so campaign results are bit-identical for any
 worker count, including the serial engine. Replays of kept rows reuse
 the worker's trace; the rest (budget-driven hang replays and the one
-map-repair row per window) re-execute, which the executor contract
-makes bit-identical. Workers never mutate shared state and never touch
-the parent's RNG.
+map-repair row per window) re-execute, which gives the same trace
+because ``execute`` is the batch kernel on one row. Workers never
+mutate shared state and never touch the parent's RNG.
 
 The worker entry point :func:`_mp_worker_main` runs in forked
 children, so module-level mutable state written on both sides of this
@@ -89,10 +89,8 @@ def _sparse_front(front: BatchFront) -> BatchFront:
     return dataclasses.replace(
         front, kept=kept,
         bres=_keep_segments(front.bres, kept, ("edges", "counts")),
-        update=dataclasses.replace(
-            _keep_segments(front.update, kept,
-                           ("keys", "summed", "classified")),
-            seg=None))
+        update=_keep_segments(front.update, kept,
+                              ("keys", "summed", "classified")))
 
 
 def _concat(parts):

@@ -541,7 +541,9 @@ class ParallelSession:
                    if inst.model is not None]
         total_execs = sum(r.execs for r in results)
         virtual = max(max(r.virtual_seconds for r in results), 1e-9)
-        crashes = CampaignsCrashUnion(self.instances).unique_crashes
+        # Final dedup: the union of every instance's Crashwalk keys.
+        crashes = len(set().union(*(inst.crashwalk.records
+                                    for inst in self.instances)))
         return ParallelResultSummary(
             n_instances=self.n_instances,
             per_instance=results,
@@ -559,16 +561,6 @@ class ParallelSession:
             lost_instances=self.supervisor.lost_indices(),
             quarantined_imports=self.supervisor.quarantined_imports,
             unplanned_failures=list(self._unplanned))
-
-
-class CampaignsCrashUnion:
-    """Unions Crashwalk records across instances (final dedup)."""
-
-    def __init__(self, instances: List[Campaign]) -> None:
-        keys = set()
-        for inst in instances:
-            keys.update(inst.crashwalk.records.keys())
-        self.unique_crashes = len(keys)
 
 
 def run_parallel(config, n_instances: int = None, *,

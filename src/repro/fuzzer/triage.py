@@ -92,18 +92,9 @@ class AflCrashTriager:
         self.virgin_crash = VirginMap(map_size)
         self.unique_crashes = 0
 
-    def observe(self, classified_trace: np.ndarray,
-                limit: int = None) -> bool:
-        """Check a crashing test case's classified trace; True if new."""
-        result = self.virgin_crash.merge(classified_trace, limit=limit)
-        if result.interesting:
-            self.unique_crashes += 1
-            return True
-        return False
-
-    def observe_sparse(self, indices: np.ndarray,
-                       values: np.ndarray) -> bool:
-        """Sparse variant: trace given as (location, bucket) pairs."""
+    def observe(self, indices: np.ndarray, values: np.ndarray) -> bool:
+        """Check a crashing test case's classified trace, given as
+        (location, bucket) pairs; True if new."""
         result = self.virgin_crash.merge_sparse(indices, values)
         if result.interesting:
             self.unique_crashes += 1

@@ -19,8 +19,8 @@ from .calibration import (PAPER_OPTIONS, PAPER_THROUGHPUT_64K,
                           target_working_set_bytes)
 from .contention import (InstanceLoad, ParallelResult, scaling_curve,
                          solve_parallel)
-from .costmodel import (AFL, BIGMAP, BatchOpCycles, BitmapCostModel,
-                        ExecShape, MapCostConfig, OpCycles)
+from .costmodel import (AFL, BIGMAP, BitmapCostModel, ExecShape,
+                        MapCostConfig, OpCycles)
 from .machine import XEON_E5645, CacheLevel, Machine
 from .tlb import (DTLBSim, pages_for_region, scattered_walk_fraction,
                   sweep_walk_cycles)
@@ -30,8 +30,8 @@ __all__ = [
     "PAPER_OPTIONS", "PAPER_THROUGHPUT_64K", "calibrate_execution_cost",
     "model_for_benchmark", "target_working_set_bytes",
     "InstanceLoad", "ParallelResult", "scaling_curve", "solve_parallel",
-    "AFL", "BIGMAP", "BatchOpCycles", "BitmapCostModel", "ExecShape",
-    "MapCostConfig", "OpCycles",
+    "AFL", "BIGMAP", "BitmapCostModel", "ExecShape", "MapCostConfig",
+    "OpCycles",
     "XEON_E5645", "CacheLevel", "Machine",
     "DTLBSim", "pages_for_region", "scattered_walk_fraction",
     "sweep_walk_cycles",

@@ -101,7 +101,14 @@ OP_CATEGORIES = ("execution", "reset", "classify", "compare", "hash",
 
 @dataclass(frozen=True)
 class OpCycles:
-    """Cycle breakdown of one fuzzing iteration (Figure 3's categories)."""
+    """Cycle breakdown of fuzzing iterations (Figure 3's categories).
+
+    From :meth:`BitmapCostModel.exec_cycles` every field is a float.
+    From :meth:`BitmapCostModel.exec_cycles_batch` ``execution`` holds
+    one entry per execution; the sweep components depend only on the
+    shared coverage state, so they stay floats, and :attr:`total` is
+    per execution.
+    """
 
     execution: float
     reset: float
@@ -118,37 +125,9 @@ class OpCycles:
     def as_dict(self) -> Dict[str, float]:
         return {key: getattr(self, key) for key in OP_CATEGORIES}
 
-
-@dataclass(frozen=True)
-class BatchOpCycles:
-    """Vectorized :class:`OpCycles` for a batch of non-interesting execs.
-
-    ``execution`` varies per trace; the sweep components depend only on
-    the (shared) coverage state, so they are scalars. Column ``i`` of
-    :meth:`columns` must be bit-identical to
-    ``exec_cycles(ExecShape(...))`` for that trace — the batched
-    campaign relies on this for cycle-exact determinism.
-    """
-
-    execution: np.ndarray
-    reset: float
-    classify: float
-    compare: float
-    hash: float
-    others: float
-
-    @property
-    def n(self) -> int:
-        return int(self.execution.size)
-
-    def totals(self) -> np.ndarray:
-        """Per-trace total cycles, accumulated in ``OpCycles.total`` order."""
-        return ((((self.execution + self.reset) + self.classify) +
-                 self.compare) + self.hash) + self.others
-
     def columns(self, lo: int, hi: int) -> np.ndarray:
-        """Traces ``[lo, hi)`` as one row per :data:`OP_CATEGORIES`
-        entry and one column per trace."""
+        """Executions ``[lo, hi)`` of a batch as one row per
+        :data:`OP_CATEGORIES` entry and one column per execution."""
         out = np.empty((len(OP_CATEGORIES), hi - lo))
         out[0] = self.execution[lo:hi]
         out[1:] = [[self.reset], [self.classify], [self.compare],
@@ -248,140 +227,104 @@ class BitmapCostModel:
         return cycles + sweep_walk_cycles(region_bytes, self.machine,
                                           self.config.huge_pages)
 
-    def _scatter(self, n_accesses: int, region_bytes: int,
-                 level_idx: int) -> float:
-        """Cycles for data-dependent accesses within ``region_bytes``."""
-        if n_accesses <= 0:
-            return 0.0
+    def _per_access(self, region_bytes: int, latency):
+        """Cycles per data-dependent access within ``region_bytes``
+        served at ``latency`` (a float, or one entry per execution)."""
         walk = scattered_walk_fraction(region_bytes, self.machine,
                                        self.config.huge_pages)
-        per_access = self._latency[level_idx] + \
-            walk * self.machine.walk_cycles
-        return n_accesses * per_access
+        return latency + walk * self.machine.walk_cycles
 
     # -- iteration pricing -------------------------------------------------
 
     def exec_cycles(self, shape: ExecShape) -> OpCycles:
         """Cycle breakdown of one fuzzing iteration."""
-        cfg = self.config
-        level_w = self._level_index(self.working_set_bytes(shape))
+        return self._price(shape.traversals, shape.unique_locations,
+                           used_bytes=shape.used_bytes,
+                           interesting=shape.interesting,
+                           hash_bytes=shape.hash_bytes)
 
-        execution = (self.exec_base_cycles +
-                     self.fork_overhead_cycles +
-                     shape.traversals * self.per_traversal_cycles)
+    def exec_cycles_batch(self, traversals, unique_locations, *,
+                          used_bytes: int = 0) -> OpCycles:
+        """Price a batch of non-interesting executions at once.
+
+        Entry ``i`` of the result's ``execution`` and ``total`` is
+        ``exec_cycles(ExecShape(traversals[i], unique_locations[i],
+        used_bytes))``: both run the one pricing walk. ``used_bytes``
+        is a scalar: within one batch the coverage state is fixed
+        (interesting traces replay the scalar path, and the caller
+        re-prices the remainder when ``used_key`` moves).
+        """
+        return self._price(np.asarray(traversals, dtype=np.int64),
+                           np.asarray(unique_locations, dtype=np.int64),
+                           used_bytes=used_bytes)
+
+    def _price(self, trav, uniq, *, used_bytes: int,
+               interesting: bool = False, hash_bytes: int = 0) -> OpCycles:
+        """The pricing walk behind :meth:`exec_cycles` and
+        :meth:`exec_cycles_batch`.
+
+        ``trav`` and ``uniq`` are ints for one execution (the walk then
+        stays in plain floats) or equal-length int64 arrays, one entry
+        per execution sharing ``used_bytes``. Entry ``i`` is
+        bit-identical to the walk on entry ``i`` alone: the same float
+        terms in the same order, where an execution with no scattered
+        accesses adds an exact ``+ 0.0``.
+        """
+        cfg = self.config
+        latency = self._latency
+        execution = ((self.exec_base_cycles + self.fork_overhead_cycles) +
+                     trav * self.per_traversal_cycles)
         if cfg.kind == AFL:
+            # AFL's working set is shape-independent, so one residency
+            # level serves every execution, and the counter updates
+            # scatter over the full map span.
+            level = self._level_index(
+                2 * cfg.map_size + self.target_ws_bytes)
+            execution = execution + uniq * self._per_access(
+                cfg.map_size, latency[level])
             active = cfg.map_size
-            # Counter updates scatter over the full map span.
-            execution += self._scatter(shape.unique_locations,
-                                       cfg.map_size, level_w)
-            reset_level = level_w
             hash_bytes = cfg.map_size
         else:
-            active = shape.used_bytes
             # Index lookup per traversal (cheap: predicted branch + load
             # from a hot line) plus scattered index access per distinct
             # edge, plus dense counter writes into the condensed prefix.
-            execution += shape.traversals * self.indirection_cycles
-            index_region = cfg.map_size * cfg.index_entry_bytes
-            execution += self._scatter(shape.unique_locations,
-                                       index_region, level_w)
+            # The working set grows with unique_locations, so the index
+            # scatter's residency level is per execution.
+            footprint = (2 * used_bytes + uniq * self.machine.line_size +
+                         self.target_ws_bytes)
+            if isinstance(uniq, np.ndarray):
+                index_latency = np.take(latency,
+                                        self._level_rows(footprint))
+            else:
+                index_latency = latency[self._level_index(footprint)]
+            execution = execution + trav * self.indirection_cycles
+            execution = execution + uniq * self._per_access(
+                cfg.map_size * cfg.index_entry_bytes, index_latency)
             # Hot-set rule: the condensed prefix is touched several
             # times per iteration and nothing streams over it, so it
             # stays resident at whatever level holds it — regardless of
             # the index lines and target data around it.
-            dense_level = self._level_index(2 * shape.used_bytes)
-            execution += self._scatter(shape.unique_locations,
-                                       max(shape.used_bytes, 1),
-                                       dense_level)
-            reset_level = dense_level
-            hash_bytes = shape.hash_bytes or shape.used_bytes
+            level = self._level_index(2 * used_bytes)
+            execution = execution + uniq * self._per_access(
+                max(used_bytes, 1), latency[level])
+            active = used_bytes
+            hash_bytes = hash_bytes or used_bytes
 
-        sweep_level = level_w if cfg.kind == AFL else reset_level
-        reset = self._sweep(active, reset_level, write=True,
+        reset = self._sweep(active, level, write=True,
                             non_temporal=cfg.non_temporal_reset)
         if cfg.merged_classify_compare:
             classify = 0.0
-            compare = (self._sweep(active, sweep_level, read_write=True) +
-                       self._sweep(active, sweep_level))
+            compare = (self._sweep(active, level, read_write=True) +
+                       self._sweep(active, level))
         else:
-            classify = self._sweep(active, sweep_level, read_write=True)
-            compare = (self._sweep(active, sweep_level) +
-                       self._sweep(active, sweep_level))
-        hash_cycles = self._sweep(hash_bytes, sweep_level) \
-            if shape.interesting else 0.0
-
+            classify = self._sweep(active, level, read_write=True)
+            compare = (self._sweep(active, level) +
+                       self._sweep(active, level))
+        hash_cycles = self._sweep(hash_bytes, level) if interesting \
+            else 0.0
         return OpCycles(execution=execution, reset=reset,
                         classify=classify, compare=compare,
                         hash=hash_cycles, others=self.others_cycles)
-
-    def exec_cycles_batch(self, traversals: np.ndarray,
-                          unique_locations: np.ndarray, *,
-                          used_bytes: int = 0) -> BatchOpCycles:
-        """Price a batch of non-interesting executions at once.
-
-        Equivalent to calling :meth:`exec_cycles` per trace with
-        ``ExecShape(traversals[i], unique_locations[i], used_bytes)`` —
-        and bit-identical to it, because every per-row term is computed
-        with the same elementary float operations in the same order.
-        ``used_bytes`` is a scalar: within one batch the coverage state
-        is fixed (interesting traces replay the scalar path, and the
-        caller re-prices the remainder when ``used_key`` moves).
-        """
-        cfg = self.config
-        trav = np.asarray(traversals, dtype=np.int64)
-        uniq = np.asarray(unique_locations, dtype=np.int64)
-        execution = ((self.exec_base_cycles + self.fork_overhead_cycles) +
-                     trav * self.per_traversal_cycles)
-
-        if cfg.kind == AFL:
-            # AFL's working set is shape-independent, so one residency
-            # level covers the whole batch.
-            level_w = self._level_index(
-                2 * cfg.map_size + self.target_ws_bytes)
-            walk = scattered_walk_fraction(cfg.map_size, self.machine,
-                                           cfg.huge_pages)
-            per_access = self._latency[level_w] + \
-                walk * self.machine.walk_cycles
-            execution = execution + uniq * per_access
-            active = cfg.map_size
-            reset_level = level_w
-        else:
-            # BigMap's working set varies with unique_locations, so the
-            # residency level of the index scatter is per-row.
-            level_rows = self._level_rows(
-                2 * used_bytes + uniq * self.machine.line_size +
-                self.target_ws_bytes)
-            execution = execution + trav * self.indirection_cycles
-            index_region = cfg.map_size * cfg.index_entry_bytes
-            walk_idx = scattered_walk_fraction(index_region, self.machine,
-                                               cfg.huge_pages)
-            per_access_idx = np.take(self._latency, level_rows) + \
-                walk_idx * self.machine.walk_cycles
-            execution = execution + uniq * per_access_idx
-            dense_level = self._level_index(2 * used_bytes)
-            walk_dense = scattered_walk_fraction(
-                max(used_bytes, 1), self.machine, cfg.huge_pages)
-            per_access_dense = self._latency[dense_level] + \
-                walk_dense * self.machine.walk_cycles
-            execution = execution + uniq * per_access_dense
-            active = used_bytes
-            reset_level = dense_level
-
-        sweep_level = reset_level
-        reset = self._sweep(active, reset_level, write=True,
-                            non_temporal=cfg.non_temporal_reset)
-        if cfg.merged_classify_compare:
-            classify = 0.0
-            compare = (self._sweep(active, sweep_level, read_write=True) +
-                       self._sweep(active, sweep_level))
-        else:
-            classify = self._sweep(active, sweep_level, read_write=True)
-            compare = (self._sweep(active, sweep_level) +
-                       self._sweep(active, sweep_level))
-
-        return BatchOpCycles(execution=execution, reset=reset,
-                             classify=classify, compare=compare,
-                             hash=0.0, others=self.others_cycles)
 
     # -- cycle attribution -------------------------------------------------
 

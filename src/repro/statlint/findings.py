@@ -40,14 +40,6 @@ class Finding:
             "baselined": self.baselined,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Finding":
-        return cls(path=str(data["path"]), line=int(data["line"]),
-                   col=int(data["col"]), rule=str(data["rule"]),
-                   message=str(data["message"]),
-                   suppressed=bool(data.get("suppressed", False)),
-                   baselined=bool(data.get("baselined", False)))
-
     def suppress(self) -> "Finding":
         return replace(self, suppressed=True)
 

@@ -56,7 +56,3 @@ def register(cls: Type[Rule]) -> Type[Rule]:
         raise ValueError(f"duplicate rule id {cls.id}")
     RULES[cls.id] = cls
     return cls
-
-
-def all_rule_ids() -> list:
-    return sorted(RULES)

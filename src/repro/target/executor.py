@@ -9,6 +9,11 @@ of the same pass — no per-edge Python loop ever runs at execute time.
 Execution order is breadth-first by ``(depth, edge index)``; a crash
 truncates the trace after the crashing edge in that order, the way a
 real process stops producing coverage at the faulting instruction.
+
+There is one kernel, :meth:`Executor._run`, over a matrix of inputs.
+:meth:`Executor.execute` runs it on one row and
+:meth:`Executor.execute_batch` on many, so a trace does not depend on
+which entry point produced it.
 """
 
 from __future__ import annotations
@@ -96,7 +101,7 @@ class Executor:
     """Executes inputs against one :class:`Program`.
 
     Construction precomputes guard gather tables and the level
-    structure; :meth:`execute` is then a handful of vectorized ops.
+    structure; an execution is then a handful of vectorized ops.
     """
 
     def __init__(self, program: Program) -> None:
@@ -104,56 +109,49 @@ class Executor:
         n = program.n_edges
         kind = program.kind
 
-        self._lt = np.flatnonzero(kind == np.uint8(Guard.BYTE_LT))
-        self._lt_off = program.off[self._lt]
-        self._lt_val = program.val[self._lt]
-        self._eq = np.flatnonzero(kind == np.uint8(Guard.BYTE_EQ))
-        self._eq_off = program.off[self._eq]
-        self._eq_val = program.val[self._eq]
-        self._never = np.flatnonzero(kind == np.uint8(Guard.NEVER))
-        self._multi = np.flatnonzero(kind == np.uint8(Guard.EQ_MULTI))
-        self._multi_off = program.off[self._multi]
-        self._multi_width = program.width[self._multi]
-        self._multi_magic = program.magic[self._multi]
+        # The kernel evaluates edges in execution order, (depth, edge
+        # index): column c holds edge order[c]. Every depth level is
+        # then one contiguous column slice, a parent's column precedes
+        # its children's, and a row's first crash is its leftmost
+        # crash column.
+        order = np.argsort(program.depth, kind="stable")
+        column = np.empty(n, dtype=np.int64)
+        column[order] = np.arange(n)
+        self._order, self._column = order, column
+
+        lt = np.flatnonzero(kind == np.uint8(Guard.BYTE_LT))
+        self._lt, self._lt_off, self._lt_val = (
+            column[lt], program.off[lt], program.val[lt])
+        eq = np.flatnonzero(kind == np.uint8(Guard.BYTE_EQ))
+        self._eq, self._eq_off, self._eq_val = (
+            column[eq], program.off[eq], program.val[eq])
+        self._never = column[kind == np.uint8(Guard.NEVER)]
+        multi = np.flatnonzero(kind == np.uint8(Guard.EQ_MULTI))
+        self._multi = column[multi]
+        # Every magic byte of every EQ_MULTI guard, flattened: guard k
+        # owns entries [starts[k], starts[k] + width[k]) (width >= 1).
+        width = program.width[multi].astype(np.int64)
+        self._multi_starts = np.cumsum(width) - width
+        owner = np.repeat(np.arange(multi.size), width)
+        within = np.arange(owner.size) - self._multi_starts[owner]
+        self._magic_off = program.off[multi][owner] + within
+        self._magic_val = program.magic[multi[owner], within]
 
         self._loops = np.flatnonzero(program.loop_off != NO_LOOP)
         self._loop_off = program.loop_off[self._loops]
         self._loop_cap = program.loop_cap[self._loops]
 
-        order = np.argsort(program.depth, kind="stable")
         depths = program.depth[order]
         max_depth = int(depths[-1]) if n else 0
         bounds = np.searchsorted(depths, np.arange(max_depth + 2))
-        self._levels: List[Tuple[np.ndarray, np.ndarray]] = []
-        for level in range(1, max_depth + 1):
-            idx = order[bounds[level]:bounds[level + 1]]
-            self._levels.append((idx, program.parent[idx]))
+        self._levels: List[Tuple[int, int, np.ndarray]] = [
+            (int(lo), int(hi), column[program.parent[order[lo:hi]]])
+            for lo, hi in zip(bounds[1:-1], bounds[2:])]
 
-        self._crash_edges = np.flatnonzero(program.crash_site != NO_CRASH)
-        # Lexicographic (depth, index) rank for picking the first crash.
-        self._crash_rank = (program.depth[self._crash_edges]
-                            .astype(np.int64) * (n + 1) +
-                            self._crash_edges)
-        self._depth = program.depth
+        self._crash_cols = np.sort(column[program.crash_site != NO_CRASH])
         self._stack_cache: Dict[int, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
-
-    def _guards_ok(self, buf: np.ndarray) -> np.ndarray:
-        ok = np.ones(self.program.n_edges, dtype=bool)
-        ok[self._never] = False
-        if self._lt.size:
-            ok[self._lt] = buf[self._lt_off] < self._lt_val
-        if self._eq.size:
-            ok[self._eq] = buf[self._eq_off] == self._eq_val
-        if self._multi.size:
-            acc = np.ones(self._multi.size, dtype=bool)
-            for j in range(int(self._multi_width.max())):
-                sel = self._multi_width > j
-                acc[sel] &= (buf[self._multi_off[sel] + j] ==
-                             self._multi_magic[sel, j])
-            ok[self._multi] = acc
-        return ok
 
     def _crash_info(self, edge: int) -> CrashInfo:
         site = int(self.program.crash_site[edge])
@@ -165,121 +163,81 @@ class Executor:
                          fault_address=_FAULT_BASE + (site << 6))
 
     def execute(self, data: bytes) -> ExecResult:
-        """Run one input; returns its trace (and crash, if any)."""
-        program = self.program
-        buf = np.zeros(program.input_len, dtype=np.uint8)
-        raw = np.frombuffer(data, dtype=np.uint8)[:program.input_len]
-        buf[:raw.size] = raw
+        """Run one input; returns its trace (and crash, if any).
 
-        reach = self._guards_ok(buf)
-        for idx, parents in self._levels:
-            reach[idx] &= reach[parents]
+        The batch kernel on a one-row buffer, so a trace is the same
+        whether its input runs alone or in a batch.
+        """
+        bufs = np.zeros((1, self.program.input_len), dtype=np.uint8)
+        raw = np.frombuffer(data, dtype=np.uint8)[:self.program.input_len]
+        bufs[0, :raw.size] = raw
+        return self._run(bufs).result_for(0)
 
-        crash = None
-        if self._crash_edges.size:
-            hit = reach[self._crash_edges]
-            if hit.any():
-                pos = int(np.argmin(np.where(
-                    hit, self._crash_rank, np.iinfo(np.int64).max)))
-                edge = int(self._crash_edges[pos])
-                crash = self._crash_info(edge)
-                d = self._depth[edge]
-                reach &= (self._depth < d) | (
-                    (self._depth == d) &
-                    (np.arange(program.n_edges) <= edge))
-
-        edges = np.flatnonzero(reach).astype(np.int64)
-        counts = np.ones(edges.size, dtype=np.int64)
-        if self._loops.size:
-            live = reach[self._loops]
-            if live.any():
-                pos = np.searchsorted(edges, self._loops[live])
-                counts[pos] = 1 + (buf[self._loop_off[live]]
-                                   .astype(np.int64)
-                                   % self._loop_cap[live])
-        return ExecResult(edges=edges, counts=counts,
-                          traversals=int(counts.sum()), crash=crash)
-
-    # ------------------------------------------------------------------
-    # batched execution
-
-    def _guards_ok_batch(self, bufs: np.ndarray) -> np.ndarray:
-        n_rows = bufs.shape[0]
-        ok = np.ones((n_rows, self.program.n_edges), dtype=bool)
-        ok[:, self._never] = False
-        if self._lt.size:
-            ok[:, self._lt] = bufs[:, self._lt_off] < self._lt_val
-        if self._eq.size:
-            ok[:, self._eq] = bufs[:, self._eq_off] == self._eq_val
-        if self._multi.size:
-            acc = np.ones((n_rows, self._multi.size), dtype=bool)
-            for j in range(int(self._multi_width.max())):
-                sel = self._multi_width > j
-                acc[:, sel] &= (bufs[:, self._multi_off[sel] + j] ==
-                                self._multi_magic[sel, j])
-            ok[:, self._multi] = acc
-        return ok
-
-    def execute_batch(self, data: np.ndarray,
-                      lengths: np.ndarray = None) -> BatchExecResult:
+    def execute_batch(self, data: np.ndarray) -> BatchExecResult:
         """Run a ``(n, width)`` uint8 matrix of inputs in one pass.
 
         Rows must be zero-padded past their logical lengths — exactly
-        the layout :meth:`Mutator.havoc_apply` produces — because the
-        scalar path zero-fills its buffer; any padding width is
+        the layout :meth:`Mutator.havoc_apply` produces — because
+        :meth:`execute` zero-fills its buffer; any padding width is
         accepted (rows are truncated or zero-extended to the program's
-        ``input_len``). Each trace is bit-identical to
-        ``execute(row_bytes)``.
-
-        Args:
-            data: 2-D uint8 matrix, one input per row.
-            lengths: unused (row semantics come from the zero padding);
-                accepted so callers can pass a mutant batch's metadata
-                through unchanged.
+        ``input_len``). Each trace equals ``execute(row_bytes)``.
 
         Returns:
             :class:`BatchExecResult` with flat per-trace segments.
         """
-        program = self.program
         n_rows, width = data.shape
-        n = program.n_edges
-        bufs = np.zeros((n_rows, program.input_len), dtype=np.uint8)
-        w = min(width, program.input_len)
+        bufs = np.zeros((n_rows, self.program.input_len), dtype=np.uint8)
+        w = min(width, self.program.input_len)
         bufs[:, :w] = data[:, :w]
+        return self._run(bufs)
 
-        reach = self._guards_ok_batch(bufs)
-        for idx, parents in self._levels:
-            reach[:, idx] &= reach[:, parents]
+    def _run(self, bufs: np.ndarray) -> BatchExecResult:
+        """The kernel behind :meth:`execute` and :meth:`execute_batch`:
+        ``bufs`` is ``(n, input_len)`` uint8, one input per row."""
+        n_rows = bufs.shape[0]
+        n = self.program.n_edges
+        reach = np.ones((n_rows, n), dtype=bool)  # execution order
+        reach[:, self._never] = False
+        if self._lt.size:
+            reach[:, self._lt] = bufs[:, self._lt_off] < self._lt_val
+        if self._eq.size:
+            reach[:, self._eq] = bufs[:, self._eq_off] == self._eq_val
+        if self._multi.size:
+            reach[:, self._multi] = np.logical_and.reduceat(
+                bufs[:, self._magic_off] == self._magic_val,
+                self._multi_starts, axis=1)
+        # Level by level: a parent's verdict is final before any child
+        # reads it.
+        for lo, hi, parents in self._levels:
+            reach[:, lo:hi] &= reach[:, parents]
 
         crashes: List[Optional[CrashInfo]] = [None] * n_rows
-        if self._crash_edges.size:
-            hit = reach[:, self._crash_edges]
+        if self._crash_cols.size:
+            hit = reach[:, self._crash_cols]
             crashed_rows = np.flatnonzero(hit.any(axis=1))
             if crashed_rows.size:
-                ranks = np.where(hit[crashed_rows], self._crash_rank,
-                                 np.iinfo(np.int64).max)
-                first = np.argmin(ranks, axis=1)
-                crash_edges = self._crash_edges[first]
-                for row, edge in zip(crashed_rows, crash_edges):
-                    crashes[row] = self._crash_info(int(edge))
-                d = self._depth[crash_edges][:, None]
-                arange = np.arange(n)
-                reach[crashed_rows] &= (self._depth < d) | (
-                    (self._depth == d) & (arange <= crash_edges[:, None]))
+                first = self._crash_cols[
+                    np.argmax(hit[crashed_rows], axis=1)]
+                for row, col in zip(crashed_rows, first):
+                    crashes[row] = self._crash_info(int(self._order[col]))
+                    # The trace stops at the faulting edge.
+                    reach[row, col + 1:] = False
+        reach = np.take(reach, self._column, axis=1)  # edge order
 
-        rows, cols = np.nonzero(reach)
-        edges = cols.astype(np.int64)
+        # One flat pass: entry row * n_edges + edge, ascending, so each
+        # row's edges form one ascending segment.
+        flat = np.flatnonzero(reach)
+        per_row = np.count_nonzero(reach, axis=1)
         offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n_rows), out=offsets[1:])
+        np.cumsum(per_row, out=offsets[1:])
+        edges = flat - np.repeat(np.arange(n_rows, dtype=np.int64) * n,
+                                 per_row)
         counts = np.ones(edges.size, dtype=np.int64)
         if self._loops.size:
-            lrows, lidx = np.nonzero(reach[:, self._loops])
-            if lrows.size:
-                # Flat position of (row, col): the flat array is sorted
-                # by the global key row * n_edges + col.
-                key = rows.astype(np.int64) * n + cols
-                pos = np.searchsorted(
-                    key, lrows.astype(np.int64) * n + self._loops[lidx])
+            live = np.flatnonzero(reach[:, self._loops])
+            if live.size:
+                lrows, lidx = np.divmod(live, self._loops.size)
+                pos = np.searchsorted(flat, lrows * n + self._loops[lidx])
                 counts[pos] = 1 + (bufs[lrows, self._loop_off[lidx]]
                                    .astype(np.int64)
                                    % self._loop_cap[lidx])

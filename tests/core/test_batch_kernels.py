@@ -1,10 +1,12 @@
 """Exactness tests for the batched coverage kernels.
 
-``update_batch`` must aggregate each segment exactly like the scalar
-``reset(); update(keys, counts)`` path, ``classified_counts`` must match
-what ``classify()`` would store, and ``compare_batch`` must be a
+``update_compare_batch`` must aggregate each segment exactly like the
+scalar ``reset(); update(keys, counts)`` path, ``classified_counts``
+must match what ``classify()`` would store, and its flags must be a
 conservative superset of the serial compare's ``interesting`` — with
 equality whenever the virgin map is not mutated between traces.
+``segment_interesting`` must re-derive one trace's flag against the
+current state, and a False from it must be final.
 """
 
 import numpy as np
@@ -119,8 +121,7 @@ class TestCompareBatch:
             cov.cov = np.zeros_like(warm.cov)
 
         segs, counts, fk, fc, off = make_batch(rng, 30)
-        update = cov.update_batch(fk, fc, off)
-        flags = cov.compare_batch(update, virgin)
+        update, flags = cov.update_compare_batch(fk, fc, off, virgin)
 
         for i, (seg, cnt) in enumerate(zip(segs, counts)):
             probe = virgin.copy()
@@ -136,8 +137,7 @@ class TestCompareBatch:
         virgin = VirginMap(MAP)
         cov = cls(MAP)
         segs, counts, fk, fc, off = make_batch(rng, 40, max_seg=12)
-        update = cov.update_batch(fk, fc, off)
-        flags = cov.compare_batch(update, virgin)
+        update, flags = cov.update_compare_batch(fk, fc, off, virgin)
         for i, (seg, cnt) in enumerate(zip(segs, counts)):
             cov.reset()
             cov.update(seg, cnt)
@@ -149,7 +149,7 @@ class TestCompareBatch:
         rng = np.random.default_rng(4)
         cov = cls(MAP)
         segs, counts, fk, fc, off = make_batch(rng, 15)
-        update = cov.update_batch(fk, fc, off)
+        update, _ = cov.update_compare_batch(fk, fc, off, VirginMap(MAP))
         for i, (seg, cnt) in enumerate(zip(segs, counts)):
             cov.reset()
             assert int(update.n_unique[i]) == cov.update(seg, cnt)
@@ -164,14 +164,65 @@ class TestCompareBatchProperty:
         cov = BigMapCoverage(MAP)
         for round_no in range(3):
             segs, counts, fk, fc, off = make_batch(rng, 10, max_seg=8)
-            update = cov.update_batch(fk, fc, off)
-            flags = cov.compare_batch(update, virgin)
+            update, flags = cov.update_compare_batch(fk, fc, off, virgin)
             for i, (seg, cnt) in enumerate(zip(segs, counts)):
                 cov.reset()
                 cov.update(seg, cnt)
                 truth = cov.classify_and_compare(virgin).interesting
                 if truth:
                     assert bool(flags[i])
+
+
+#: A trace as (key, count) pairs over a small key space, so traces
+#: share keys and buckets often.
+TRACE = st.lists(st.tuples(st.integers(0, 31), st.integers(1, 300)),
+                 max_size=6)
+
+
+def flatten(traces):
+    """Flat int64 keys, counts and offsets of a list of traces."""
+    keys = [k for trace in traces for k, _ in trace]
+    counts = [c for trace in traces for _, c in trace]
+    offsets = np.cumsum([0] + [len(trace) for trace in traces])
+    return (np.array(keys, dtype=np.int64),
+            np.array(counts, dtype=np.int64), offsets.astype(np.int64))
+
+
+def run_scalar(cov, trace, virgin):
+    """The scalar pipeline on one trace; returns its interest."""
+    keys, counts, _ = flatten([trace])
+    cov.reset()
+    cov.update(keys, counts)
+    return cov.classify_and_compare(virgin).interesting
+
+
+@pytest.mark.parametrize("cls", [AflCoverage, BigMapCoverage])
+class TestSegmentInterestingProperty:
+    @given(before=st.lists(TRACE, max_size=4),
+           batch=st.lists(TRACE, min_size=1, max_size=6),
+           after=st.lists(TRACE, max_size=4))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_sound_after_merges(self, cls, before, batch, after):
+        """After arbitrary merges, ``segment_interesting`` equals the
+        flag ``update_compare_batch`` computes against the current
+        state, and its False is final: the scalar pipeline finds the
+        trace uninteresting."""
+        cov, virgin = cls(MAP), VirginMap(MAP)
+        for trace in before:
+            run_scalar(cov, trace, virgin)
+        keys, counts, offsets = flatten(batch)
+        update, _ = cov.update_compare_batch(keys, counts, offsets,
+                                             virgin)
+        for trace in after:
+            run_scalar(cov, trace, virgin)
+        _, flags_now = cov.update_compare_batch(keys, counts, offsets,
+                                                virgin)
+        for i, trace in enumerate(batch):
+            now = cov.segment_interesting(update, i, virgin)
+            assert now == bool(flags_now[i]), f"trace {i}"
+            if not now:
+                assert not run_scalar(cov, trace, virgin.copy()), \
+                    f"trace {i}: stale False"
 
 
 @pytest.mark.parametrize("mode", [COUNTER_SATURATE, COUNTER_WRAP])
@@ -213,5 +264,4 @@ def test_hot_path_dtypes(cls, mode):
     assert update.classified.dtype == np.uint8
     assert update.offsets.dtype == np.int64
     assert update.n_unique.dtype == np.int64
-    assert update.segment_ids().dtype == np.int64
     assert flags.dtype == np.bool_

@@ -68,23 +68,6 @@ class TestMergeLevels:
         assert virgin.merge(trace, limit=101).level == NEW_EDGE
 
 
-class TestWouldBeNew:
-    def test_does_not_mutate(self):
-        virgin = VirginMap(MAP)
-        trace = classified([(5, 1)])
-        assert virgin.would_be_new(trace) == NEW_EDGE
-        assert virgin.count_discovered() == 0
-        assert virgin.merge(trace).level == NEW_EDGE
-
-    def test_levels_match_merge(self):
-        virgin = VirginMap(MAP)
-        virgin.merge(classified([(5, 1)]))
-        assert virgin.would_be_new(classified([(5, 100)])) == \
-            NEW_HIT_COUNT
-        assert virgin.would_be_new(classified([(5, 1)])) == \
-            NO_NEW_COVERAGE
-
-
 class TestMergeSparse:
     @given(st.lists(st.tuples(st.integers(0, MAP - 1),
                               st.integers(1, 255)),

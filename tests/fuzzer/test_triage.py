@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.core import VirginMap
 from repro.fuzzer import AflCrashTriager, CrashwalkTriager
 from repro.target.crashes import CrashInfo
 
@@ -66,22 +67,37 @@ class TestAflTriage:
         trace[list(locations)] = 1
         return trace
 
+    def _observe(self, triager, trace):
+        idx = np.flatnonzero(trace)
+        return triager.observe(idx, trace[idx])
+
     def test_new_edge_crash_is_unique(self):
         triager = AflCrashTriager(256)
-        assert triager.observe(self._trace(256, [5]))
-        assert not triager.observe(self._trace(256, [5]))
-        assert triager.observe(self._trace(256, [9]))
+        assert self._observe(triager, self._trace(256, [5]))
+        assert not self._observe(triager, self._trace(256, [5]))
+        assert self._observe(triager, self._trace(256, [9]))
         assert triager.unique_crashes == 2
 
     def test_sparse_observe_equivalent(self):
-        dense = AflCrashTriager(256)
+        """The sparse observe merges exactly like ``VirginMap.merge``
+        on the dense trace: same verdicts and the same virgin bytes,
+        including new hit-count buckets and a ``limit``-bounded
+        prefix."""
+        rng = np.random.default_rng(0)
         sparse = AflCrashTriager(256)
-        for locs in ([5], [5], [9], [5, 9], [11]):
-            trace = self._trace(256, locs)
-            idx = np.flatnonzero(trace)
-            assert dense.observe(trace) == \
-                sparse.observe_sparse(idx, trace[idx])
-        assert dense.unique_crashes == sparse.unique_crashes
+        dense = VirginMap(256)
+        for step in range(60):
+            trace = np.zeros(256, dtype=np.uint8)
+            locs = rng.integers(0, 256, size=int(rng.integers(0, 6)))
+            trace[locs] = rng.choice([1, 2, 4, 8, 16, 32, 64, 128],
+                                     size=locs.size)
+            limit = int(rng.integers(1, 257)) if step % 2 else None
+            if limit is not None:
+                trace[limit:] = 0
+            verdict = dense.merge(trace, limit=limit).interesting
+            assert self._observe(sparse, trace) == verdict, f"step {step}"
+            assert np.array_equal(sparse.virgin_crash.virgin,
+                                  dense.virgin), f"step {step}"
 
     def test_map_size_bias(self):
         """The bias the paper avoids: with a tiny map, distinct crash
@@ -90,6 +106,6 @@ class TestAflTriage:
         rng = np.random.default_rng(0)
         sites = rng.integers(0, 1 << 12, size=40)
         for site in sites:
-            tiny.observe(self._trace(4, [int(site) % 4]))
-            big.observe(self._trace(1 << 12, [int(site)]))
+            self._observe(tiny, self._trace(4, [int(site) % 4]))
+            self._observe(big, self._trace(1 << 12, [int(site)]))
         assert tiny.unique_crashes < big.unique_crashes

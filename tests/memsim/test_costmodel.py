@@ -184,7 +184,7 @@ class TestExecCyclesBatch:
         trav = rng.integers(0, 200_000, size=64)
         uniq = rng.integers(0, 50_000, size=64)
         batch = m.exec_cycles_batch(trav, uniq, used_bytes=used_bytes)
-        totals = batch.totals()
+        totals = batch.total
         for i in range(64):
             ref = m.exec_cycles(ExecShape(
                 traversals=int(trav[i]),
