@@ -43,8 +43,8 @@ def compute(profile: Profile, cache: BenchmarkCache = None,
     return rows
 
 
-def run(profile: Profile, cache: BenchmarkCache = None) -> str:
-    rows = compute(profile, cache)
+def render(rows: List[Dict]) -> str:
+    """The report for :func:`compute`'s rows."""
     report = render_table(
         ["Benchmark", "Map", "Crashwalk unique", "AFL dedup", "Bias"],
         [[r["benchmark"], r["map"], r["crashwalk"], r["afl_dedup"],
@@ -56,6 +56,10 @@ def run(profile: Profile, cache: BenchmarkCache = None) -> str:
                "the map, which is why the paper does not use it for "
                "cross-map comparisons.")
     return report
+
+
+def run(profile: Profile, cache: BenchmarkCache = None) -> str:
+    return render(compute(profile, cache))
 
 
 def main() -> None:

@@ -163,9 +163,9 @@ class BatchFront:
         update: the aggregated :class:`BatchUpdate`; its per-row
             ``n_unique`` (the cost model's ``unique_locations``) is
             always complete. It lets the processing loop re-test a
-            flagged trace's keys against the *current* virgin map right
-            before its replay and downgrade stale flags to the cheap
-            path.
+            flagged trace's keys against the *current* virgin map when
+            its cheap-run scan (or its own arrival) reaches it, and
+            downgrade a stale flag to the cheap path.
         flags: conservative "could be interesting" flags from the fused
             batched compare (see ``CoverageMap.update_compare_batch``).
         crashes: per-trace crash mask.
@@ -665,8 +665,7 @@ class Campaign:
         batch = self.mutator.havoc_apply(
             self.mutator.draw_rows(specs, lo, hi), width)
         bres = self.executor.execute_batch(batch.data)
-        keys, counts = self.instrumentation.keys_for_batch(
-            bres, list(batch.rows()))
+        keys, counts = self.instrumentation.keys_for_batch(bres, batch)
         update, flags = self.coverage.update_compare_batch(
             keys, counts, bres.offsets, self.virgin)
         crashes = np.fromiter((c is not None for c in bres.crashes),
@@ -716,7 +715,15 @@ class Campaign:
         The conservative flags are sound under in-order processing:
         virgin bits only clear monotonically, so a trace dismissed
         against the window-start virgin map stays uninteresting no
-        matter what earlier traces merge before its turn. Hang
+        matter what earlier traces merge before its turn. The converse
+        does not hold — an earlier replay may claim every bit a flagged
+        trace touches — so the scan that grows a cheap run re-tests
+        each flag it meets (``segment_interesting`` against the live
+        virgin map, once per arrival) and a stale one joins the run.
+        The scan holds no replay, and only a replay moves virgin or
+        BigMap's index, so that verdict is the one the trace gets on
+        arrival. A cheap run therefore ends only at a replay, a seed
+        boundary, a curve sample or the deadline / exec cap. Hang
         prediction and admissions stay per-seed: every trace belongs to
         exactly one seed portion (``bounds``), and its verdicts are
         computed from its own totals and attributed to its own parent.
@@ -744,6 +751,31 @@ class Campaign:
         replays = base_replays if budget is None \
             else base_replays | (totals > budget)
 
+        confirmed = -1  # flagged trace last re-tested and still new
+
+        def still_replays(t: int) -> bool:
+            """Re-test flagged trace ``t`` against the current virgin
+            map (once per arrival) and downgrade a stale flag; returns
+            whether ``t`` still replays. Called only where
+            ``replays[t]`` is set."""
+            nonlocal confirmed
+            if front.flags[t] and not front.crashes[t] and t != confirmed:
+                if self.coverage.segment_interesting(front.update, t,
+                                                     self.virgin):
+                    confirmed = t
+                else:
+                    # The flag went stale: earlier traces already
+                    # claimed every virgin bit this one touches. The
+                    # serial engine would run the pipeline and find
+                    # compare.interesting False — exactly the cheap-path
+                    # charge — so downgrade the trace. Clearing the base
+                    # flag keeps any budget-driven replay decision
+                    # intact across re-pricings.
+                    front.flags[t] = False
+                    base_replays[t] = False
+                    replays[t] = budget is not None and totals[t] > budget
+            return replays[t]
+
         last_cheap = -1  # last processed trace that skipped the map
         i = 0
         stop = False
@@ -754,22 +786,7 @@ class Campaign:
                     if self._exhausted(deadline):
                         stop = True
                         break
-                    if replays[i] and front.flags[i] \
-                            and not front.crashes[i] \
-                            and not self.coverage.segment_interesting(
-                                front.update, i, self.virgin):
-                        # The flag went stale: earlier traces already
-                        # claimed every virgin bit this one touches.
-                        # The serial engine would run the pipeline and
-                        # find compare.interesting False — exactly the
-                        # cheap-path charge — so downgrade the trace.
-                        # Clearing the base flag keeps any budget-driven
-                        # replay decision intact across re-pricings.
-                        front.flags[i] = False
-                        base_replays[i] = False
-                        replays[i] = budget is not None \
-                            and totals[i] > budget
-                    if replays[i]:
+                    if replays[i] and still_replays(i):
                         pre = front.bres.result_for(i) \
                             if front.kept[i] else None
                         self._run_mutant(front.batch.tobytes(i), seed, pre)
@@ -789,8 +806,14 @@ class Campaign:
                         self._record_curve()
                         i += 1
                     else:
+                        # A stale flag met here joins the run (see the
+                        # docstring). Traces past the exec cap never
+                        # arrive, so the scan tests none of them.
+                        scan_end = min(end, i + self.config.max_real_execs
+                                       - self.execs)
                         j = i + 1
-                        while j < end and not replays[j]:
+                        while j < scan_end and not (
+                                replays[j] and still_replays(j)):
                             j += 1
                         done, exhausted = self._charge_cheap_run(
                             front, batch_ops, totals, i, j, used,

@@ -47,7 +47,10 @@ Design (mirrors the runner/measurer split of Klees et al.):
 Everything after the front — charging, hang prediction, stale-flag
 downgrades, replays, admissions, checkpoints, telemetry — runs
 unchanged in the parent, so campaign results are bit-identical for any
-worker count, including the serial engine. Replays of kept rows reuse
+worker count, including the serial engine. The parent re-tests each
+flag it meets in the cheap-run scan against the live virgin map, using
+the kept row's aggregated keys, so a flag gone stale joins the current
+run of cheap traces instead of ending it. Replays of kept rows reuse
 the worker's trace; the rest (budget-driven hang replays and the one
 map-repair row per window) re-execute, which gives the same trace
 because ``execute`` is the batch kernel on one row. Workers never

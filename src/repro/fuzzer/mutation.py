@@ -66,9 +66,13 @@ class MutantBatch:
         """Exact-length uint8 view of mutant ``i``."""
         return self.data[i, :int(self.lengths[i])]
 
-    def rows(self) -> list:
-        """Exact-length views for all mutants, in order."""
-        return [self.row(i) for i in range(self.n)]
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        """``batch[i]`` is :meth:`row`: the batch is a sequence of
+        exact-length row views, built only when indexed."""
+        return self.row(i)
 
     def tobytes(self, i: int) -> bytes:
         return self.row(i).tobytes()

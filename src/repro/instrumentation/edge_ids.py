@@ -53,10 +53,12 @@ class Instrumentation(ABC):
 
         Output arrays align with ``result.edges`` / ``result.offsets``;
         segment ``i`` holds exactly ``keys_for(result.result_for(i),
-        input_rows[i])``. This base implementation loops per trace
-        (input-dependent metrics like context/ngram need the exact
-        per-row bytes); gather-table metrics override it with one flat
-        gather.
+        input_rows[i])``. ``input_rows`` is any indexable of exact-length
+        rows — a list of views, or the campaign's ``MutantBatch``, which
+        builds a view only when indexed. This base implementation loops
+        per trace (input-dependent metrics like context/ngram need the
+        exact per-row bytes); gather-table metrics override it with one
+        flat gather and never index a row.
         """
         keys = np.empty(result.edges.size, dtype=np.int64)
         counts = np.empty(result.edges.size, dtype=np.int64)

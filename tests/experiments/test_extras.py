@@ -35,17 +35,26 @@ class TestCollAflExtension:
 
 
 class TestDedupBiasExtension:
-    def test_both_counters_reported(self, cache):
+    @pytest.fixture(scope="class")
+    def rows(self, cache):
+        """One set of dedup-bias campaigns, shared: ``run`` is
+        ``render`` over the same ``compute`` result."""
         from repro.experiments.extra_dedup_bias import compute
-        rows = compute(MICRO, cache, benchmarks=["licm"])
-        assert len(rows) == 4  # four map sizes
-        for row in rows:
+        return compute(MICRO, cache)
+
+    def test_both_counters_reported(self, rows):
+        licm = [row for row in rows if row["benchmark"] == "licm"]
+        assert len(licm) == 4  # four map sizes
+        for row in licm:
             assert row["crashwalk"] >= 0
             assert row["afl_dedup"] >= 0
+            assert row["bias"] == row["afl_dedup"] - row["crashwalk"]
 
-    def test_report_renders(self, cache):
-        from repro.experiments.extra_dedup_bias import run
-        assert "dedup" in run(MICRO, cache)
+    def test_report_renders(self, rows):
+        from repro.experiments.extra_dedup_bias import render
+        report = render(rows)
+        assert "dedup" in report
+        assert report.count("licm") == 4 and report.count("gvn") == 4
 
 
 class TestEnsembleExtension:

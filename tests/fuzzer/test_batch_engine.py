@@ -298,6 +298,56 @@ class _CountingMP(_ReplayCounting, MPCampaign):
     pass
 
 
+class _RunCounting(_ReplayCounting, Campaign):
+    """Counts what may end a run of cheap traces — replays, seed
+    portions — next to the runs charged and the stale flags seen
+    (``segment_interesting`` returning False)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.portions = self.cheap_runs = self.stale = 0
+        retest = self.coverage.segment_interesting
+
+        def counted(*args):
+            verdict = retest(*args)
+            self.stale += not verdict
+            return verdict
+
+        self.coverage.segment_interesting = counted
+
+    def _collect_window(self):
+        window = super()._collect_window()
+        if window is not None:
+            self.portions += len(window[1])
+        return window
+
+    def _charge_cheap_run(self, *args, **kwargs):
+        self.cheap_runs += 1
+        return super()._charge_cheap_run(*args, **kwargs)
+
+
+class TestCheapRunStructure:
+    """A stale flag never ends a cheap run: the scan that grows the run
+    re-tests it and the trace joins the run, so runs end only at a
+    replay, a seed boundary, a curve sample or the exec cap. The
+    campaign is stale-heavy (most flags go stale before their turn),
+    so a scan that stopped at every raised flag would charge several
+    times more runs than that bound."""
+
+    def test_stale_flags_do_not_split_runs(self):
+        built = get_benchmark("zlib").build(scale=0.5, seed_scale=0.2)
+        config = CampaignConfig(
+            benchmark="zlib", fuzzer="bigmap", map_size=1 << 16,
+            scale=0.5, seed_scale=0.2, virtual_seconds=1e9,
+            max_real_execs=2_000, rng_seed=3, batch_window=8)
+        campaign = _RunCounting(config, built=built)
+        result = campaign.run()
+        assert campaign.stale > campaign.replays > 0
+        samples = len(result.coverage_curve)
+        assert campaign.cheap_runs <= (campaign.replays + campaign.portions
+                                       + samples + 1)
+
+
 #: Campaign shapes the process backend must reproduce exactly: the
 #: base bigmap window, a dictionary campaign (token stamps drawn in
 #: the workers), a hang-heavy one (budget-driven replays of rows whose

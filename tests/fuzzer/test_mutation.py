@@ -156,8 +156,10 @@ class TestHavocBatch:
     def test_row_views_match_tobytes(self):
         mutator = make_mutator(6)
         batch = havoc(mutator, bytes(range(32)), 10)
-        for i, view in enumerate(batch.rows()):
-            assert view.tobytes() == batch.tobytes(i)
+        assert len(batch) == batch.n == 10
+        for i in range(len(batch)):
+            assert batch[i].tobytes() == batch.tobytes(i)
+            assert batch[i].size == batch.lengths[i]
 
 
 #: A window of havoc specs, minus the keys: ``(data, energy,
