@@ -7,16 +7,16 @@ This package is the paper's primary contribution. Public surface:
 * :class:`VirginMap` / :class:`CompareResult` — global-coverage compare
   with AFL's ``has_new_bits`` semantics.
 * :func:`classify_counts` and the bucket LUT.
-* :class:`AccessLog` / :class:`OpStats` — access accounting consumed by
-  :mod:`repro.memsim` to price operations.
+
+The maps do host work only: they store, classify, compare and hash
+traces. What each operation costs in cycles is priced in one place,
+:mod:`repro.memsim.costmodel`, from the per-execution ``ExecShape`` the
+campaign reports.
 """
 
-from .access import (AccessLog, AccessRecord, NullAccessLog, Op, OpCounter,
-                     OpStats, Pattern)
 from .afl_bitmap import AflCoverage
 from .bigmap import BigMapCoverage
-from .bitmap_base import (BatchUpdate, COUNTER_SATURATE, COUNTER_WRAP,
-                          CoverageMap, aggregate_keys,
+from .bitmap_base import (BatchUpdate, CoverageMap, aggregate_keys,
                           aggregate_keys_batch, apply_counts,
                           classified_counts)
 from .classify import (BUCKET_VALUES, COUNT_CLASS_LOOKUP8, bucket_of,
@@ -29,11 +29,9 @@ from .hashing import crc32_full, crc32_trimmed, last_nonzero_index
 from .walltime import Stopwatch, wall_now
 
 __all__ = [
-    "AccessLog", "AccessRecord", "NullAccessLog", "Op", "OpCounter",
-    "OpStats", "Pattern",
     "AflCoverage", "BigMapCoverage", "CoverageMap",
-    "BatchUpdate", "COUNTER_SATURATE", "COUNTER_WRAP", "aggregate_keys",
-    "aggregate_keys_batch", "apply_counts", "classified_counts",
+    "BatchUpdate", "aggregate_keys", "aggregate_keys_batch", "apply_counts",
+    "classified_counts",
     "BUCKET_VALUES", "COUNT_CLASS_LOOKUP8", "bucket_of", "classify_counts",
     "is_classified",
     "NEW_EDGE", "NEW_HIT_COUNT", "NO_NEW_COVERAGE", "CompareResult",

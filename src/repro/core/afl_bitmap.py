@@ -11,8 +11,8 @@ host-milliseconds without changing a single result (zero bytes classify
 to zero; virgin bytes whose trace byte is zero cannot change; resetting
 untouched bytes is a no-op). With ``sparse_host_ops=True`` (default)
 the implementation therefore performs reset/classify/compare only on
-the locations touched since the last reset, while the *access
-accounting and cost model still charge the full-map sweeps* — the
+the locations touched since the last reset, while the cost model
+(:mod:`repro.memsim.costmodel`) still charges the full-map sweeps — the
 physics the paper measures. ``sparse_host_ops=False`` executes the
 literal full sweeps (used by the equivalence tests, which assert both
 modes produce byte-identical maps and identical compare outcomes).
@@ -25,7 +25,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .access import Op
 from .bitmap_base import CoverageMap, aggregate_keys, apply_counts
 from .classify import classify_counts
 from .compare import CompareResult, VirginMap
@@ -37,21 +36,16 @@ class AflCoverage(CoverageMap):
 
     Args:
         map_size: bitmap size in bytes (power of two; AFL default 65536).
-        non_temporal_reset: model the §IV-E optimization of resetting
-            with non-temporal stores, which avoids polluting the cache
-            with never-used map regions. Only affects access accounting.
         sparse_host_ops: see the module docstring; results are
             identical either way.
     """
 
-    def __init__(self, map_size: int, *, non_temporal_reset: bool = False,
-                 sparse_host_ops: bool = True, **kwargs) -> None:
+    def __init__(self, map_size: int, *, sparse_host_ops: bool = True,
+                 **kwargs) -> None:
         super().__init__(map_size, **kwargs)
-        self.non_temporal_reset = non_temporal_reset
         self.sparse_host_ops = sparse_host_ops
         self.trace = np.zeros(map_size, dtype=np.uint8)
         self._touched: List[np.ndarray] = []
-        self.log.sweep(Op.INIT, "coverage", map_size, write=True)
 
     def _touched_unique(self) -> np.ndarray:
         if not self._touched:
@@ -71,21 +65,14 @@ class AflCoverage(CoverageMap):
         else:
             self.trace.fill(0)
             self._touched = []
-        self.log.sweep(Op.RESET, "coverage", self.map_size, write=True,
-                       non_temporal=self.non_temporal_reset)
 
     def update(self, keys: np.ndarray, counts: np.ndarray) -> int:
         self._check_keys(keys)
         unique, summed = aggregate_keys(keys, counts)
         if unique.size == 0:
             return 0
-        apply_counts(self.trace, unique, summed, self.counter_mode)
+        apply_counts(self.trace, unique, summed)
         self._touched.append(unique)
-        # Scattered read-modify-writes across the full map span: the cache
-        # footprint is governed by the map size, not by how many locations
-        # are live (paper Table I-a).
-        self.log.scatter(Op.UPDATE, "coverage", int(unique.size),
-                         self.map_size, write=True)
         return int(unique.size)
 
     def classify(self) -> None:
@@ -95,31 +82,12 @@ class AflCoverage(CoverageMap):
                 self.trace[touched] = classify_counts(self.trace[touched])
         else:
             classify_counts(self.trace, out=self.trace)
-        self.log.sweep(Op.CLASSIFY, "coverage", self.map_size, write=True)
 
-    def _merge_virgin(self, virgin: VirginMap) -> CompareResult:
+    def compare(self, virgin: VirginMap) -> CompareResult:
         if not self.sparse_host_ops:
             return virgin.merge(self.trace)
         touched = self._touched_unique()
         return virgin.merge_sparse(touched, self.trace[touched])
-
-    def compare(self, virgin: VirginMap) -> CompareResult:
-        result = self._merge_virgin(virgin)
-        self.log.sweep(Op.COMPARE, "coverage", self.map_size)
-        self.log.sweep(Op.COMPARE, "virgin", self.map_size,
-                       write=result.interesting)
-        return result
-
-    def classify_and_compare(self, virgin: VirginMap) -> CompareResult:
-        self.classify()
-        result = self._merge_virgin(virgin)
-        # The classify sweep above already accounted a full read-write
-        # pass; under the merged §IV-E optimization the compare rides
-        # along, so only the virgin-side traffic is added here. The
-        # cost model prices the merged sweep explicitly either way.
-        self.log.sweep(Op.COMPARE, "virgin", self.map_size,
-                       write=result.interesting)
-        return result
 
     def _new_bits(self, keys: np.ndarray, classified: np.ndarray,
                   virgin: np.ndarray) -> np.ndarray:
@@ -134,7 +102,6 @@ class AflCoverage(CoverageMap):
         pairs — the full map is fully determined by them, so two traces
         hash equal iff their full maps are byte-identical.
         """
-        self.log.sweep(Op.HASH, "coverage", self.map_size)
         if not self.sparse_host_ops:
             return crc32_full(self.trace)
         touched = self._touched_unique()

@@ -9,13 +9,16 @@ Three pieces of state (Figure 4b):
   the prefix ``[0, used_key)``.
 * ``used_key`` — next free slot; grows monotonically over the campaign.
 
-Consequences, which the access accounting makes measurable:
+Consequences, which :mod:`repro.memsim.costmodel` prices:
 
 * reset / classify / compare sweep only ``[0, used_key)``;
-* hash covers up to the last non-zero byte (not ``used_key``) so that a
-  path's hash is independent of unrelated discoveries (§IV-D);
 * the index bitmap is never touched outside update, so its cache lines
   compete for capacity only during execution, not during the sweeps.
+
+:meth:`BigMapCoverage.hash` covers up to the last non-zero byte (not
+``used_key``) so that a path's hash is independent of unrelated
+discoveries (§IV-D). The cost model charges the hash over ``used_key``
+instead (a known deviation, see EXPERIMENTS.md).
 
 The slot assignment — next free slot on first appearance — is what
 condenses scattered keys into a dense prefix. (Within one batched
@@ -30,12 +33,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .access import Op
 from .bitmap_base import CoverageMap, aggregate_keys, apply_counts
 from .classify import classify_counts
 from .compare import CompareResult, VirginMap
 from .errors import MapFullError
-from .hashing import crc32_trimmed, last_nonzero_index
+from .hashing import crc32_trimmed
 
 
 class BigMapCoverage(CoverageMap):
@@ -56,16 +58,11 @@ class BigMapCoverage(CoverageMap):
         self.index = np.full(map_size, self.UNASSIGNED, dtype=np.int64)
         self.cov = np.zeros(map_size, dtype=np.uint8)
         self.used_key = 0
-        # One-time full-map touch; the only one in the whole campaign.
-        self.log.sweep(Op.INIT, "index", map_size * 8, write=True,
-                       element_size=8)
-        self.log.sweep(Op.INIT, "coverage", map_size, write=True)
 
     # -- operations ------------------------------------------------------
 
     def reset(self) -> None:
         self.cov[:self.used_key] = 0
-        self.log.sweep(Op.RESET, "coverage", self.used_key, write=True)
 
     def update(self, keys: np.ndarray, counts: np.ndarray) -> int:
         self._check_keys(keys)
@@ -85,37 +82,15 @@ class BigMapCoverage(CoverageMap):
             self.index[unique[fresh]] = new_slots
             self.used_key += n_fresh
             slots = self.index[unique]
-        apply_counts(self.cov, slots, summed, self.counter_mode)
-        # Scattered reads over the index span (same pattern as AFL's
-        # trace accesses) ...
-        self.log.scatter(Op.UPDATE, "index", int(unique.size),
-                         self.map_size * 8, element_size=8,
-                         write=bool(n_fresh))
-        # ... but the counter writes land in the dense prefix.
-        self.log.scatter(Op.UPDATE, "coverage", int(unique.size),
-                         max(self.used_key, 1), write=True)
+        apply_counts(self.cov, slots, summed)
         return int(unique.size)
 
     def classify(self) -> None:
         region = self.cov[:self.used_key]
         classify_counts(region, out=region)
-        self.log.sweep(Op.CLASSIFY, "coverage", self.used_key, write=True)
 
     def compare(self, virgin: VirginMap) -> CompareResult:
-        result = virgin.merge(self.cov, limit=self.used_key)
-        self.log.sweep(Op.COMPARE, "coverage", self.used_key)
-        self.log.sweep(Op.COMPARE, "virgin", self.used_key,
-                       write=result.interesting)
-        return result
-
-    def classify_and_compare(self, virgin: VirginMap) -> CompareResult:
-        region = self.cov[:self.used_key]
-        classify_counts(region, out=region)
-        result = virgin.merge(self.cov, limit=self.used_key)
-        self.log.sweep(Op.COMPARE, "coverage", self.used_key, write=True)
-        self.log.sweep(Op.COMPARE, "virgin", self.used_key,
-                       write=result.interesting)
-        return result
+        return virgin.merge(self.cov, limit=self.used_key)
 
     def _new_bits(self, keys: np.ndarray, classified: np.ndarray,
                   virgin: np.ndarray) -> np.ndarray:
@@ -128,9 +103,7 @@ class BigMapCoverage(CoverageMap):
                         != 0)
 
     def hash(self) -> int:
-        last = last_nonzero_index(self.cov, self.used_key)
-        self.log.sweep(Op.HASH, "coverage", last + 1)
-        return crc32_trimmed(self.cov, last_index=last)
+        return crc32_trimmed(self.cov, self.used_key)
 
     # -- introspection ---------------------------------------------------
 

@@ -16,19 +16,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .access import AccessLog, NullAccessLog
 from .classify import classify_counts
 from .compare import CompareResult, VirginMap
 from .errors import KeyRangeError, MapSizeError, TraceShapeError
-
-#: Counter overflow policies. AFL's 8-bit counters wrap silently; modern
-#: forks saturate. Both are provided; ``saturate`` is the default.
-COUNTER_SATURATE = "saturate"
-COUNTER_WRAP = "wrap"
 
 
 def _require_power_of_two(map_size: int) -> None:
@@ -139,21 +133,15 @@ def aggregate_keys_batch(keys: np.ndarray, counts: np.ndarray,
     return out_keys, summed, out_offsets
 
 
-def classified_counts(summed: np.ndarray, mode: str) -> np.ndarray:
+def classified_counts(summed: np.ndarray) -> np.ndarray:
     """Classified trace bytes a fresh map would hold after ``summed``.
 
     Every execution starts from a reset map, so the stored byte for a
     location is a pure function of that execution's summed hit count:
-    saturate/wrap to ``uint8``, then bucket. This is what lets batched
+    saturate to ``uint8``, then bucket. This is what lets batched
     compare work from aggregated counts without materializing any map.
     """
-    if mode == COUNTER_SATURATE:
-        stored = np.minimum(summed, 255).astype(np.uint8)
-    elif mode == COUNTER_WRAP:
-        stored = (summed & 0xFF).astype(np.uint8)
-    else:
-        raise ValueError(f"unknown counter mode {mode!r}")
-    return classify_counts(stored)
+    return classify_counts(np.minimum(summed, 255).astype(np.uint8))
 
 
 @dataclass
@@ -186,36 +174,25 @@ class BatchUpdate:
         return int(self.offsets.size - 1)
 
 
-def apply_counts(store: np.ndarray, slots: np.ndarray, summed: np.ndarray,
-                 mode: str) -> None:
+def apply_counts(store: np.ndarray, slots: np.ndarray,
+                 summed: np.ndarray) -> None:
     """Add ``summed`` hit counts into 8-bit ``store[slots]``.
 
-    ``slots`` must be unique. Saturation clamps at 255 (sticky, like a
-    per-increment saturating counter); wrap reduces mod 256 (like AFL's
-    raw ``u8`` increments).
+    ``slots`` must be unique. Counters saturate at 255 (sticky, like a
+    per-increment saturating counter; stock AFL's raw ``u8`` increments
+    wrap instead).
     """
     current = store[slots].astype(np.int64) + summed
-    if mode == COUNTER_SATURATE:
-        store[slots] = np.minimum(current, 255).astype(np.uint8)
-    elif mode == COUNTER_WRAP:
-        store[slots] = (current & 0xFF).astype(np.uint8)
-    else:
-        raise ValueError(f"unknown counter mode {mode!r}")
+    store[slots] = np.minimum(current, 255).astype(np.uint8)
 
 
 class CoverageMap(ABC):
     """Per-execution coverage store: the fuzzer's ``trace_bits``."""
 
     def __init__(self, map_size: int, *,
-                 counter_mode: str = COUNTER_SATURATE,
-                 log: Optional[AccessLog] = None,
                  validate_keys: bool = True) -> None:
         _require_power_of_two(map_size)
-        if counter_mode not in (COUNTER_SATURATE, COUNTER_WRAP):
-            raise ValueError(f"unknown counter mode {counter_mode!r}")
         self.map_size = map_size
-        self.counter_mode = counter_mode
-        self.log = log if log is not None else NullAccessLog()
         self._validate_keys = validate_keys
 
     # -- operations ------------------------------------------------------
@@ -248,10 +225,9 @@ class CoverageMap(ABC):
     def classify_and_compare(self, virgin: VirginMap) -> CompareResult:
         """Merged classify+compare sweep (paper §IV-E optimization).
 
-        Functionally identical to ``classify(); compare(virgin)`` but
-        performs (and accounts) a single pass over the active region,
-        halving the sweep cost. Subclasses override the accounting; the
-        default implementation simply chains the two steps.
+        On the host this simply chains ``classify(); compare(virgin)``;
+        what the merged pass saves is priced by the cost model
+        (``MapCostConfig.merged_classify_compare``), not here.
         """
         self.classify()
         return self.compare(virgin)
@@ -283,7 +259,7 @@ class CoverageMap(ABC):
         self._check_keys(keys)
         u_keys, summed, u_off, seg = aggregate_keys_batch(
             keys, counts, offsets, self.map_size, return_segments=True)
-        classified = classified_counts(summed, self.counter_mode)
+        classified = classified_counts(summed)
         update = BatchUpdate(keys=u_keys, summed=summed,
                              classified=classified, offsets=u_off,
                              n_unique=np.diff(u_off))
@@ -301,9 +277,9 @@ class CoverageMap(ABC):
         batch time. A map's key-to-slot state only grows and virgin
         bits only clear, so a False here is final — the batched engine
         uses this to dismiss flags that went stale after earlier traces
-        in the same window claimed the bits. Host-only: no access
-        accounting (the serial engine discovers the same verdict inside
-        its normally-priced pipeline).
+        in the same window claimed the bits. Host-only: the serial
+        engine discovers the same verdict inside its normally-priced
+        pipeline.
         """
         lo, hi = int(update.offsets[i]), int(update.offsets[i + 1])
         return bool(self._new_bits(update.keys[lo:hi],

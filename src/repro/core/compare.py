@@ -129,20 +129,3 @@ class VirginMap:
         clone = VirginMap(self.map_size)
         clone.virgin[:] = self.virgin
         return clone
-
-    def merge_from(self, other: "VirginMap") -> int:
-        """Absorb another instance's discoveries (parallel-fuzzing sync).
-
-        A location is discovered in the merged view if it is discovered in
-        either map, i.e. the merged virgin bytes are the bitwise AND.
-
-        Returns:
-            Number of locations newly discovered from ``other``.
-        """
-        if other.map_size != self.map_size:
-            raise MapSizeError(
-                f"cannot merge virgin maps of sizes {other.map_size} "
-                f"and {self.map_size}")
-        before = self.count_discovered()
-        np.bitwise_and(self.virgin, other.virgin, out=self.virgin)
-        return self.count_discovered() - before

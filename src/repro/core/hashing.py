@@ -34,8 +34,7 @@ def last_nonzero_index(bitmap: np.ndarray, search_limit: int = None) -> int:
     return int(nz[-1])
 
 
-def crc32_trimmed(bitmap: np.ndarray, search_limit: int = None, *,
-                  last_index: int = None) -> int:
+def crc32_trimmed(bitmap: np.ndarray, search_limit: int = None) -> int:
     """BigMap's hash: CRC32 up to (and including) the last non-zero byte.
 
     Two executions that populate the same prefix of the condensed map hash
@@ -46,11 +45,6 @@ def crc32_trimmed(bitmap: np.ndarray, search_limit: int = None, *,
         bitmap: the condensed coverage bytes.
         search_limit: restrict the last-non-zero scan to
             ``bitmap[:search_limit]``.
-        last_index: a precomputed :func:`last_nonzero_index` result.
-            Callers that already swept the condensed region (e.g. for
-            access accounting) pass it here so the region is scanned
-            exactly once; ``search_limit`` is then ignored.
     """
-    last = last_nonzero_index(bitmap, search_limit) \
-        if last_index is None else last_index
+    last = last_nonzero_index(bitmap, search_limit)
     return zlib.crc32(memoryview(np.ascontiguousarray(bitmap[:last + 1])))

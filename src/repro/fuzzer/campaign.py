@@ -16,8 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core import (AflCoverage, BigMapCoverage, COUNTER_SATURATE,
-                    CoverageMap, VirginMap)
+from ..core import AflCoverage, BigMapCoverage, CoverageMap, VirginMap
 from ..core.bitmap_base import BatchUpdate
 from ..core.errors import CampaignConfigError
 from ..instrumentation import apply_lafintel, build_instrumentation
@@ -62,10 +61,11 @@ class CampaignConfig:
             EXPERIMENTS.md).
         max_real_execs: hard cap on actual executions, as a guard.
         rng_seed: randomness for scheduling/mutation (campaign replica).
-        counter_mode: 8-bit counter overflow policy.
         non_temporal_reset: §IV-E option; ``None`` resolves to the
             paper's setup (auto: enabled for AFL once the map is
-            DRAM-bound, pointless for BigMap).
+            DRAM-bound, pointless for BigMap). Only the cost model reads
+            it (:func:`repro.memsim.calibration.model_for_benchmark`
+            resolves the auto rule).
         merged_classify_compare: §IV-E option: price classification
             and the virgin compare as one merged pass over the map
             (the paper's setup) instead of two sweeps. Only the cost
@@ -116,7 +116,6 @@ class CampaignConfig:
     virtual_seconds: float = 600.0
     max_real_execs: int = 200_000
     rng_seed: int = 0
-    counter_mode: str = COUNTER_SATURATE
     non_temporal_reset: Optional[bool] = None
     merged_classify_compare: bool = True
     trim_seeds: bool = False
@@ -273,20 +272,8 @@ class Campaign:
     # ------------------------------------------------------------------
 
     def _make_coverage_map(self) -> CoverageMap:
-        cfg = self.config
-        if cfg.fuzzer == AFL:
-            # The functional flag only annotates access records; the
-            # cost model resolves None (auto) itself. Mirror the auto
-            # rule so accounting and pricing agree: NT once the flat
-            # map's working set is DRAM-bound.
-            nt = cfg.non_temporal_reset
-            if nt is None:
-                nt = 2 * cfg.map_size > cfg.machine.llc.size_bytes
-            return AflCoverage(cfg.map_size, non_temporal_reset=nt,
-                               counter_mode=cfg.counter_mode,
-                               validate_keys=False)
-        return BigMapCoverage(cfg.map_size, counter_mode=cfg.counter_mode,
-                              validate_keys=False)
+        cls = AflCoverage if self.config.fuzzer == AFL else BigMapCoverage
+        return cls(self.config.map_size, validate_keys=False)
 
     def _pipeline(self, data: bytes, want_snapshot: bool = False,
                   precomputed: Optional[ExecResult] = None):

@@ -26,13 +26,10 @@ hashing is modeled with a configurable fraction, as in
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..target.cfg import Program
-from ..target.executor import BatchExecResult, ExecResult
-from .edge_ids import Instrumentation
+from .edge_ids import EdgeTableInstrumentation
 
 
 def required_map_size(program: Program) -> int:
@@ -48,7 +45,7 @@ def required_map_size(program: Program) -> int:
     return size
 
 
-class CollAflInstrumentation(Instrumentation):
+class CollAflInstrumentation(EdgeTableInstrumentation):
     """Static, collision-free edge IDs with hashed indirect fallback.
 
     Args:
@@ -89,17 +86,6 @@ class CollAflInstrumentation(Instrumentation):
                                           dtype=np.int64)
         self.edge_keys = keys
         self.indirect_mask = indirect
-
-    def keys_for(self, result: ExecResult,
-                 input_bytes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self.edge_keys[result.edges], result.counts
-
-    def keys_for_batch(self, result: BatchExecResult, input_rows) \
-            -> Tuple[np.ndarray, np.ndarray]:
-        return self.edge_keys[result.edges], result.counts
-
-    def distinct_keys_possible(self) -> int:
-        return int(np.unique(self.edge_keys).size)
 
     def direct_collision_count(self) -> int:
         """Colliding *direct* edges — zero when ``fully_static``."""

@@ -97,7 +97,30 @@ def afl_edge_keys(program: Program, map_size: int,
         block_ids[program.dst_block]
 
 
-class AflEdgeInstrumentation(Instrumentation):
+class EdgeTableInstrumentation(Instrumentation):
+    """A metric whose key depends on the edge alone.
+
+    Subclasses fill ``edge_keys`` (one map key per program edge) at
+    construction; a trace's keys are then one gather, for one execution
+    or a whole batch alike, and the input bytes are never read.
+    """
+
+    edge_keys: np.ndarray
+
+    def keys_for(self, result: ExecResult,
+                 input_bytes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return self.edge_keys[result.edges], result.counts
+
+    def keys_for_batch(self, result: BatchExecResult,
+                       input_rows: Sequence[np.ndarray]) \
+            -> Tuple[np.ndarray, np.ndarray]:
+        return self.edge_keys[result.edges], result.counts
+
+    def distinct_keys_possible(self) -> int:
+        return int(np.unique(self.edge_keys).size)
+
+
+class AflEdgeInstrumentation(EdgeTableInstrumentation):
     """Classic AFL edge-hash instrumentation (Listing 1).
 
     Args:
@@ -113,20 +136,8 @@ class AflEdgeInstrumentation(Instrumentation):
         super().__init__(program, map_size)
         self.edge_keys = afl_edge_keys(program, map_size, seed)
 
-    def keys_for(self, result: ExecResult,
-                 input_bytes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self.edge_keys[result.edges], result.counts
 
-    def keys_for_batch(self, result: BatchExecResult,
-                       input_rows: Sequence[np.ndarray]) \
-            -> Tuple[np.ndarray, np.ndarray]:
-        return self.edge_keys[result.edges], result.counts
-
-    def distinct_keys_possible(self) -> int:
-        return int(np.unique(self.edge_keys).size)
-
-
-class TracePCGuardInstrumentation(Instrumentation):
+class TracePCGuardInstrumentation(EdgeTableInstrumentation):
     """Sequential static-edge IDs à la Clang's trace-pc-guard.
 
     Direct edges get consecutive IDs (collision-free until the map is
@@ -153,15 +164,3 @@ class TracePCGuardInstrumentation(Instrumentation):
                                           dtype=np.int64)
         self.edge_keys = keys
         self.indirect_mask = indirect
-
-    def keys_for(self, result: ExecResult,
-                 input_bytes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self.edge_keys[result.edges], result.counts
-
-    def keys_for_batch(self, result: BatchExecResult,
-                       input_rows: Sequence[np.ndarray]) \
-            -> Tuple[np.ndarray, np.ndarray]:
-        return self.edge_keys[result.edges], result.counts
-
-    def distinct_keys_possible(self) -> int:
-        return int(np.unique(self.edge_keys).size)

@@ -84,7 +84,11 @@ class ExecShape:
         unique_locations: distinct map locations touched.
         used_bytes: BigMap's ``used_key`` at this point (ignored for AFL).
         interesting: whether the test case triggers the hash operation.
-        hash_bytes: bytes the hash covers (BigMap: up to last non-zero).
+        hash_bytes: bytes the hash sweep is charged for (BigMap only;
+            0 means ``used_bytes``, AFL always pays the full map). The
+            campaign passes ``used_key``, not the §IV-D last-non-zero
+            prefix the host hash covers (a known deviation, see
+            EXPERIMENTS.md).
     """
 
     traversals: int

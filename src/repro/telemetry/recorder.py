@@ -40,10 +40,10 @@ class TelemetryRecorder:
         self.instance = instance
         self.registry = MetricsRegistry()
         self.tracer = SpanTracer()
-        self.log = JsonlEventLog()
+        self.event_log = JsonlEventLog()
         self.afl = AflStatsSink()
         self.ring = RingBufferSink(ring_size)
-        self._sinks = (self.log, self.afl, self.ring)
+        self._sinks = (self.event_log, self.afl, self.ring)
 
     # -- producing -----------------------------------------------------
 
@@ -64,13 +64,13 @@ class TelemetryRecorder:
 
     @property
     def events(self) -> List[dict]:
-        return self.log.events
+        return self.event_log.events
 
     # -- checkpoint support -------------------------------------------
 
     def snapshot_state(self) -> Dict[str, object]:
         return {
-            "log": self.log.dump_state(),
+            "log": self.event_log.dump_state(),
             "afl": self.afl.dump_state(),
             "ring": self.ring.dump_state(),
             "registry": self.registry.dump_state(),
@@ -78,7 +78,7 @@ class TelemetryRecorder:
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        self.log.load_state(state["log"])
+        self.event_log.load_state(state["log"])
         self.afl.load_state(state["afl"])
         self.ring.load_state(state["ring"])
         self.registry.load_state(state["registry"])

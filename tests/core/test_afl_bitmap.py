@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AflCoverage, COUNTER_WRAP, VirginMap
+from repro.core import AflCoverage, VirginMap
 from repro.core.errors import KeyRangeError
 
 MAP = 1 << 12
@@ -56,11 +56,6 @@ class TestBasicSemantics:
         cov.reset()
         cov.update(arr([5]), arr([1]))
         assert cov.classify_and_compare(virgin).level == 0
-
-    def test_wrap_mode(self):
-        cov = AflCoverage(MAP, counter_mode=COUNTER_WRAP)
-        cov.update(arr([5]), arr([257]))
-        assert cov.count_for_key(5) == 1
 
     def test_key_range_checked(self):
         with pytest.raises(KeyRangeError):

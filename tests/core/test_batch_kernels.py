@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (AflCoverage, BigMapCoverage, COUNTER_SATURATE,
-                        COUNTER_WRAP, VirginMap, aggregate_keys,
-                        aggregate_keys_batch, classified_counts)
+from repro.core import (AflCoverage, BigMapCoverage, VirginMap,
+                        aggregate_keys, aggregate_keys_batch,
+                        classified_counts)
 
 MAP = 1 << 10
 
@@ -67,11 +67,10 @@ class TestAggregateKeysBatch:
 
 
 class TestClassifiedCounts:
-    @pytest.mark.parametrize("mode", [COUNTER_SATURATE, COUNTER_WRAP])
     @pytest.mark.parametrize("cls", [AflCoverage, BigMapCoverage])
-    def test_matches_map_classify(self, mode, cls):
+    def test_matches_map_classify(self, cls):
         rng = np.random.default_rng(1)
-        cov = cls(MAP, counter_mode=mode)
+        cov = cls(MAP)
         for trial in range(20):
             keys = rng.integers(0, MAP, size=25).astype(np.int64)
             counts = rng.integers(1, 600, size=25).astype(np.int64)
@@ -82,8 +81,8 @@ class TestClassifiedCounts:
             stored = np.array([cov.count_for_key(int(k))
                                for k in unique])
             assert np.array_equal(
-                classified_counts(summed, mode), stored), \
-                f"{cls.__name__} {mode} trial {trial}"
+                classified_counts(summed), stored), \
+                f"{cls.__name__} trial {trial}"
 
 
 @pytest.mark.parametrize("cls", [AflCoverage, BigMapCoverage])
@@ -225,9 +224,8 @@ class TestSegmentInterestingProperty:
                     f"trace {i}: stale False"
 
 
-@pytest.mark.parametrize("mode", [COUNTER_SATURATE, COUNTER_WRAP])
 @pytest.mark.parametrize("cls", [AflCoverage, BigMapCoverage])
-def test_hot_path_dtypes(cls, mode):
+def test_hot_path_dtypes(cls):
     """The dtypes the hot path promises: int64 keys, counts and offsets,
     uint8 map and virgin bytes, bool flags. A float64 or platform-word
     intermediate leaking out of a kernel fails here."""
@@ -241,9 +239,9 @@ def test_hot_path_dtypes(cls, mode):
     assert [a.dtype for a in empty] == [np.int64, np.int64]
     batch = aggregate_keys_batch(fk, fc, off, MAP, return_segments=True)
     assert [a.dtype for a in batch] == [np.int64] * 4
-    assert classified_counts(summed, mode).dtype == np.uint8
+    assert classified_counts(summed).dtype == np.uint8
 
-    cov = cls(MAP, counter_mode=mode)
+    cov = cls(MAP)
     cov.reset()
     cov.update(fk, fc)
     cov.classify()
@@ -255,7 +253,7 @@ def test_hot_path_dtypes(cls, mode):
     virgin = VirginMap(MAP)
     virgin.merge(store)
     assert virgin.virgin.dtype == np.uint8
-    virgin.merge_sparse(unique, classified_counts(summed, mode))
+    virgin.merge_sparse(unique, classified_counts(summed))
     assert virgin.virgin.dtype == np.uint8
 
     update, flags = cov.update_compare_batch(fk, fc, off, virgin)

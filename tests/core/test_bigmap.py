@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (BigMapCoverage, COUNTER_WRAP, MapFullError,
-                        VirginMap)
+from repro.core import BigMapCoverage, VirginMap
 from repro.core.errors import KeyRangeError, MapSizeError
 
 MAP = 1 << 12
@@ -108,11 +107,6 @@ class TestOperations:
         cov.update(arr([5]), arr([300]))
         assert cov.count_for_key(5) == 255
 
-    def test_counts_wrap_in_wrap_mode(self):
-        cov = BigMapCoverage(MAP, counter_mode=COUNTER_WRAP)
-        cov.update(arr([5]), arr([256]))
-        assert cov.count_for_key(5) == 0
-
     def test_key_validation(self):
         cov = BigMapCoverage(MAP)
         with pytest.raises(KeyRangeError):
@@ -189,9 +183,8 @@ def test_invariants_hold_under_arbitrary_traces(traces):
 
 class TestHashSingleScan:
     def test_hash_scans_the_condensed_region_once(self, monkeypatch):
-        """The last-nonzero scan feeds both the access log and the CRC
-        trim; it must run exactly once per hash() call."""
-        import repro.core.bigmap as bigmap_mod
+        """The CRC trim scans the condensed region for its last
+        non-zero byte exactly once per hash() call."""
         import repro.core.hashing as hashing_mod
         from repro.core.hashing import last_nonzero_index
 
@@ -201,7 +194,6 @@ class TestHashSingleScan:
             calls.append(1)
             return last_nonzero_index(bitmap, search_limit)
 
-        monkeypatch.setattr(bigmap_mod, "last_nonzero_index", counting)
         monkeypatch.setattr(hashing_mod, "last_nonzero_index", counting)
 
         cov = BigMapCoverage(MAP)
@@ -214,7 +206,6 @@ class TestHashSingleScan:
         assert digest == crc32_trimmed(cov.cov, cov.used_key)
 
     def test_hash_of_empty_map_single_scan(self, monkeypatch):
-        import repro.core.bigmap as bigmap_mod
         import repro.core.hashing as hashing_mod
         from repro.core.hashing import last_nonzero_index
 
@@ -224,7 +215,6 @@ class TestHashSingleScan:
             calls.append(1)
             return last_nonzero_index(bitmap, search_limit)
 
-        monkeypatch.setattr(bigmap_mod, "last_nonzero_index", counting)
         monkeypatch.setattr(hashing_mod, "last_nonzero_index", counting)
 
         cov = BigMapCoverage(MAP)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (COUNTER_SATURATE, COUNTER_WRAP, aggregate_keys,
-                        apply_counts)
+from repro.core import aggregate_keys, apply_counts
 from repro.core.errors import TraceShapeError
 
 
@@ -49,38 +48,16 @@ class TestAggregateKeys:
 class TestApplyCounts:
     def test_saturate_is_sticky(self):
         store = np.array([250], dtype=np.uint8)
-        apply_counts(store, np.array([0]), np.array([10]),
-                     COUNTER_SATURATE)
+        apply_counts(store, np.array([0]), np.array([10]))
         assert store[0] == 255
-        apply_counts(store, np.array([0]), np.array([10]),
-                     COUNTER_SATURATE)
+        apply_counts(store, np.array([0]), np.array([10]))
         assert store[0] == 255
-
-    def test_wrap_matches_modular_arithmetic(self):
-        store = np.array([250], dtype=np.uint8)
-        apply_counts(store, np.array([0]), np.array([10]), COUNTER_WRAP)
-        assert store[0] == (250 + 10) % 256
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            apply_counts(np.zeros(1, dtype=np.uint8), np.array([0]),
-                         np.array([1]), "overflow")
-
-    @given(st.integers(0, 255), st.integers(0, 1000))
-    def test_wrap_equals_per_increment_wrap(self, start, add):
-        """Summed-then-wrapped equals incrementing one at a time."""
-        store = np.array([start], dtype=np.uint8)
-        apply_counts(store, np.array([0]), np.array([add]), COUNTER_WRAP)
-        expected = start
-        for _ in range(add):
-            expected = (expected + 1) & 0xFF
-        assert store[0] == expected
 
     @given(st.integers(0, 255), st.integers(0, 1000))
     def test_saturate_equals_per_increment_saturate(self, start, add):
+        """Summed-then-saturated equals incrementing one at a time."""
         store = np.array([start], dtype=np.uint8)
-        apply_counts(store, np.array([0]), np.array([add]),
-                     COUNTER_SATURATE)
+        apply_counts(store, np.array([0]), np.array([add]))
         expected = start
         for _ in range(add):
             expected = min(expected + 1, 255)

@@ -107,18 +107,6 @@ class TestDiscoveredAndMergeFrom:
         virgin.reset()
         assert virgin.count_discovered() == 0
 
-    def test_merge_from_unions_discoveries(self):
-        a, b = VirginMap(MAP), VirginMap(MAP)
-        a.merge(classified([(1, 1)]))
-        b.merge(classified([(2, 1), (3, 1)]))
-        newly = a.merge_from(b)
-        assert newly == 2
-        assert a.count_discovered() == 3
-
-    def test_merge_from_size_mismatch(self):
-        with pytest.raises(MapSizeError):
-            VirginMap(MAP).merge_from(VirginMap(MAP * 2))
-
     def test_copy_is_independent(self):
         a = VirginMap(MAP)
         a.merge(classified([(1, 1)]))

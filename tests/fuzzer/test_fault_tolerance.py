@@ -38,6 +38,12 @@ def session(built, k=4, **kwargs):
     return ParallelSession(config(), k, built=built, **kwargs)
 
 
+@pytest.fixture(scope="module")
+def plain_pair(built):
+    """The no-plan 2-instance session, run once for the module."""
+    return session(built, 2).run()
+
+
 def summary_key(summary):
     return (summary.total_execs, summary.discovered_locations,
             summary.unique_crashes,
@@ -47,8 +53,8 @@ def summary_key(summary):
 
 
 class TestEmptyPlanIsIdentity:
-    def test_no_plan_empty_plan_equivalent(self, built):
-        plain = session(built, 2).run()
+    def test_no_plan_empty_plan_equivalent(self, built, plain_pair):
+        plain = plain_pair
         empty = session(built, 2, fault_plan=FaultPlan()).run()
         assert summary_key(plain) == summary_key(empty)
         assert empty.total_faults == 0
@@ -140,11 +146,11 @@ class TestStallRecovery:
 
 
 class TestSlowFault:
-    def test_slow_window_reduces_instance_execs(self, built):
+    def test_slow_window_reduces_instance_execs(self, built, plain_pair):
         plan = FaultPlan([FaultEvent(time=0.0, instance=0, kind=SLOW,
                                      duration=BUDGET, magnitude=8.0)])
         slowed = session(built, 2, fault_plan=plan).run()
-        normal = session(built, 2).run()
+        normal = plain_pair
         # Instance 0 paid 8x cycles per exec for the whole budget.
         assert slowed.per_instance[0].execs < \
             0.5 * normal.per_instance[0].execs

@@ -69,6 +69,22 @@ class TestThroughputShape:
                  for size in (1 << 16, 1 << 18, 1 << 21, 1 << 23)]
         assert max(costs) / min(costs) < 1.05
 
+    def test_afl_sweeps_full_map_regardless_of_usage(self):
+        """Table I-a: AFL's reset, classify, compare and hash sweep the
+        whole map, however little of it the campaign has used."""
+        m = model(AFL, 1 << 21, merged_classify_compare=False)
+
+        def ops(used_bytes):
+            return m.exec_cycles(ExecShape(
+                traversals=SHAPE.traversals,
+                unique_locations=SHAPE.unique_locations,
+                used_bytes=used_bytes, interesting=True,
+                hash_bytes=used_bytes))
+
+        light, heavy = ops(1), ops(1 << 20)
+        for name in ("reset", "classify", "compare", "hash"):
+            assert getattr(light, name) == getattr(heavy, name) > 0.0
+
     def test_bigmap_cost_tracks_used_not_map(self):
         m = model(BIGMAP, 1 << 23)
         light = m.exec_cycles(SMALL_SHAPE).total
