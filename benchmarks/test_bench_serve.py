@@ -1,6 +1,6 @@
 """Live-server overhead bench: tailing must not tax the workload.
 
-The dashboard contract (DESIGN.md §12) is that the server is a pure
+The dashboard contract (DESIGN.md §10) is that the server is a pure
 reader — the campaign thread writes the same JSONL artifacts with or
 without a server attached, and the server's poll task reads them from
 its own thread. This bench runs the identical flush-as-you-go workload

@@ -1,7 +1,7 @@
-"""Multi-trial comparison statistics for fleet experiments.
+"""Multi-trial comparison statistics for fuzzer experiments.
 
 Klees et al. (*Evaluating Fuzz Testing*, CCS'18) is the contract here:
-single fuzzing runs are noise, so fleet reports must carry
+single fuzzing runs are noise, so multi-trial comparisons must carry
 
 * **Mann–Whitney U** — a rank test for "does fuzzer A stochastically
   dominate fuzzer B?", robust to the heavy-tailed, non-normal outcome
@@ -129,7 +129,7 @@ def vargha_delaney_a12(x: Sequence[float],
     """Vargha–Delaney Â₁₂ effect size: P(X > Y) + 0.5·P(X = Y).
 
     0.5 means no effect; >0.71 is conventionally a large effect.
-    Computed from the exact pairwise definition (fleet sample sizes
+    Computed from the exact pairwise definition (trial sample sizes
     make the O(m·n) cost irrelevant).
     """
     xa = np.asarray(x, dtype=np.float64)

@@ -17,20 +17,12 @@ flushed directory::
     repro-fuzz zlib --telemetry-dir /tmp/t
     repro-fuzz telemetry --telemetry-dir /tmp/t
 
-The ``fleet`` subcommand dispatches multi-trial comparison experiments
-to worker processes and reports Mann-Whitney/bootstrap statistics over
-the trials (see :mod:`repro.fleet.cli`)::
-
-    repro-fuzz fleet --fuzzers afl,bigmap --benchmarks zlib,libpng \\
-        --trials 5 --workers 4
-
 The ``serve`` subcommand runs the live telemetry dashboard (HTTP API +
-websocket) over a telemetry directory, and ``report`` renders a static
-HTML comparison report from fleet results stores (see
+websocket) over a telemetry directory (see
 :mod:`repro.telemetry.serve.cli`)::
 
-    repro-fuzz serve /tmp/t --store fleet=results.sqlite
-    repro-fuzz report --store run=results.sqlite --out compare.html
+    repro-fuzz zlib --instances 3 --telemetry-dir /tmp/t
+    repro-fuzz serve /tmp/t
 """
 
 from __future__ import annotations
@@ -150,21 +142,18 @@ def _print_summary(title: str, rows) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     raw = sys.argv[1:] if argv is None else list(argv)
-    if raw and raw[0] == "fleet":
-        from .fleet.cli import main as fleet_main
-        return fleet_main(raw[1:])
     if raw and raw[0] == "serve":
         from .telemetry.serve.cli import main as serve_main
         return serve_main(raw[1:])
-    if raw and raw[0] == "report":
-        from .telemetry.serve.cli import report_main
-        return report_main(raw[1:])
     if argv and "--list-benchmarks" in argv or \
             (argv is None and "--list-benchmarks" in sys.argv):
         for name in benchmark_names("all"):
             print(name)
         return 0
     args = parser.parse_args(argv)
+    if args.instances < 1:
+        parser.error(f"--instances must be at least 1, got "
+                     f"{args.instances}")
 
     if args.benchmark == "telemetry":
         if args.telemetry_dir is None:

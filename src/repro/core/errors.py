@@ -118,54 +118,10 @@ class ExperimentError(ReproError, RuntimeError):
     """
 
 
-class FleetSpecError(ReproError, ValueError):
-    """A fleet experiment spec (:mod:`repro.fleet`) was malformed.
-
-    Raised for empty fuzzer/benchmark/map-size axes, non-positive trial
-    counts, or injected faults addressed to trials the spec does not
-    expand to.
-    """
-
-
-class FleetDispatchError(ReproError, RuntimeError):
-    """The fleet dispatcher could not complete an experiment.
-
-    Raised when a worker backend fails structurally (a worker process
-    that can neither produce a result nor be retried within the retry
-    budget is *not* this — such trials are recorded as lost) — e.g. a
-    result artifact that exists but cannot be loaded, or a backend
-    driven after shutdown. The underlying exception, when any, is
-    chained as ``__cause__``.
-    """
-
-
 class ArtifactIntegrityError(ReproError, RuntimeError):
-    """A fleet artifact failed its integrity check.
+    """A sealed artifact failed its integrity check.
 
     Raised by :mod:`repro.fleet.artifacts` when a sealed artifact is
-    truncated, bit-corrupt, or missing its trailer. Fleet readers do
-    not propagate this: the measurer and the worker checkpoint loader
-    quarantine the bad file and fall back to their last good state,
-    recording the incident as an ``integrity``/``artifact_quarantine``
-    telemetry event.
-    """
-
-
-class FleetStateError(ReproError, RuntimeError):
-    """An illegal trial state-machine transition was requested.
-
-    The :class:`repro.fleet.ResultsStore` owns the durable trial state
-    machine (``pending → dispatched → running → measuring →
-    done/lost/quarantined``); any transition outside that graph
-    indicates a dispatcher bug or a store shared between two live
-    dispatchers, and must fail loudly rather than corrupt bookkeeping.
-    """
-
-
-class FleetResumeError(ReproError, RuntimeError):
-    """A fleet resume could not reconcile the store with reality.
-
-    Raised when ``fleet --resume`` is pointed at a store with no
-    persisted spec, a spec that does not match the requested one, or a
-    work directory that no longer exists.
+    truncated, bit-corrupt, or missing its trailer, so the caller can
+    quarantine the file and fall back to its last good state.
     """

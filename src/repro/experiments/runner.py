@@ -23,7 +23,12 @@ Output is funnelled through :class:`~repro.experiments.reporter.Reporter`:
 machine-readable record stream. ``--telemetry-dir DIR`` flushes
 per-campaign telemetry artifacts (events.jsonl, fuzzer_stats,
 plot_data, metrics.json) under DIR for every campaign the selected
-experiments run.
+experiments run; ``--serve`` adds the live dashboard over DIR (the
+same service as ``repro-fuzz serve DIR``) for the length of the run.
+
+Multi-trial results come from each harness's replica loop
+(``Profile.replicas``); :mod:`repro.analysis.stats` holds the rank
+statistics for comparing them.
 """
 
 from __future__ import annotations
@@ -36,11 +41,10 @@ from typing import Callable, Dict, List
 from ..core.errors import ExperimentError
 from ..core.walltime import Stopwatch
 from . import (extra_collafl, extra_dedup_bias, extra_ensemble,
-               extra_fault_tolerance, extra_fleet, extra_fleet_chaos,
-               fig2_collision, fig3_runtime, fig6_throughput,
-               fig7_edge_coverage, fig8_crashes, fig9_scalability,
-               fig10_parallel_crashes, table2_benchmarks,
-               table3_composition)
+               extra_fault_tolerance, fig2_collision, fig3_runtime,
+               fig6_throughput, fig7_edge_coverage, fig8_crashes,
+               fig9_scalability, fig10_parallel_crashes,
+               table2_benchmarks, table3_composition)
 from .common import TELEMETRY, BenchmarkCache, Profile, get_profile
 from .reporter import JSON, QUIET, TEXT, Reporter
 
@@ -59,14 +63,12 @@ EXPERIMENTS: Dict[str, Callable] = {
     "dedup-bias": extra_dedup_bias.run,
     "ensemble": extra_ensemble.run,
     "fault-tolerance": extra_fault_tolerance.run,
-    "fleet": extra_fleet.run,
-    "fleet-chaos": extra_fleet_chaos.run,
 }
 
 #: Paper order for ``all``.
 ORDER = ("fig2", "fig3", "table2", "fig6", "fig7", "fig8", "table3",
          "fig9", "fig10", "collafl", "dedup-bias", "ensemble",
-         "fault-tolerance", "fleet", "fleet-chaos")
+         "fault-tolerance")
 
 
 def run_experiment(name: str, profile: Profile,

@@ -11,10 +11,10 @@ Public surface:
   backoff, retry caps and per-instance health tracking used by
   :class:`repro.fuzzer.ParallelSession` to restart failed instances
   from their checkpoints.
-* :class:`FleetFaultEvent` / :class:`FleetFaultPlan` — the fleet-level
-  analogue: seeded dispatch-tick schedules of dispatcher kills, worker
-  faults, artifact corruption and transient store IO errors, executed
-  by :mod:`repro.fleet.chaos`.
+* :class:`FleetFaultEvent` / :class:`FleetFaultPlan` — seeded
+  dispatch-tick fault schedules for a multi-trial runner. Their
+  executor was removed; the schema stays, with its tests, pending its
+  own deletion (ROADMAP).
 """
 
 from .fleetplan import (ARTIFACT_CORRUPT, ARTIFACT_TRUNCATE,

@@ -1,35 +1,24 @@
-"""Deterministic fleet-level fault plans: chaos for the dispatcher.
+"""Deterministic fleet-level fault plans over a dispatch-tick timeline.
 
 :class:`FaultPlan` (:mod:`repro.faults.plan`) schedules faults over the
 *virtual* timeline of one parallel session. A :class:`FleetFaultPlan`
-does the same one layer up, over the **dispatch-loop tick timeline** of
-a whole fleet: each iteration of
-:class:`repro.fleet.FleetDispatcher`'s run loop is one tick, and events
-fire when the fleet's cumulative tick counter (which keeps counting
-across dispatcher kills and resumes) reaches their ``at_tick``.
+schedules them one layer up, over the tick timeline of a multi-trial
+dispatch loop: events fire when the loop's cumulative tick counter
+reaches their ``at_tick``.
 
-Six kinds cover the failure modes the crash-safety contract
-(DESIGN.md §10) promises to survive:
+Six kinds name the failure modes of a multi-trial runner:
 
-* ``dispatcher-kill`` — the dispatcher itself dies mid-fleet; recovery
-  is ``fleet --resume`` reconciling the results store against on-disk
-  worker artifacts.
+* ``dispatcher-kill`` — the dispatch loop itself dies mid-run.
 * ``worker-kill`` / ``worker-stall`` — one trial's worker dies or
-  wedges (lowered onto the existing per-trial
-  :class:`repro.fleet.TrialFault` machinery); recovery is the
-  supervisor's checkpoint retry.
+  wedges after checkpoint segment ``at_segment``.
 * ``artifact-corrupt`` / ``artifact-truncate`` — a trial's checkpoint
-  is damaged on disk (flipped bytes / torn tail); recovery is the
-  integrity seal detecting it, quarantining the file, and rerunning
-  deterministically from scratch.
-* ``store-lock`` — the results store's next writes fail with transient
-  ``database is locked`` errors; recovery is the store's bounded
-  seeded-jitter retry.
+  is damaged on disk (flipped bytes / torn tail).
+* ``store-lock`` — the results store's next ``lock_count`` writes fail
+  with transient ``database is locked`` errors.
 
-Ticks, like virtual seconds, are pure data: a fleet on the in-process
-backend driven twice with the same spec and plan recovers through the
-same sequence of faults and produces bit-identical trial rows — the
-property the ``fleet-chaos`` experiment asserts.
+The multi-trial orchestrator that executed these plans was removed;
+this module is kept, with its tests, as a standalone schema until its
+own deletion (ROADMAP). Nothing outside its tests imports it.
 """
 
 from __future__ import annotations
@@ -67,8 +56,7 @@ class FleetFaultEvent:
         kind: one of :data:`FLEET_FAULT_KINDS`.
         trial: targeted trial id (trial-scoped kinds; -1 otherwise).
         at_segment: for worker faults, the checkpoint segment after
-            which the worker dies/stalls (forwarded into
-            :class:`repro.fleet.TrialFault`).
+            which the worker dies/stalls.
         lock_count: for ``store-lock``, how many consecutive store
             operations fail before succeeding (must stay below the
             store's retry budget for the fleet to survive — that *is*

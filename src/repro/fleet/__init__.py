@@ -1,64 +1,7 @@
-"""Campaign-fleet orchestration: multi-trial experiments on real
-worker processes, with statistics worth believing.
+"""Leftovers of the removed multi-trial orchestrator.
 
-The paper's headline claims rest on *comparisons* — bigmap vs afl,
-across benchmarks and map sizes — and Klees et al. (*Evaluating Fuzz
-Testing*) showed such comparisons are noise without many trials and
-rank statistics over them. This package is the layer that produces
-those trials and those statistics:
-
-* :class:`FleetSpec` expands a (fuzzer × benchmark × map-size × trial)
-  grid into a deterministic queue of :class:`TrialSpec` rows;
-* :class:`FleetDispatcher` drives the queue through a worker backend —
-  :class:`ProcessBackend` (real OS processes, heartbeat stall
-  watchdog) or :class:`InlineBackend` (deterministic, in-process) —
-  retrying failed or stalled workers from persisted campaign
-  checkpoints via the :class:`repro.faults.SessionSupervisor`;
-* :class:`SnapshotMeasurer` measures corpus snapshots out-of-band with
-  the collision-free coverage evaluator (fuzzbench's runner/measurer
-  split);
-* :class:`ResultsStore` lands per-trial rows in SQLite — and, since
-  the crash-safety work, owns the durable per-trial state machine that
-  makes a fleet resumable after a dispatcher death
-  (``repro-fuzz fleet --resume``); artifacts carry integrity seals
-  (:mod:`repro.fleet.artifacts`) and the chaos harness
-  (:mod:`repro.fleet.chaos`) injects dispatcher/worker/artifact/store
-  faults and asserts bit-identical recovery;
-* :mod:`repro.fleet.stats` supplies Mann–Whitney U, Vargha–Delaney
-  Â₁₂ and seeded bootstrap CIs, and :func:`render_report` refuses to
-  print a comparison without them.
-
-Entry point: ``repro-fuzz fleet`` (see :mod:`repro.fleet.cli`).
+Only :mod:`repro.fleet.artifacts` (atomic, checksum-sealed artifact
+I/O) remains, with its tests, pending its own deletion (ROADMAP). Many
+trials run through the experiment harnesses' replica loop; their rank
+statistics live in :mod:`repro.analysis.stats`.
 """
-
-from .artifacts import (ArtifactIntegrityError, quarantine,
-                        read_artifact, write_artifact)
-from .chaos import (ChaosController, ChaosOutcome, DispatcherKilled,
-                    run_fleet_with_chaos)
-from .dispatcher import FleetDispatcher, FleetSummary, run_fleet
-from .measurer import MeasureOutcome, SnapshotMeasurer
-from .report import render_report
-from .spec import (KILL, STALL, FleetSpec, TrialFault, TrialSpec)
-from .stats import (MannWhitneyResult, bootstrap_ci, bootstrap_diff_ci,
-                    mann_whitney_u, vargha_delaney_a12)
-from .store import (DONE, LOST, MEASURING, PENDING, QUARANTINED,
-                    TERMINAL_STATES, TRIAL_STATES, ResultsStore)
-from .workers import (InlineBackend, ProcessBackend, TrialCompletion,
-                      TrialRequest, execute_trial)
-
-__all__ = [
-    "FleetSpec", "TrialSpec", "TrialFault", "KILL", "STALL",
-    "FleetDispatcher", "FleetSummary", "run_fleet",
-    "InlineBackend", "ProcessBackend", "TrialRequest",
-    "TrialCompletion", "execute_trial",
-    "SnapshotMeasurer", "MeasureOutcome", "ResultsStore",
-    "PENDING", "MEASURING", "DONE", "LOST", "QUARANTINED",
-    "TRIAL_STATES", "TERMINAL_STATES",
-    "ArtifactIntegrityError", "write_artifact", "read_artifact",
-    "quarantine",
-    "ChaosController", "ChaosOutcome", "DispatcherKilled",
-    "run_fleet_with_chaos",
-    "mann_whitney_u", "MannWhitneyResult", "vargha_delaney_a12",
-    "bootstrap_ci", "bootstrap_diff_ci",
-    "render_report",
-]

@@ -1,8 +1,7 @@
-"""Fleet artifact I/O: atomic writes, checksum trailers, quarantine.
+"""Artifact I/O: atomic writes, checksum trailers, quarantine.
 
-Every artifact a fleet worker persists — checkpoints, corpus
-snapshots, results, heartbeats — flows through this module, which
-gives the measurer and the resuming dispatcher two guarantees:
+Helpers for files a worker persists and a reader must trust —
+checkpoints, corpus snapshots, results, heartbeats:
 
 * **atomicity** — payloads are written to a temp file, fsynced, and
   renamed into place, so a reader never observes a torn file, even
@@ -14,6 +13,10 @@ gives the measurer and the resuming dispatcher two guarantees:
   Detection routes to :func:`quarantine` — the bad file is renamed
   aside (evidence for post-mortems, never re-read) and the caller
   falls back to its last good state instead of crashing.
+
+The multi-trial orchestrator these helpers were written for was
+removed; the module is kept, with its tests, until its own deletion
+(ROADMAP). Nothing outside its tests imports it.
 
 The trailer rides at the *end* of the file because truncation is the
 common corruption mode for killed writers: a truncated artifact loses

@@ -38,6 +38,7 @@ instance instead of killing the whole session.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -117,7 +118,8 @@ class ParallelSession:
             configuration.
         built: pre-built benchmark shared by every instance.
         sync_interval: virtual seconds between corpus syncs (default:
-            1/20 of the budget, at least 1 s).
+            1/20 of the budget, at least 1 s); must be positive and
+            finite.
         fault_plan: optional deterministic fault schedule
             (:class:`repro.faults.FaultPlan`).
         restart_policy: supervision policy for restarting failed
@@ -136,6 +138,11 @@ class ParallelSession:
                  fault_plan: Optional[FaultPlan] = None,
                  restart_policy: Optional[RestartPolicy] = None,
                  telemetry: Optional[SessionTelemetry] = None) -> None:
+        if sync_interval is not None and not (
+                math.isfinite(sync_interval) and sync_interval > 0):
+            raise CampaignConfigError(
+                f"sync_interval must be positive and finite, got "
+                f"{sync_interval}")
         configs = self._resolve_configs(config, n_instances)
         self.config = configs[0]
         self.n_instances = len(configs)
@@ -153,8 +160,9 @@ class ParallelSession:
                      telemetry=(telemetry.for_instance(i)
                                 if telemetry is not None else None))
             for i, c in enumerate(configs)]
-        self.sync_interval = sync_interval or max(
-            self.config.virtual_seconds / 20.0, 1.0)
+        self.sync_interval = (
+            max(self.config.virtual_seconds / 20.0, 1.0)
+            if sync_interval is None else sync_interval)
 
         self.fault_plan = fault_plan if fault_plan else None
         if self.fault_plan is not None:

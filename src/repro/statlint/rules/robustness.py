@@ -7,15 +7,14 @@
   exception is exactly that. Handlers that construct or raise a
   ``*Error`` (chaining the original as ``__cause__``) pass — that is
   the supervised-fault pattern the parallel session uses.
-* **ERR002** — on fleet artifact paths (``err002_paths``): a broad
-  ``except`` whose entire body is ``pass``, or a plain
-  ``open(..., "w"/"wb")`` write. The crash-safety contract
-  (DESIGN.md §10) hangs on artifacts being written atomically
-  (:func:`repro.fleet.artifacts.atomic_write_bytes`) and corruption
-  being *routed* (quarantine + integrity log), never ignored; a torn
-  ``open("w")`` write or a pass-swallowed integrity failure silently
-  voids both. Append-mode opens pass (the integrity log is
-  append-only by design), as do reads and ``r+b`` (chaos injection).
+* **ERR002** — on artifact-handling paths (``err002_paths``): a
+  broad ``except`` whose entire body is ``pass``, or a plain
+  ``open(..., "w"/"wb")`` write. Crash safety hangs on artifacts
+  being written atomically (temp file + ``os.replace``) and
+  corruption being *routed* (quarantine + integrity log), never
+  ignored; a torn ``open("w")`` write or a pass-swallowed integrity
+  failure silently voids both. Append-mode opens pass (an integrity
+  log is append-only by design), as do reads and ``r+b``.
 * **NUM001** — ``+``/``-``/``*`` arithmetic where an operand is a
   ``uint8``/``uint16`` numpy array (map counters, virgin bytes)
   without a widening ``.astype`` on either side. 8-bit counter adds

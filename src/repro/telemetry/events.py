@@ -82,76 +82,6 @@ EVENT_SCHEMA: Dict[str, Dict[str, str]] = {
         "exporter": "int",
         "entries": "int",
     },
-    # Fleet trial lifecycle (repro.fleet) ----------------------------
-    # ``t`` on fleet events is the dispatcher's *logical* clock (a
-    # monotone event counter), not virtual campaign time: a fleet spans
-    # many campaigns with independent virtual clocks, and wall time
-    # would break the deterministic in-process backend's replayability.
-    "trial_dispatch": {
-        "trial": "int",
-        "attempt": "int",
-        "fuzzer": "str",
-        "benchmark": "str",
-        "map_size": "int",
-        "rng_seed": "int",
-    },
-    "trial_finish": {
-        "trial": "int",
-        "attempt": "int",
-        "status": "str",
-        "execs": "int",
-        "edges": "int",
-        "crashes": "int",
-    },
-    "trial_retry": {
-        "trial": "int",
-        "attempt": "int",
-        "reason": "str",
-        "resumed_from_checkpoint": "int",
-    },
-    # Out-of-band coverage measurement of one corpus snapshot.
-    # ``lag_seconds`` is host wall time between the worker producing
-    # the snapshot and the measurer consuming it (measurement lag) —
-    # operator-facing, never fed back into simulated state.
-    "measurement": {
-        "trial": "int",
-        "snapshot": "int",
-        "corpus_size": "int",
-        "true_edges": "int",
-        "lag_seconds": "float",
-    },
-    # Fleet crash-safety (repro.fleet resume + artifact integrity) ----
-    # ``fleet_resume``: one per `fleet --resume`, summarizing the
-    # store-vs-artifact reconciliation (how many trials were already
-    # terminal, recovered from a completed result artifact, sent back
-    # to the queue, or only needed their measurement re-run).
-    "fleet_resume": {
-        "done": "int",
-        "lost": "int",
-        "reconciled": "int",
-        "requeued": "int",
-        "remeasured": "int",
-    },
-    # A corrupt/truncated artifact was renamed aside and skipped.
-    "artifact_quarantine": {
-        "trial": "int",
-        "artifact": "str",
-        "reason": "str",
-    },
-    # An integrity anomaly that was repaired in place (clamped negative
-    # measurement lag, checkpoint rejected by a worker, ...).
-    "integrity": {
-        "trial": "int",
-        "artifact": "str",
-        "detail": "str",
-    },
-    # One bounded-backoff retry of a results-store operation after a
-    # transient SQLite lock/IO error.
-    "store_retry": {
-        "op": "str",
-        "attempt": "int",
-        "error": "str",
-    },
 }
 
 EVENT_KINDS: Tuple[str, ...] = tuple(sorted(EVENT_SCHEMA))

@@ -1,26 +1,23 @@
-"""Live telemetry service: HTTP API + websocket dashboard + reports.
+"""Live telemetry service: HTTP API + websocket dashboard.
 
-This package serves the telemetry substrate (:mod:`repro.telemetry`)
-and the fleet results store (:mod:`repro.fleet.store`) while campaigns
-are still running:
+This package serves a telemetry directory (the ``--telemetry-dir`` of
+:mod:`repro.telemetry`) while campaigns are still writing it:
 
 * :mod:`.tailer` — incremental tail-from-offset readers over canonical
   ``events.jsonl`` streams (shared with the CLI status view);
 * :mod:`.aggregator` — :class:`TelemetryAggregator`, the deterministic
   event-stream fold that turns tailed events into queryable series
-  (coverage growth, execs/sec, memsim level shares, fault timeline,
-  fleet trial counts) with a replayable snapshot/delta protocol;
+  (coverage growth, execs/sec, memsim level shares, fault timeline)
+  with a replayable snapshot/delta protocol;
 * :mod:`.http` — an asyncio (stdlib-only) HTTP/1.1 + RFC 6455
-  websocket server exposing the aggregator and read-only fleet stores;
+  websocket server exposing the aggregator;
 * :mod:`.dashboard` — the single-file HTML/JS live dashboard served
   at ``/``;
-* :mod:`.reportgen` — static multi-campaign HTML comparison reports
-  (coverage-over-time medians with bootstrap CI bands, Mann-Whitney /
-  A12 tables straight from :mod:`repro.fleet.stats`);
-* :mod:`.background` — a thread wrapper so the experiment runner and
-  the fleet CLI can serve a live view next to a running workload.
+* :mod:`.background` — a thread wrapper so the experiment runner can
+  serve a live view next to a running workload (``--serve``);
+* :mod:`.cli` — ``repro-fuzz serve DIR``.
 
-Determinism contract (DESIGN.md §12): the aggregator is a pure
+Determinism contract (DESIGN.md §10): the aggregator is a pure
 function of the ingested event sequence, so a live websocket session
 and a post-hoc aggregation of the same JSONL files produce
 byte-identical series.

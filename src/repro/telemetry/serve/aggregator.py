@@ -2,11 +2,11 @@
 
 :class:`TelemetryAggregator` folds the canonical telemetry event
 stream (:mod:`repro.telemetry.events`) into queryable per-campaign
-series: coverage growth, execs/sec, map density, crash counts, the
-fault/restart/stall/quarantine timeline, and fleet trial progress. It
-is the single consumer the dashboard, the REST API, and the websocket
-delta feed all read from, and it obeys a strict **determinism
-contract** (DESIGN.md §12):
+series: coverage growth, execs/sec, map density, crash counts, and
+the fault/restart/stall/quarantine timeline. It is the single
+consumer the dashboard, the REST API, and the websocket delta feed
+all read from, and it obeys a strict **determinism contract**
+(DESIGN.md §10):
 
 * the aggregate is a pure fold of the ingested ``(campaign_id,
   event)`` sequence — no clocks, no randomness, no filesystem;
@@ -49,12 +49,7 @@ IGNORED_KINDS: Tuple[str, ...] = ()
 #: Series names every campaign carries, in canonical order.
 SERIES_NAMES: Tuple[str, ...] = (
     "coverage", "throughput", "execs", "density", "crashes",
-    "timeline", "fleet")
-
-#: Fleet progress counters, in the column order of the ``fleet``
-#: series rows (after the leading ``t``).
-FLEET_COUNTS: Tuple[str, ...] = (
-    "dispatched", "done", "failed", "retried", "measurements")
+    "timeline")
 
 
 def canonical_json(value: object) -> str:
@@ -63,7 +58,7 @@ def canonical_json(value: object) -> str:
 
 
 class CampaignSeries:
-    """All aggregated state of one campaign (or fleet session)."""
+    """All aggregated state of one campaign."""
 
     def __init__(self, campaign_id: str) -> None:
         self.campaign_id = campaign_id
@@ -72,8 +67,6 @@ class CampaignSeries:
         self.levels: Dict[str, float] = {}
         self.series: Dict[str, List[list]] = {
             name: [] for name in SERIES_NAMES}
-        self.fleet_counts: Dict[str, int] = {
-            name: 0 for name in FLEET_COUNTS}
 
     def as_dict(self) -> dict:
         """JSON-ready snapshot of this campaign. Key order is fixed
@@ -224,11 +217,6 @@ class TelemetryAggregator:
                _payload(event)]
         return [self._append(series, "timeline", row)]
 
-    def _fleet_row(self, series: CampaignSeries, event: dict) -> dict:
-        counts = series.fleet_counts
-        row = [event["t"]] + [counts[name] for name in FLEET_COUNTS]
-        return self._append(series, "fleet", row)
-
     def _on_campaign_start(self, series: CampaignSeries,
                            event: dict) -> List[dict]:
         meta = _payload(event)
@@ -269,43 +257,6 @@ class TelemetryAggregator:
 
     def _on_quarantine(self, series, event) -> List[dict]:
         return self._timeline(series, event)
-
-    def _on_fleet_resume(self, series, event) -> List[dict]:
-        return self._timeline(series, event)
-
-    def _on_artifact_quarantine(self, series, event) -> List[dict]:
-        return self._timeline(series, event)
-
-    def _on_integrity(self, series, event) -> List[dict]:
-        return self._timeline(series, event)
-
-    def _on_store_retry(self, series, event) -> List[dict]:
-        return self._timeline(series, event)
-
-    def _on_trial_dispatch(self, series: CampaignSeries,
-                           event: dict) -> List[dict]:
-        series.fleet_counts["dispatched"] += 1
-        return [self._fleet_row(series, event)]
-
-    def _on_trial_finish(self, series: CampaignSeries,
-                         event: dict) -> List[dict]:
-        if event["status"] == "ok":
-            series.fleet_counts["done"] += 1
-        else:
-            series.fleet_counts["failed"] += 1
-        return [self._fleet_row(series, event),
-                *self._timeline(series, event)]
-
-    def _on_trial_retry(self, series: CampaignSeries,
-                        event: dict) -> List[dict]:
-        series.fleet_counts["retried"] += 1
-        return [self._fleet_row(series, event),
-                *self._timeline(series, event)]
-
-    def _on_measurement(self, series: CampaignSeries,
-                        event: dict) -> List[dict]:
-        series.fleet_counts["measurements"] += 1
-        return [self._fleet_row(series, event)]
 
 
 class AggregatorService:

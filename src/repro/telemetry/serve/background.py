@@ -1,13 +1,12 @@
 """Run the telemetry server on a thread next to a running workload.
 
-The experiment runner and the fleet dispatcher are synchronous; the
-server is asyncio. :class:`BackgroundServer` bridges them: it owns a
-private event loop on a daemon thread, starts a
+The experiment runner is synchronous; the server is asyncio.
+:class:`BackgroundServer` bridges them: it owns a private event loop
+on a daemon thread, starts a
 :class:`.http.TelemetryServer` there, and exposes the bound port once
-the listening socket exists — so ``repro-fuzz experiment --serve``
-and ``repro-fuzz fleet run --serve`` can print a URL before the
-workload's first campaign starts, and the workload itself never
-touches the loop.
+the listening socket exists — so ``repro-experiments --serve`` can
+print a URL before the workload's first campaign starts, and the
+workload itself never touches the loop.
 
 Overhead discipline (PR4 bench methodology, benchmarks/
 test_bench_serve.py): the workload thread does nothing for the
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Dict, Optional
+from typing import Optional
 
 from ...core.errors import TelemetryError
 
@@ -37,12 +36,10 @@ class BackgroundServer:
     """
 
     def __init__(self, root: str, *,
-                 stores: Optional[Dict[str, str]] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  poll_interval: float = 0.5,
                  start_timeout: float = 10.0) -> None:
         self.root = root
-        self.stores = dict(stores or {})
         self.host = host
         self.port = port
         self.poll_interval = poll_interval
@@ -80,8 +77,8 @@ class BackgroundServer:
         asyncio.set_event_loop(loop)
         self._loop = loop
         server = TelemetryServer(
-            self.root, stores=self.stores, host=self.host,
-            port=self.port, poll_interval=self.poll_interval)
+            self.root, host=self.host, port=self.port,
+            poll_interval=self.poll_interval)
         try:
             loop.run_until_complete(server.start())
         # statlint: disable=ERR001 (start() re-raises as TelemetryError)

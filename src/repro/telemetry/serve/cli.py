@@ -1,47 +1,25 @@
-"""CLI entry points for the live service and the static report.
+"""CLI entry point for the live service.
 
 Wired from the top-level driver::
 
-    repro-fuzz serve /tmp/telemetry --store fleet=results.sqlite
-    repro-fuzz report --store a=run_a.sqlite --store b=run_b.sqlite \\
-        --out compare.html
+    repro-fuzz serve /tmp/telemetry
 
-``serve`` blocks in the asyncio loop until interrupted; ``report``
-writes one self-contained HTML file and exits. Both accept stores as
-``NAME=PATH`` (bare ``PATH`` names the store after the file stem) and
-open them strictly read-only.
+``serve`` blocks in the asyncio loop until interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import os
 import sys
-from typing import Dict, List, Optional
-
-
-def parse_store_specs(specs: List[str]) -> Dict[str, str]:
-    """``NAME=PATH`` / bare ``PATH`` specs into a name->path map."""
-    stores: Dict[str, str] = {}
-    for spec in specs:
-        name, sep, path = spec.partition("=")
-        if not sep:
-            path = spec
-            name = os.path.splitext(os.path.basename(spec))[0]
-        if not name or not path:
-            raise argparse.ArgumentTypeError(
-                f"bad store spec {spec!r}; expected NAME=PATH")
-        stores[name] = path
-    return stores
+from typing import List, Optional
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-fuzz serve",
         description="Serve a live telemetry dashboard (HTTP + "
-                    "websocket) over a telemetry directory and "
-                    "optional fleet results stores.")
+                    "websocket) over a telemetry directory.")
     parser.add_argument("root", help="telemetry root directory "
                                      "(the --telemetry-dir of a "
                                      "running campaign)")
@@ -49,16 +27,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=8722,
                         help="listen port; 0 picks a free one "
                              "(default 8722)")
-    parser.add_argument("--store", action="append", default=[],
-                        metavar="NAME=PATH",
-                        help="expose a fleet results store read-only "
-                             "under /api/fleet/NAME/ (repeatable)")
     parser.add_argument("--poll-interval", type=float, default=0.5,
                         help="seconds between filesystem polls "
                              "(default 0.5)")
-    parser.add_argument("--stats-seed", type=int, default=0,
-                        help="bootstrap seed for /api/fleet/*/stats "
-                             "(default 0, matching the text report)")
     return parser
 
 
@@ -66,53 +37,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_serve_parser().parse_args(argv)
     from .http import TelemetryServer
     server = TelemetryServer(
-        args.root, stores=parse_store_specs(args.store),
-        host=args.host, port=args.port,
-        poll_interval=args.poll_interval,
-        stats_seed=args.stats_seed)
+        args.root, host=args.host, port=args.port,
+        poll_interval=args.poll_interval)
 
     async def run() -> None:
         await server.start()
         print(f"serving telemetry from {args.root} at "
               f"http://{args.host}:{server.port}/ "
               f"(Ctrl-C to stop)", flush=True)
-        for name in sorted(server.stores):
-            print(f"  fleet store {name}: "
-                  f"/api/fleet/{name}/trials, /api/fleet/{name}/stats",
-                  flush=True)
         await server.serve_forever()
 
     try:
         asyncio.run(run())
     except KeyboardInterrupt:
         print("stopped")
-    return 0
-
-
-def build_report_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-fuzz report",
-        description="Render a static HTML comparison report from "
-                    "fleet results stores (coverage medians with "
-                    "bootstrap CI bands, Mann-Whitney/A12 tables).")
-    parser.add_argument("--store", action="append", default=[],
-                        metavar="NAME=PATH", required=True,
-                        help="results store to include (repeatable)")
-    parser.add_argument("--out", required=True, metavar="PATH",
-                        help="output HTML path")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="bootstrap seed (default 0)")
-    parser.add_argument("--title",
-                        default="repro-fuzz comparison report")
-    return parser
-
-
-def report_main(argv: Optional[List[str]] = None) -> int:
-    args = build_report_parser().parse_args(argv)
-    from .reportgen import generate_report
-    generate_report(parse_store_specs(args.store), args.out,
-                    seed=args.seed, title=args.title)
-    print(f"report written: {args.out}")
     return 0
 
 

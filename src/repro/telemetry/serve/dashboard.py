@@ -87,7 +87,6 @@ th { color: var(--ink-2); font-weight: 500; }
     </div></div>
   <div class="card"><h2>Memsim cycle share by level</h2>
     <div id="levels"></div></div>
-  <div class="card"><h2>Fleet trials</h2><div id="fleet"></div></div>
   <div class="card"><h2>Event timeline</h2><div id="timeline"></div></div>
 </div>
 <script>
@@ -101,7 +100,7 @@ function applyDelta(snapshot, delta) {
   if (!(delta.campaign in cs)) {
     cs[delta.campaign] = {id: delta.campaign, meta: {}, final: {},
       levels: {}, series: {coverage: [], throughput: [], execs: [],
-      density: [], crashes: [], timeline: [], fleet: []}};
+      density: [], crashes: [], timeline: []}};
   }
   const target = cs[delta.campaign];
   if (delta.op === "append") {
@@ -181,15 +180,6 @@ function render() {
           Math.min(100, pct).toFixed(1) + "%'></div></td></tr>";
       }).join("") + "</table>"
     : "<span id='status'>no metrics.json yet</span>";
-
-  const fleet = cs.series.fleet;
-  const names = ["dispatched", "done", "failed", "retried",
-                 "measurements"];
-  document.getElementById("fleet").innerHTML = fleet.length
-    ? "<table><tr>" + names.map(n => "<th>" + n + "</th>").join("") +
-      "</tr><tr>" + fleet[fleet.length - 1].slice(1).map(v =>
-      "<td class='num'>" + v + "</td>").join("") + "</tr></table>"
-    : "<span id='status'>no fleet events</span>";
 
   const tl = cs.series.timeline.slice(-12).reverse();
   document.getElementById("timeline").innerHTML = tl.length

@@ -3,16 +3,13 @@
 Stdlib-only by design (ROADMAP: no new runtime deps): a small
 hand-rolled HTTP request parser over :mod:`asyncio` streams, plus the
 minimal server side of RFC 6455 — handshake, unmasking, text frames,
-ping/pong/close. One port serves four surfaces:
+ping/pong/close. One port serves three surfaces:
 
 * ``/`` — the single-file HTML/JS dashboard (:mod:`.dashboard`);
 * ``/api/campaigns`` and ``/api/campaigns/{id}/series`` — REST reads
   of the aggregator, rendered with :func:`.aggregator.canonical_json`
   so the bytes are a pure function of the ingested events (the
   live-vs-post-hoc parity tests compare these bytes directly);
-* ``/api/fleet/{store}/trials`` and ``/api/fleet/{store}/stats`` —
-  read-only (``mode="ro"``) views of registered fleet results stores,
-  the stats straight from :func:`repro.fleet.report.group_stats`;
 * ``/ws/live`` — websocket: one snapshot frame, then delta frames as
   campaigns progress (the replay protocol of
   :meth:`.aggregator.TelemetryAggregator.apply_delta`).
@@ -123,31 +120,23 @@ class TelemetryServer:
     Args:
         service: the :class:`.aggregator.AggregatorService` to serve
             (or a telemetry root string, wrapped automatically).
-        stores: ``name -> sqlite path`` of fleet results stores to
-            expose read-only under ``/api/fleet/{name}/...``.
         host/port: bind address; ``port=0`` picks a free port, read
             the bound one from :attr:`port` after :meth:`start`.
         poll_interval: seconds between background filesystem polls
             feeding the websocket (REST reads poll inline regardless).
-        stats_seed: bootstrap seed for ``/api/fleet/{name}/stats`` —
-            same default as :func:`repro.fleet.report.render_report`,
-            so the two agree byte-for-byte.
         html: dashboard page override; defaults to
             :data:`.dashboard.DASHBOARD_HTML`.
     """
 
-    def __init__(self, service, *, stores: Optional[Dict[str, str]] = None,
-                 host: str = "127.0.0.1", port: int = 0,
-                 poll_interval: float = 0.5, stats_seed: int = 0,
+    def __init__(self, service, *, host: str = "127.0.0.1",
+                 port: int = 0, poll_interval: float = 0.5,
                  html: Optional[str] = None) -> None:
         if isinstance(service, str):
             service = AggregatorService(service)
         self.service = service
-        self.stores = dict(stores or {})
         self.host = host
         self.port = port
         self.poll_interval = poll_interval
-        self.stats_seed = stats_seed
         self._html = html
         self._server: Optional[asyncio.AbstractServer] = None
         self._poll_task: Optional[asyncio.Task] = None
@@ -263,11 +252,6 @@ class TelemetryServer:
                 return self._json_error(
                     "404 Not Found", f"unknown campaign {cid!r}")
             return self._json_ok(body)
-        if path.startswith("/api/fleet/"):
-            rest = path[len("/api/fleet/"):]
-            name, _, view = rest.rpartition("/")
-            if name and view in ("trials", "stats"):
-                return self._fleet_view(unquote(name), view)
         return self._json_error("404 Not Found",
                                 f"no route for {path!r}")
 
@@ -291,8 +275,7 @@ class TelemetryServer:
                 "events": sum(len(series.series[name])
                               for name in sorted(series.series)),
             })
-        payload = {"seq": agg.seq, "campaigns": listing,
-                   "stores": sorted(self.stores)}
+        payload = {"seq": agg.seq, "campaigns": listing}
         return canonical_json(payload).encode("utf-8")
 
     def series_body(self, campaign_id: str) -> Optional[bytes]:
@@ -300,48 +283,6 @@ class TelemetryServer:
         if series is None:
             return None
         return canonical_json(series.as_dict()).encode("utf-8")
-
-    def _fleet_view(self, name: str, view: str
-                    ) -> Tuple[str, str, bytes]:
-        path = self.stores.get(name)
-        if path is None:
-            return self._json_error("404 Not Found",
-                                    f"unknown store {name!r}")
-        import sqlite3
-
-        from ...fleet.store import ResultsStore
-        try:
-            store = ResultsStore(path, mode=ResultsStore.RO)
-        except (sqlite3.Error, OSError, ValueError) as exc:
-            # Store not created yet / unreadable: a retryable 503,
-            # not a server fault.
-            return self._json_error("503 Service Unavailable",
-                                    f"store {name!r}: {exc}")
-        try:
-            if view == "trials":
-                body = self.trials_body(name, store)
-            else:
-                body = self.stats_body(name, store)
-        finally:
-            store.close()
-        return self._json_ok(body)
-
-    @staticmethod
-    def trials_body(name: str, store) -> bytes:
-        rows = [{key: row[key] for key in sorted(row.keys())}
-                for row in store.trial_rows()]
-        payload = {"store": name, "trials": rows,
-                   "states": store.state_counts(),
-                   "lost": store.lost_trials()}
-        return canonical_json(payload).encode("utf-8")
-
-    def stats_body(self, name: str, store) -> bytes:
-        from ...fleet.report import REPORT_METRICS, group_stats
-        payload = {"store": name, "seed": self.stats_seed,
-                   "metrics": list(REPORT_METRICS),
-                   "groups": group_stats(store,
-                                         seed=self.stats_seed)}
-        return canonical_json(payload).encode("utf-8")
 
     # -- websocket -----------------------------------------------------
 

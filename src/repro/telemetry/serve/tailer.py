@@ -117,8 +117,8 @@ class TreeTailer:
     an event log directly in the root) — the same identifiers
     :func:`repro.telemetry.validate.validate_tree` reports. Discovery
     re-walks the tree on every poll so directories created after the
-    tailer (a fleet dispatching new trials, a parallel session adding
-    instances) join the watch set automatically.
+    tailer (an experiment starting its next campaign, a parallel
+    session adding instances) join the watch set automatically.
     """
 
     def __init__(self, root: str) -> None:

@@ -1,4 +1,4 @@
-"""Reference-value tests for repro.fleet.stats.
+"""Reference-value tests for repro.analysis.stats.
 
 The Mann-Whitney and A12 golden values below were computed offline
 with scipy 1.17.1 (``scipy.stats.mannwhitneyu(x, y,
@@ -14,9 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.fleet.stats import (bootstrap_ci, bootstrap_diff_ci,
-                               mann_whitney_u, rank_with_ties,
-                               vargha_delaney_a12)
+from repro.analysis.stats import (bootstrap_ci, bootstrap_diff_ci,
+                                  mann_whitney_u, rank_with_ties,
+                                  vargha_delaney_a12)
 
 # Each case: (x, y, U1, p_two_sided, p_greater, p_less, A12), with the
 # p-values from scipy.stats.mannwhitneyu(method="asymptotic") and A12

@@ -1,6 +1,6 @@
 """Degenerate statistics inputs, pinned to golden values.
 
-Crash-recovered fleets legitimately produce tiny or constant samples
+Multi-trial comparisons legitimately produce tiny or constant samples
 (every trial but one lost, all replicas tied); the report must render
 defined numbers for them, not NaNs or exceptions. These pins define
 the edge-case contract: zero-variance and single-trial inputs are
@@ -9,8 +9,8 @@ the edge-case contract: zero-variance and single-trial inputs are
 
 import pytest
 
-from repro.fleet.stats import (bootstrap_ci, bootstrap_diff_ci,
-                               mann_whitney_u, vargha_delaney_a12)
+from repro.analysis.stats import (bootstrap_ci, bootstrap_diff_ci,
+                                  mann_whitney_u, vargha_delaney_a12)
 
 
 class TestMannWhitneyDegenerate:

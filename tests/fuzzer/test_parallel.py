@@ -29,6 +29,16 @@ class TestSessionValidation:
         with pytest.raises(CampaignConfigError):
             ParallelSession(config(), 13, built=built)
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"),
+                                          float("inf")])
+    def test_sync_interval_must_be_positive_and_finite(self, built,
+                                                       interval):
+        # A non-positive interval never advances the slice deadline,
+        # so the session would loop forever; reject it up front.
+        with pytest.raises(CampaignConfigError, match="sync_interval"):
+            ParallelSession(config(), 2, built=built,
+                            sync_interval=interval)
+
 
 class TestSessionRuns:
     def test_single_instance_equals_campaign_shape(self, built):

@@ -6,8 +6,7 @@ import pytest
 
 from repro.core.errors import TelemetryError
 from repro.telemetry.events import EVENT_SCHEMA, make_event
-from repro.telemetry.serve.aggregator import (FLEET_COUNTS,
-                                              IGNORED_KINDS,
+from repro.telemetry.serve.aggregator import (IGNORED_KINDS,
                                               SERIES_NAMES,
                                               AggregatorService,
                                               TelemetryAggregator,
@@ -62,28 +61,6 @@ class TestFold:
         [(t, kind, instance, payload)] = series.series["timeline"]
         assert (t, kind, instance) == (1.5, "restart", 0)
         assert payload == {"restarts": 1}
-
-    def test_fleet_counters_in_declared_order(self):
-        agg = TelemetryAggregator()
-        agg.ingest("f", make_event(
-            "trial_dispatch", 1.0, instance=-1, trial=0,
-            benchmark="zlib", fuzzer="afl", map_size=65536,
-            rng_seed=0, attempt=1))
-        agg.ingest("f", make_event(
-            "trial_finish", 2.0, instance=-1, trial=0, attempt=1,
-            status="ok", execs=100, edges=5, crashes=0))
-        rows = agg.campaign("f").series["fleet"]
-        assert rows[0] == [1.0, 1, 0, 0, 0, 0]
-        assert rows[1] == [2.0, 1, 1, 0, 0, 0]
-        assert agg.campaign("f").fleet_counts == dict(
-            zip(FLEET_COUNTS, (1, 1, 0, 0, 0)))
-
-    def test_failed_trial_counts_as_failed(self):
-        agg = TelemetryAggregator()
-        agg.ingest("f", make_event(
-            "trial_finish", 2.0, instance=-1, trial=0, attempt=3,
-            status="lost", execs=0, edges=0, crashes=0))
-        assert agg.campaign("f").fleet_counts["failed"] == 1
 
     def test_every_schema_kind_is_covered(self):
         # Schema coverage, checked dynamically: constructing the
@@ -156,8 +133,7 @@ class TestDeterminism:
 
     def test_series_names_are_stable_contract(self):
         assert SERIES_NAMES == ("coverage", "throughput", "execs",
-                                "density", "crashes", "timeline",
-                                "fleet")
+                                "density", "crashes", "timeline")
 
 
 class TestAggregatorService:

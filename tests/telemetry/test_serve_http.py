@@ -1,18 +1,13 @@
-"""TelemetryServer: REST endpoints, websocket protocol, fleet views.
+"""TelemetryServer: REST endpoints and websocket protocol.
 
-The acceptance pin for DESIGN.md §12: bytes served live (REST series,
+The acceptance pin for DESIGN.md §10: bytes served live (REST series,
 websocket snapshot+deltas) are identical to a post-hoc aggregation of
 the same JSONL files.
 """
 
 import asyncio
-import dataclasses
 import json
 
-from repro.fleet.report import REPORT_METRICS, group_stats
-from repro.fleet.spec import FleetSpec
-from repro.fleet.store import ResultsStore
-from repro.fuzzer import CampaignConfig, run_campaign
 from repro.telemetry.serve.aggregator import (AggregatorService,
                                               TelemetryAggregator,
                                               canonical_json)
@@ -22,10 +17,6 @@ from repro.telemetry.sinks import encode_event
 
 from test_serve_aggregator import sample_stream
 
-_TEMPLATE = run_campaign(CampaignConfig(
-    benchmark="zlib", fuzzer="bigmap", map_size=1 << 14, scale=0.05,
-    seed_scale=0.02, virtual_seconds=1.0, max_real_execs=400))
-
 
 def write_stream(directory, events, mode="w"):
     directory.mkdir(parents=True, exist_ok=True)
@@ -33,23 +24,6 @@ def write_stream(directory, events, mode="w"):
               encoding="utf-8") as fh:
         for event in events:
             fh.write(encode_event(event) + "\n")
-
-
-def populate_store(path, n_trials=3):
-    trials = FleetSpec(fuzzers=("afl", "bigmap"),
-                       benchmarks=("zlib",), map_sizes=(1 << 16,),
-                       n_trials=n_trials).expand()
-    with ResultsStore(str(path)) as store:
-        for trial in trials:
-            result = dataclasses.replace(
-                _TEMPLATE, execs=1000 + 37 * trial.trial_id,
-                virtual_seconds=2.0,
-                throughput=(1000 + 37 * trial.trial_id) / 2.0,
-                discovered_locations=40 + trial.trial_id,
-                unique_crashes=trial.trial_id % 2, unique_hangs=0,
-                stopped_by="budget",
-                coverage_curve=[(0.5, 20), (2.0, 40 + trial.trial_id)])
-            store.record_trial(trial, result, attempts=1)
 
 
 async def http_get(port, path):
@@ -64,12 +38,11 @@ async def http_get(port, path):
     return status, body
 
 
-def serve(tmp_path, coro_factory, **kwargs):
+def serve(tmp_path, coro_factory):
     """Start a server on a free port, run the test coroutine, stop."""
 
     async def run():
-        server = TelemetryServer(str(tmp_path), poll_interval=0.05,
-                                 **kwargs)
+        server = TelemetryServer(str(tmp_path), poll_interval=0.05)
         await server.start()
         try:
             return await coro_factory(server)
@@ -132,54 +105,6 @@ class TestRest:
                     json.loads(body)["campaigns"]] == ["late"]
 
         serve(tmp_path, check)
-
-
-class TestFleetEndpoints:
-    def test_trials_view(self, tmp_path):
-        store_path = tmp_path / "results.sqlite"
-        populate_store(store_path)
-
-        async def check(server):
-            _, body = await http_get(server.port,
-                                     "/api/fleet/fleet/trials")
-            return json.loads(body)
-
-        payload = serve(tmp_path, check,
-                        stores={"fleet": str(store_path)})
-        assert payload["store"] == "fleet"
-        assert len(payload["trials"]) == 6
-        assert payload["trials"][0]["fuzzer"] == "afl"
-        assert payload["lost"] == []
-
-    def test_stats_view_matches_group_stats(self, tmp_path):
-        store_path = tmp_path / "results.sqlite"
-        populate_store(store_path)
-
-        async def check(server):
-            _, body = await http_get(server.port,
-                                     "/api/fleet/fleet/stats")
-            return json.loads(body)
-
-        payload = serve(tmp_path, check,
-                        stores={"fleet": str(store_path)})
-        with ResultsStore(str(store_path),
-                          mode=ResultsStore.RO) as store:
-            expected = group_stats(store, seed=0)
-        assert payload["metrics"] == list(REPORT_METRICS)
-        assert payload["groups"] == json.loads(
-            canonical_json(expected))
-
-    def test_unknown_and_missing_store(self, tmp_path):
-        async def check(server):
-            status, _ = await http_get(server.port,
-                                       "/api/fleet/nope/stats")
-            assert status.startswith("HTTP/1.1 404")
-            status, _ = await http_get(server.port,
-                                       "/api/fleet/ghost/trials")
-            assert status.startswith("HTTP/1.1 503")
-
-        serve(tmp_path, check,
-              stores={"ghost": str(tmp_path / "absent.sqlite")})
 
 
 class TestWebsocket:

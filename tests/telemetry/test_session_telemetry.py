@@ -34,6 +34,15 @@ def session(built, k=3, telemetry=None, **kwargs):
                            telemetry=telemetry, **kwargs)
 
 
+@pytest.fixture(scope="module")
+def recorded(built):
+    """One recorded no-plan session, shared by the tests that only
+    read it: ``(telemetry, summary)``."""
+    telemetry = SessionTelemetry()
+    summary = session(built, telemetry=telemetry).run()
+    return telemetry, summary
+
+
 def summary_key(summary):
     return (summary.total_execs, summary.discovered_locations,
             summary.unique_crashes,
@@ -65,14 +74,13 @@ class TestSupervisorEvents:
 
 
 class TestParallelSession:
-    def test_telemetry_does_not_change_results(self, built):
+    def test_telemetry_does_not_change_results(self, built, recorded):
         plain = session(built).run()
-        recorded = session(built, telemetry=SessionTelemetry()).run()
-        assert summary_key(plain) == summary_key(recorded)
+        _, summary = recorded
+        assert summary_key(plain) == summary_key(summary)
 
-    def test_per_instance_streams_and_sync_span(self, built):
-        telemetry = SessionTelemetry()
-        session(built, telemetry=telemetry).run()
+    def test_per_instance_streams_and_sync_span(self, recorded):
+        telemetry, _ = recorded
         assert telemetry.instances == [0, 1, 2]
         for i in telemetry.instances:
             recorder = telemetry.for_instance(i)
@@ -102,10 +110,10 @@ class TestParallelSession:
                           fault_plan=plan).run()
         quarantines = [e for e in telemetry.session.events
                        if e["kind"] == "quarantine"]
-        if summary.quarantined_imports:
-            assert sum(e["entries"] for e in quarantines) == \
-                summary.quarantined_imports
-            assert all(e["exporter"] == 1 for e in quarantines)
+        assert summary.quarantined_imports > 0
+        assert sum(e["entries"] for e in quarantines) == \
+            summary.quarantined_imports
+        assert all(e["exporter"] == 1 for e in quarantines)
 
     def test_flush_tree_validates(self, built, tmp_path):
         telemetry = SessionTelemetry()

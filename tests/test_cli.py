@@ -52,6 +52,13 @@ class TestCli:
         assert "total executions" in out
         assert "contention slowdown" in out
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_instances_below_one_errors(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zlib", "--instances", count])
+        assert exc.value.code == 2
+        assert "--instances" in capsys.readouterr().err
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(["zlib"])
         assert args.fuzzer == "bigmap"
