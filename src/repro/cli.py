@@ -166,18 +166,20 @@ def main(argv=None) -> int:
         print(render_tree(args.telemetry_dir))
         return 0
 
+    # Unknown benchmarks, a non-positive --scale (checked by building
+    # the benchmark's spec) and bad budgets are usage errors, reported
+    # before any work starts.
     try:
-        get_benchmark(args.benchmark)
-    except KeyError as exc:
+        get_benchmark(args.benchmark).spec(args.scale)
+        config = CampaignConfig(
+            benchmark=args.benchmark, fuzzer=args.fuzzer,
+            map_size=args.map_size, metric=args.metric,
+            lafintel=args.lafintel, scale=args.scale,
+            seed_scale=args.seed_scale, virtual_seconds=args.budget,
+            max_real_execs=args.max_execs, rng_seed=args.seed,
+            trim_seeds=args.trim, persistent_mode=not args.fork_mode)
+    except (KeyError, ValueError) as exc:
         parser.error(str(exc))
-
-    config = CampaignConfig(
-        benchmark=args.benchmark, fuzzer=args.fuzzer,
-        map_size=args.map_size, metric=args.metric,
-        lafintel=args.lafintel, scale=args.scale,
-        seed_scale=args.seed_scale, virtual_seconds=args.budget,
-        max_real_execs=args.max_execs, rng_seed=args.seed,
-        trim_seeds=args.trim, persistent_mode=not args.fork_mode)
 
     if args.instances > 1:
         session_telemetry = None

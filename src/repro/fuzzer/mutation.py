@@ -41,6 +41,16 @@ _BLOCK_FRACTION = 0.25
 _SCALAR_STEP_CUTOFF = 48
 
 
+def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat indices of the spans ``[starts[i], starts[i] + lens[i])``,
+    concatenated: one ``np.repeat`` plus one ``arange``, however many
+    spans. ``lens`` must be non-negative."""
+    ends = np.cumsum(lens)
+    idx = np.repeat(starts - ends + lens, lens)
+    idx += np.arange(idx.size)
+    return idx
+
+
 @dataclass
 class MutantBatch:
     """A batch of mutants in padded-matrix form.
@@ -291,56 +301,48 @@ class Mutator:
         mat = np.zeros((total, width), dtype=np.uint8)
         lengths = np.empty(total, dtype=np.int64)
 
+        flat = mat.reshape(-1)
         for k, d in enumerate(draws):
             lo, hi = int(bounds[k]), int(bounds[k + 1])
-            sub = mat[lo:hi]
             base = d.base
             if base.size:
                 size = min(base.size, width)
                 lengths[lo:hi] = size
-                sub[:, :size] = base[:size]
+                mat[lo:hi, :size] = base[:size]
             else:
-                sub[:, :self.min_len] = d.fill
+                mat[lo:hi, :self.min_len] = d.fill
                 lengths[lo:hi] = self.min_len
             if d.do_splice is not None:
-                for i in np.flatnonzero(d.do_splice):
-                    ca, cb = int(d.cut_a[i]), int(d.cut_b[i])
-                    joined = np.concatenate([base[:ca],
-                                             d.partner[cb:]])[:width]
-                    sub[i] = 0
-                    sub[i, :joined.size] = joined
-                    lengths[lo + i] = joined.size
+                # base[:cut_a] + partner[cut_b:], cut at the width: the
+                # base copy already holds the head, so write the partner
+                # tail over it and zero what is left of the base past
+                # the joined end.
+                i = np.flatnonzero(d.do_splice)
+                ca, cb = d.cut_a[i], d.cut_b[i]
+                row0 = (lo + i) * width
+                end = np.minimum(width, ca + (d.partner.size - cb))
+                tail = np.maximum(end - ca, 0)
+                dst = _spans(row0 + ca, tail)
+                flat[dst] = d.partner[dst - np.repeat(row0 + ca - cb, tail)]
+                flat[_spans(row0 + end, np.maximum(size - end, 0))] = 0
+                lengths[lo + i] = end
 
         if total:
             # The draws' cells are already flat and row-major, which
             # :meth:`_apply_stacked` requires: the window's are their
             # concatenation.
             n_ops = np.concatenate([d.n_ops for d in draws])
-            rnds, _ = self._block_scatter(np.zeros_like(n_ops), n_ops)
             self._apply_stacked(
                 mat, lengths, width, np.repeat(np.arange(total), n_ops),
-                rnds, *(np.concatenate([getattr(d, name) for d in draws])
-                        for name in _CELL_FIELDS))
+                _spans(np.zeros_like(n_ops), n_ops),
+                *(np.concatenate([getattr(d, name) for d in draws])
+                  for name in _CELL_FIELDS))
 
         if self.dictionary and draws:
             self.dictionary.stamp(
                 mat, lengths, np.concatenate([d.stamp for d in draws],
                                              axis=1))
         return MutantBatch(data=mat, lengths=lengths)
-
-    @staticmethod
-    def _block_scatter(starts: np.ndarray, lens: np.ndarray):
-        """Flat per-row block indices: ``(repeated_rows_base, cols)``.
-
-        For row-aligned blocks ``[starts[i], starts[i]+lens[i])``,
-        returns the within-block offsets and the flat column indices so
-        a whole vector of variable-length blocks becomes one fancy
-        index.
-        """
-        total = int(lens.sum())
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(lens) - lens, lens)
-        return within, np.repeat(starts, lens) + within
 
     def _apply_stacked(self, mat: np.ndarray, lengths: np.ndarray,
                        width: int, rows: np.ndarray, rnds: np.ndarray,
@@ -375,141 +377,143 @@ class Mutator:
         if a_idx.size:
             counts = np.bincount(rows[a_idx], minlength=n)
             starts = np.cumsum(counts) - counts
-            for step in range(int(counts.max())):
-                live = counts > step
-                idx = starts[live] + step
-                if idx.size <= _SCALAR_STEP_CUTOFF:
+            # Step-major layout: stack position ``s`` of every mutant
+            # is one contiguous run of cells, sorted by kind (0 delete,
+            # 1 clone, 2 constant insert), so a step's cells and their
+            # kinds are slices. The sort key fits 16 bits (a stack has
+            # at most 2**HAVOC_STACK_POW2 rounds), so the sort is a radix
+            # sort.
+            pos = _spans(np.zeros_like(counts), counts)
+            kind = np.where(op[a_idx] == 6, 0, 1 + (f4a[a_idx] >= 0.75))
+            order = np.argsort((pos * 3 + kind).astype(np.uint16),
+                               kind="stable")
+            cells = a_idx[order]
+            per_cell = (cells, rows[cells], kind[order], f1a[cells],
+                        f2a[cells], f3a[cells], vala[cells])
+            lo = 0
+            for step, hi in enumerate(np.cumsum(np.bincount(pos))):
+                if hi - lo <= _SCALAR_STEP_CUTOFF:
                     self._length_tail(mat, lengths, width, a_idx, rows,
                                       starts, counts, step, op, f1a,
                                       f2a, f3a, f4a, vala, fb_idx)
                     break
-                cell = a_idx[idx]
-                r = rows[cell]
-                is_del = op[cell] == 6
+                cell, r, k, f1, f2, f3, v = (x[lo:hi] for x in per_cell)
+                lo = hi
                 ln = lengths[r]
-                bad = np.where(is_del, ln <= self.min_len, ln >= width)
+                bad = np.where(k == 0, ln <= self.min_len, ln >= width)
                 if bad.any():
                     fb_idx.append(cell[bad])
                     good = ~bad
-                    cell, r = cell[good], r[good]
-                    is_del, ln = is_del[good], ln[good]
-                if r.size:
-                    self._length_step(mat, lengths, width, r, is_del,
-                                      ln, f1a[cell], f2a[cell],
-                                      f3a[cell], f4a[cell], vala[cell])
+                    r, k, ln, f1, f2, f3, v = (
+                        x[good] for x in (r, k, ln, f1, f2, f3, v))
+                self._length_step(mat, lengths, width, r, k, ln, f1, f2,
+                                  f3, v)
 
         # -- phase B: byte-level ops against the final geometry --
+        # Group the cells by op once (a stable sort of uint8 codes is a
+        # radix sort), so each op reads a contiguous slice of cells and
+        # gathers only the parameters it uses.
         b_idx = np.flatnonzero(~is_len)
-        rows_b = rows[b_idx]
-        rnds_b = rnds[b_idx]
-        opv = op[b_idx]
-        ln = lengths[rows_b]
+        ln = lengths[rows[b_idx]]
+        opv = op[b_idx].astype(np.uint8)
         opv[(opv == 2) & (ln < 2)] = 9
         opv[(opv == 3) & (ln < 4)] = 9
-        f1 = f1a[b_idx]
-        f2 = f2a[b_idx]
-        f3 = f3a[b_idx]
-        sel = sela[b_idx]
-        val = vala[b_idx]
+        groups = np.split(b_idx[np.argsort(opv, kind="stable")],
+                          np.cumsum(np.bincount(opv, minlength=10))[:-1])
+        # constant-block overwrite: drawn op 9 plus guard fallbacks
+        groups[9] = np.concatenate([groups[9]] + fb_idx)
+
+        def at(cells):
+            """Row start in ``flat`` and final length of each cell."""
+            r = rows[cells]
+            return r * width, lengths[r]
 
         flat = mat.reshape(-1)
-        m = opv == 0  # flip one bit
-        if m.any():
-            pos = (f1[m] * ln[m]).astype(np.int64)
+        c = groups[0]  # flip one bit
+        if c.size:
+            row0, n_ = at(c)
             np.bitwise_xor.at(
-                flat, rows_b[m] * width + pos,
-                np.uint8(1) << (f2[m] * 8).astype(np.uint8))
+                flat, row0 + (f1a[c] * n_).astype(np.int64),
+                np.uint8(1) << (f2a[c] * 8).astype(np.uint8))
 
-        m = opv == 4  # arithmetic +/- (wraps mod 256)
-        if m.any():
-            pos = (f1[m] * ln[m]).astype(np.int64)
-            delta = 1 + (sel[m] % ARITH_MAX)
-            delta = np.where(f3[m] < 0.5, -delta, delta)
-            np.add.at(flat, rows_b[m] * width + pos,
+        c = groups[4]  # arithmetic +/- (wraps mod 256)
+        if c.size:
+            row0, n_ = at(c)
+            delta = 1 + (sela[c] % ARITH_MAX)
+            delta = np.where(f3a[c] < 0.5, -delta, delta)
+            np.add.at(flat, row0 + (f1a[c] * n_).astype(np.int64),
                       delta.astype(np.uint8))
 
-        # Overwrites: collect per-byte (flat index, round, value)
-        # triples, then keep the round-latest value per byte.
+        # Overwrites: collect per-byte flat indices and packed int16
+        # keys, then keep the round-latest value per byte.
         lin_parts: list = []
         key_parts: list = []
-        val_parts: list = []
 
-        def emit(rows, rnds, cols, values):
-            lin_parts.append(rows * width + cols)
-            key_parts.append(rnds)
-            val_parts.append(values)
+        def packed(cells, values):
+            """``round * 256 + value`` per cell, packed into int16 before
+            any block is expanded (rounds stay below 128)."""
+            return (rnds[cells] * 256 + values).astype(np.int16)
 
-        m = opv == 1  # interesting byte
-        if m.any():
-            pos = (f1[m] * ln[m]).astype(np.int64)
-            emit(rows_b[m], rnds_b[m], pos,
-                 INTERESTING_8[sel[m] % INTERESTING_8.size])
+        c = groups[1]  # interesting byte
+        if c.size:
+            row0, n_ = at(c)
+            lin_parts.append(row0 + (f1a[c] * n_).astype(np.int64))
+            key_parts.append(packed(c, INTERESTING_8[
+                sela[c] % INTERESTING_8.size]))
 
-        m = opv == 2  # interesting word
-        if m.any():
-            pos = (f1[m] * (ln[m] - 1)).astype(np.int64)
-            value = INTERESTING_16[sel[m] % INTERESTING_16.size]
-            value = np.where(f3[m] < 0.5, value.byteswap(), value)
-            emit(rows_b[m], rnds_b[m], pos,
-                 (value & 0xFF).astype(np.uint8))
-            emit(rows_b[m], rnds_b[m], pos + 1,
-                 (value >> 8).astype(np.uint8))
+        for c, table in ((groups[2], INTERESTING_16),  # word
+                         (groups[3], INTERESTING_32)):  # dword
+            if c.size:
+                row0, n_ = at(c)
+                size = table.itemsize
+                pos = row0 + (f1a[c] * (n_ - size + 1)).astype(np.int64)
+                value = table[sela[c] % table.size]
+                value = np.where(f3a[c] < 0.5, value.byteswap(), value)
+                # byte k of the little-endian value lands at pos + k
+                lin_parts.append((pos[:, None] + np.arange(size)).ravel())
+                key_parts.append(packed(c[:, None], value.astype(
+                    f"<u{size}", copy=False).view(np.uint8).reshape(
+                        -1, size)).ravel())
 
-        m = opv == 3  # interesting dword
-        if m.any():
-            pos = (f1[m] * (ln[m] - 3)).astype(np.int64)
-            value = INTERESTING_32[sel[m] % INTERESTING_32.size]
-            value = np.where(f3[m] < 0.5, value.byteswap(), value)
-            for byte in range(4):
-                emit(rows_b[m], rnds_b[m], pos + byte,
-                     ((value >> (8 * byte)) & 0xFF).astype(np.uint8))
+        c = groups[5]  # random byte
+        if c.size:
+            row0, n_ = at(c)
+            lin_parts.append(row0 + (f1a[c] * n_).astype(np.int64))
+            key_parts.append(packed(c, vala[c]))
 
-        m = opv == 5  # random byte
-        if m.any():
-            pos = (f1[m] * ln[m]).astype(np.int64)
-            emit(rows_b[m], rnds_b[m], pos, val[m])
-
-        m = opv == 8  # overwrite block from elsewhere
-        if m.any():
-            r, n_ = rows_b[m], ln[m]
+        c = groups[8]  # overwrite block from elsewhere
+        if c.size:
+            row0, n_ = at(c)
             cap = np.maximum(1, (n_ * _BLOCK_FRACTION).astype(np.int64))
-            length = 1 + (f2[m] * cap).astype(np.int64)
-            src = (f1[m] * (n_ - length + 1)).astype(np.int64)
-            dst = (f3[m] * (n_ - length + 1)).astype(np.int64)
-            within, src_cols = self._block_scatter(src, length)
-            block_rows = np.repeat(r, length)
-            emit(block_rows, np.repeat(rnds_b[m], length),
-                 np.repeat(dst, length) + within,
-                 flat[block_rows * width + src_cols])
+            length = 1 + (f2a[c] * cap).astype(np.int64)
+            src = (f1a[c] * (n_ - length + 1)).astype(np.int64)
+            dst = (f3a[c] * (n_ - length + 1)).astype(np.int64)
+            lin = _spans(row0 + dst, length)
+            lin_parts.append(lin)
+            # A packed round's low byte is zero, so adding the source
+            # byte cannot carry out of it.
+            key_parts.append(np.repeat(packed(c, 0), length) +
+                             flat[lin + np.repeat(src - dst, length)])
 
-        # constant-block overwrite: drawn op 9 plus guard fallbacks
-        m = opv == 9
-        i9 = np.concatenate([b_idx[m]] + fb_idx)
-        if i9.size:
-            r9 = rows[i9]
-            n_ = lengths[r9]
+        c = groups[9]
+        if c.size:
+            row0, n_ = at(c)
             cap = np.maximum(1, (n_ * _BLOCK_FRACTION).astype(np.int64))
-            length = 1 + (f2a[i9] * cap).astype(np.int64)
-            dst = (f1a[i9] * (n_ - length + 1)).astype(np.int64)
-            _, dst_cols = self._block_scatter(dst, length)
-            emit(np.repeat(r9, length), np.repeat(rnds[i9], length),
-                 dst_cols, np.repeat(vala[i9], length))
+            length = 1 + (f2a[c] * cap).astype(np.int64)
+            dst = (f1a[c] * (n_ - length + 1)).astype(np.int64)
+            lin_parts.append(_spans(row0 + dst, length))
+            key_parts.append(np.repeat(packed(c, vala[c]), length))
 
         if lin_parts:
             lin = np.concatenate(lin_parts)
-            if lin.size:
-                key = np.concatenate(key_parts)
-                values = np.concatenate(val_parts)
-                # Round-latest value per byte without sorting: fold
-                # (round, value) packed entries into a dense max
-                # accumulator (a byte's round numbers are unique, so
-                # the max picks the latest write), then write every
-                # contended byte its winner — duplicate scatters all
-                # carry the same value.
-                acc = np.full(mat.size, -1, dtype=np.int16)
-                np.maximum.at(acc, lin,
-                              (key * 256 + values).astype(np.int16))
-                mat.reshape(-1)[lin] = (acc[lin] & 0xFF).astype(np.uint8)
+            # Round-latest value per byte without sorting: fold the
+            # packed keys into a dense max accumulator (a byte's round
+            # numbers are unique, so the max picks the latest write),
+            # then write every contended byte its winner — duplicate
+            # scatters all carry the same value.
+            acc = np.full(mat.size, -1, dtype=np.int16)
+            np.maximum.at(acc, lin, np.concatenate(key_parts))
+            flat[lin] = acc[lin].astype(np.uint8)
 
     def _length_tail(self, mat: np.ndarray, lengths: np.ndarray,
                      width: int, a_idx: np.ndarray, rows: np.ndarray,
@@ -569,71 +573,51 @@ class Mutator:
             fb_idx.append(np.asarray(fb, dtype=np.int64))
 
     def _length_step(self, mat: np.ndarray, lengths: np.ndarray,
-                     width: int, r: np.ndarray, is_del: np.ndarray,
+                     width: int, r: np.ndarray, kind: np.ndarray,
                      n_: np.ndarray, a: np.ndarray, b: np.ndarray,
-                     c: np.ndarray, d: np.ndarray,
-                     v: np.ndarray) -> None:
+                     c: np.ndarray, v: np.ndarray) -> None:
         """One stack position of block deletes/inserts, fused.
 
         Both ops are "move the tail, then write a region": a delete
         shifts ``[start+length, n)`` left and zeroes the vacated end, a
         clone/insert shifts ``[dst, n)`` right and writes the block into
-        the gap. Fusing them means one gather/scatter pair for all tail
-        moves and one for all region writes, regardless of the
-        delete/insert mix. Rows in ``r`` are distinct, so the ops are
-        independent; all gathers land before any scatter.
+        the gap. Every span is clipped at ``width`` before it is
+        expanded, so no byte past the row is ever indexed. Rows in
+        ``r`` are distinct, so the ops are independent; all gathers
+        land before any scatter. ``kind`` is sorted (0 delete, 1 clone,
+        2 constant insert), so each kind's region bytes are one slice
+        of the step's region.
         """
         cap = np.maximum(1, (n_ * _BLOCK_FRACTION).astype(np.int64))
         length = 1 + (b * cap).astype(np.int64)
         # Delete's block start and insert's clone source share a formula.
         src = (a * (n_ - length + 1)).astype(np.int64)
         dst = (c * (n_ + 1)).astype(np.int64)  # unused for deletes
+        flat = mat.reshape(-1)
+        row0 = r * width  # 1-D fancy indexing beats 2-D row/col pairs
+        is_del = kind == 0
+        d, k = np.searchsorted(kind, (1, 2))
+        # Region: a delete's vacated end, or the part of an inserted
+        # block that fits (dst <= n < width).
+        size = np.where(is_del, length, np.minimum(length, width - dst))
+        region = _spans(row0 + np.where(is_del, n_ - length, dst), size)
+        b1, b2 = int(size[:d].sum()), int(size[:k].sum())
         # Clone sources are the only region bytes that must be read
         # before any scatter lands; deletes fill with zeros and the
         # rest with a constant, so those skip the gather entirely.
-        flat = mat.reshape(-1)
-        base = r * width  # 1-D fancy indexing beats 2-D row/col pairs
-        clone = ~is_del & (d < 0.75)
-        within_c, src_cols_c = self._block_scatter(src[clone],
-                                                   length[clone])
-        clone_base = np.repeat(base[clone], length[clone])
-        clone_vals = flat[clone_base + src_cols_c]
-        # Tail move: [move_from, n) shifts to start at move_to.
+        clone_vals = flat[region[b1:b2] + np.repeat((src - dst)[d:k],
+                                                    size[d:k])]
+        # Tail move: [move_from, move_from + tail) shifts to move_to.
         move_from = np.where(is_del, src + length, dst)
         move_to = np.where(is_del, src, dst + length)
-        tail_len = n_ - move_from
-        _, from_cols = self._block_scatter(move_from, tail_len)
-        tail_base = np.repeat(base, tail_len)
-        tail_vals = flat[tail_base + from_cols]
-        to_cols = from_cols + np.repeat(move_to - move_from, tail_len)
-        if to_cols.size and int(to_cols.max()) >= width:
-            keep = to_cols < width
-            tail_base, to_cols = tail_base[keep], to_cols[keep]
-            tail_vals = tail_vals[keep]
-        flat[tail_base + to_cols] = tail_vals
-        # Region writes: the vacated end (delete, zeros), the cloned
-        # block, or the constant fill — distinct rows per class, so
-        # three scatters land exactly what the fused one did.
-        del_base = np.repeat(base[is_del], length[is_del])
-        _, del_cols = self._block_scatter((n_ - length)[is_del],
-                                          length[is_del])
-        flat[del_base + del_cols] = 0
-        clone_cols = within_c + np.repeat(dst[clone], length[clone])
-        if clone_cols.size and int(clone_cols.max()) >= width:
-            keep = clone_cols < width
-            clone_base, clone_cols = clone_base[keep], clone_cols[keep]
-            clone_vals = clone_vals[keep]
-        flat[clone_base + clone_cols] = clone_vals
-        const = ~is_del & (d >= 0.75)
-        within_k, _ = self._block_scatter(dst[const], length[const])
-        const_base = np.repeat(base[const], length[const])
-        const_cols = within_k + np.repeat(dst[const], length[const])
-        const_vals = np.repeat(v[const], length[const])
-        if const_cols.size and int(const_cols.max()) >= width:
-            keep = const_cols < width
-            const_base, const_cols = const_base[keep], const_cols[keep]
-            const_vals = const_vals[keep]
-        flat[const_base + const_cols] = const_vals
+        tail = np.where(is_del, n_ - move_from, np.maximum(
+            0, np.minimum(n_, width - length) - dst))
+        tail_from = _spans(row0 + move_from, tail)
+        flat[tail_from + np.repeat(move_to - move_from, tail)] = \
+            flat[tail_from]
+        flat[region[:b1]] = 0
+        flat[region[b1:b2]] = clone_vals
+        flat[region[b2:]] = np.repeat(v[k:], size[k:])
         lengths[r] = np.where(
             is_del, np.maximum(self.min_len, n_ - length),
             np.minimum(width, n_ + length))

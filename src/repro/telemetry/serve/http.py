@@ -124,23 +124,21 @@ class TelemetryServer:
             the bound one from :attr:`port` after :meth:`start`.
         poll_interval: seconds between background filesystem polls
             feeding the websocket (REST reads poll inline regardless).
-        html: dashboard page override; defaults to
-            :data:`.dashboard.DASHBOARD_HTML`.
     """
 
     def __init__(self, service, *, host: str = "127.0.0.1",
-                 port: int = 0, poll_interval: float = 0.5,
-                 html: Optional[str] = None) -> None:
+                 port: int = 0, poll_interval: float = 0.5) -> None:
         if isinstance(service, str):
             service = AggregatorService(service)
         self.service = service
         self.host = host
         self.port = port
         self.poll_interval = poll_interval
-        self._html = html
         self._server: Optional[asyncio.AbstractServer] = None
         self._poll_task: Optional[asyncio.Task] = None
         self._clients: List[asyncio.Queue] = []
+        #: Open connections: each handler task and its stream writer.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -160,6 +158,15 @@ class TelemetryServer:
             self._poll_task = None
         if self._server is not None:
             self._server.close()
+            # Close every open connection, so each handler (websocket
+            # clients included) sees EOF and returns on its own, and
+            # wait for them: loop teardown then has no handler task
+            # left to cancel.
+            handlers = list(self._connections)
+            for writer in self._connections.values():
+                writer.close()
+            if handlers:
+                await asyncio.wait(handlers)
             await self._server.wait_closed()
             self._server = None
 
@@ -191,6 +198,8 @@ class TelemetryServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             request = await _read_request(reader)
             if request is None:
@@ -213,6 +222,7 @@ class TelemetryServer:
             pass
         finally:
             writer.close()
+            del self._connections[task]
 
     def _respond(self, request: _HttpRequest
                  ) -> Tuple[str, str, bytes]:
@@ -256,8 +266,6 @@ class TelemetryServer:
                                 f"no route for {path!r}")
 
     def dashboard_html(self) -> str:
-        if self._html is not None:
-            return self._html
         from .dashboard import DASHBOARD_HTML
         return DASHBOARD_HTML
 

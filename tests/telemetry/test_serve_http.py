@@ -7,6 +7,7 @@ the same JSONL files.
 
 import asyncio
 import json
+import logging
 
 from repro.telemetry.serve.aggregator import (AggregatorService,
                                               TelemetryAggregator,
@@ -36,6 +37,20 @@ async def http_get(port, path):
     head, _, body = raw.partition(b"\r\n\r\n")
     status = head.split(b"\r\n")[0].decode("ascii")
     return status, body
+
+
+async def ws_connect(port):
+    """Open a ``/ws/live`` websocket: ``(reader, writer, headers)``."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(
+        b"GET /ws/live HTTP/1.1\r\n"
+        b"Host: test\r\n"
+        b"Upgrade: websocket\r\n"
+        b"Connection: Upgrade\r\n"
+        b"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
+        b"Sec-WebSocket-Version: 13\r\n\r\n")
+    await writer.drain()
+    return reader, writer, await reader.readuntil(b"\r\n\r\n")
 
 
 def serve(tmp_path, coro_factory):
@@ -113,17 +128,7 @@ class TestWebsocket:
         write_stream(tmp_path / "instance-0", sample_stream()[:2])
 
         async def check(server):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port)
-            writer.write(
-                b"GET /ws/live HTTP/1.1\r\n"
-                b"Host: test\r\n"
-                b"Upgrade: websocket\r\n"
-                b"Connection: Upgrade\r\n"
-                b"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
-                b"Sec-WebSocket-Version: 13\r\n\r\n")
-            await writer.drain()
-            head = await reader.readuntil(b"\r\n\r\n")
+            reader, writer, head = await ws_connect(server.port)
             assert b"101 Switching Protocols" in head
             assert (b"Sec-WebSocket-Accept: "
                     b"s3pPLMBiTxaQ9kYGzzhZRbK+xOo=") in head
@@ -153,6 +158,29 @@ class TestWebsocket:
         post_hoc.poll()
         assert (canonical_json(replayed) ==
                 canonical_json(post_hoc.aggregator.snapshot()))
+
+    def test_stop_closes_live_clients_without_errors(self, tmp_path,
+                                                     caplog):
+        """Stopping a server with a connected client ends the client's
+        handler inside ``stop()``: the client sees the connection
+        close, and loop teardown has no handler task left to cancel
+        (which asyncio would log as an error)."""
+        write_stream(tmp_path / "instance-0", sample_stream()[:2])
+
+        async def run():
+            server = TelemetryServer(str(tmp_path), poll_interval=0.05)
+            await server.start()
+            reader, writer, _ = await ws_connect(server.port)
+            _, payload = await _read_frame(reader)
+            assert json.loads(payload)["type"] == "snapshot"
+            await server.stop()
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+
+        with caplog.at_level(logging.ERROR):
+            asyncio.run(run())
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno >= logging.ERROR] == []
 
     def test_missing_key_is_rejected(self, tmp_path):
         async def check(server):

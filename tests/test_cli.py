@@ -59,6 +59,17 @@ class TestCli:
         assert exc.value.code == 2
         assert "--instances" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--scale", "0"], "scale must be positive"),
+        (["--budget", "-1"], "virtual_seconds must be positive"),
+        (["--max-execs", "0"], "max_real_execs must be positive"),
+    ], ids=["scale", "budget", "max-execs"])
+    def test_config_errors_are_usage_errors(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zlib", *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(["zlib"])
         assert args.fuzzer == "bigmap"

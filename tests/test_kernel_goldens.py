@@ -1,4 +1,4 @@
-"""Golden digests of the pricing and execution kernels.
+"""Golden digests of the pricing, execution and havoc kernels.
 
 The scalar entry points (``BitmapCostModel.exec_cycles``,
 ``Executor.execute``) are one-row calls of the batch kernels. These
@@ -6,12 +6,19 @@ digests were recorded from the earlier, separately written scalar and
 batch implementations, so any float or trace drift in the shared
 kernels shows up here even where a campaign would not happen to reach
 the drifted case.
+
+The serial oracle, the batched engine and the process backend all call
+the same :meth:`Mutator.havoc_apply`, so their equivalence checks cannot
+see a change in the mutant bytes themselves. :data:`HAVOC_GOLDEN` pins
+them: it was recorded from the apply kernel before its span-clipping
+rewrite.
 """
 
 import hashlib
 
 import numpy as np
 
+from repro.fuzzer.mutation import _SCALAR_STEP_CUTOFF, Mutator
 from repro.memsim.costmodel import (AFL, BIGMAP, BitmapCostModel,
                                     ExecShape, MapCostConfig)
 from repro.target import NO_CRASH, NO_PARENT, Executor, Guard, get_benchmark
@@ -22,6 +29,14 @@ PRICING_GOLDEN = (
 #: sha256 over every trace of :func:`execute_digest`.
 EXECUTE_GOLDEN = (
     "6a4e4f2867628f0d0664c35798954cd00a626044d40fa00337a54d6ac401ccc6")
+#: sha256 over every batch of :func:`havoc_digest`.
+HAVOC_GOLDEN = (
+    "28401334decad09f611fc09bd4f94f558bc542bf54b2a11153ac25c953dc7b24")
+
+#: Most mutants per draw in :func:`havoc_windows`, one value per window
+#: set: the smallest windows finish in the scalar tail at once, the
+#: largest run several vectorized steps first.
+HAVOC_ROWS = (3, 24, 192)
 
 MAP_SIZES = (1 << 16, 1 << 18, 1 << 21, 1 << 23)
 #: (benchmark, scale): big enough to hold loops and crash sites.
@@ -123,9 +138,62 @@ def execute_digest() -> str:
     return digest.hexdigest()
 
 
+def havoc_windows():
+    """``(mutator, specs, width)`` windows covering every guard and path
+    of the apply kernel: empty bases (random fill), splices on and off,
+    partners too short to splice, a dictionary, a ``max_len`` low enough
+    that inserts hit the width guard, bases at ``min_len`` (delete
+    guard), an explicit width wider than the draws, and windows on both
+    sides of :data:`_SCALAR_STEP_CUTOFF` (up to ``HAVOC_ROWS`` mutants
+    per draw, 3–4 draws per window)."""
+    rng = np.random.default_rng(2022)
+    tokens = [b"IHDR", b"\x00\xff", b"deflate-stream", b"Z"]
+    mutators = (Mutator(), Mutator(max_len=80),
+                Mutator(max_len=256, min_len=16, dictionary=tokens),
+                Mutator(max_len=12, min_len=12))
+
+    def blob(size):
+        return rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+
+    for mutator in mutators:
+        lo = mutator.min_len
+        for rows in HAVOC_ROWS:
+            specs = []
+            for base, partner in (
+                    (0, None), (0, 40), (lo, None), (lo, 2),
+                    (lo + 3, 0), (37, 1), (37, 90), (150, 300),
+                    (3, 3), (600, 20)):
+                specs.append((
+                    int(rng.integers(0, 1 << 63)), blob(base),
+                    int(rng.integers(1, rows + 1)),
+                    None if partner is None else blob(partner)))
+            for k in range(0, len(specs), 3):
+                window = specs[k:k + 3 + k % 2]
+                yield mutator, window, None
+                widest = max(mutator.width(d, p) for _, d, _, p in window)
+                yield mutator, window, widest + 29
+
+
+def havoc_digest() -> str:
+    digest = hashlib.sha256()
+    for mutator, specs, width in havoc_windows():
+        batch = mutator.havoc_apply(mutator.draw_rows(specs), width)
+        digest.update(np.array(batch.data.shape, dtype="<i8").tobytes())
+        digest.update(batch.data.tobytes())
+        digest.update(batch.lengths.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
 def test_pricing_matches_golden():
     assert pricing_digest() == PRICING_GOLDEN
 
 
 def test_execute_matches_golden():
     assert execute_digest() == EXECUTE_GOLDEN
+
+
+def test_havoc_matches_golden():
+    # Per-row results do not depend on the cutoff, so neither does the
+    # digest; the grid just has to keep windows on both sides of it.
+    assert 4 * HAVOC_ROWS[0] <= _SCALAR_STEP_CUTOFF < HAVOC_ROWS[-1]
+    assert havoc_digest() == HAVOC_GOLDEN
