@@ -53,6 +53,29 @@ def test_havoc_window_throughput(benchmark, zlib_window):
     benchmark.extra_info["width"] = batch.width
 
 
+def test_window_front_throughput(benchmark, zlib_window):
+    """One window's front after havoc apply: execute the rows, read
+    their dense key columns and flag them against the virgin map and
+    BigMap index a zlib campaign's seed dry run left behind."""
+    from repro.fuzzer import Campaign, CampaignConfig
+    mutator, draws = zlib_window
+    rows = mutator.havoc_apply(draws).data
+    campaign = Campaign(CampaignConfig(
+        benchmark="zlib", fuzzer="bigmap", map_size=1 << 16, scale=0.5,
+        seed_scale=0.2))
+    campaign.start()
+    columns = campaign.instrumentation.columns
+
+    def front():
+        bres = campaign.executor.execute_batch(rows)
+        return campaign.coverage.update_compare_batch(
+            columns.window(bres), campaign.virgin)
+
+    _, flags = benchmark(front)
+    benchmark.extra_info["rows"] = int(flags.size)
+    benchmark.extra_info["flagged"] = int(flags.sum())
+
+
 def test_full_pipeline_iteration(benchmark, sqlite_small):
     """Mutate + execute + map update + classify/compare: the real cost
     of one simulated fuzzing iteration on the host."""

@@ -167,8 +167,8 @@ def main(argv=None) -> int:
         return 0
 
     # Unknown benchmarks, a non-positive --scale (checked by building
-    # the benchmark's spec) and bad budgets are usage errors, reported
-    # before any work starts.
+    # the benchmark's spec) or --seed-scale and bad budgets are usage
+    # errors, reported before any work starts.
     try:
         get_benchmark(args.benchmark).spec(args.scale)
         config = CampaignConfig(

@@ -16,9 +16,9 @@ campaign reports.
 
 from .afl_bitmap import AflCoverage
 from .bigmap import BigMapCoverage
-from .bitmap_base import (BatchUpdate, CoverageMap, aggregate_keys,
-                          aggregate_keys_batch, apply_counts,
-                          classified_counts)
+from .bitmap_base import (BatchUpdate, CoverageMap, DenseKeys, FlatKeys,
+                          aggregate_keys, aggregate_keys_batch,
+                          apply_counts, classified_counts)
 from .classify import (BUCKET_VALUES, COUNT_CLASS_LOOKUP8, bucket_of,
                        classify_counts, is_classified)
 from .compare import (NEW_EDGE, NEW_HIT_COUNT, NO_NEW_COVERAGE,
@@ -30,8 +30,8 @@ from .walltime import Stopwatch, wall_now
 
 __all__ = [
     "AflCoverage", "BigMapCoverage", "CoverageMap",
-    "BatchUpdate", "aggregate_keys", "aggregate_keys_batch", "apply_counts",
-    "classified_counts",
+    "BatchUpdate", "DenseKeys", "FlatKeys", "aggregate_keys",
+    "aggregate_keys_batch", "apply_counts", "classified_counts",
     "BUCKET_VALUES", "COUNT_CLASS_LOOKUP8", "bucket_of", "classify_counts",
     "is_classified",
     "NEW_EDGE", "NEW_HIT_COUNT", "NO_NEW_COVERAGE", "CompareResult",

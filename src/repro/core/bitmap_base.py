@@ -174,6 +174,59 @@ class BatchUpdate:
         return int(self.offsets.size - 1)
 
 
+@dataclass
+class FlatKeys:
+    """A batch of traces as flat key segments.
+
+    Trace ``i`` owns ``keys[offsets[i]:offsets[i+1]]`` and the aligned
+    ``counts``; a key may repeat within a segment (colliding edges), so
+    the segments are aggregated before they are classified. The form
+    every metric can produce, including input-dependent ones whose keys
+    vary per row.
+    """
+
+    keys: np.ndarray
+    counts: np.ndarray
+    offsets: np.ndarray
+
+
+@dataclass
+class DenseKeys:
+    """A batch of traces as dense key columns.
+
+    Every row has the same columns and every column owns one map key
+    that no other column shares, so a row needs no aggregation: its
+    summed hit count for a key is the column's entry. Two kinds of
+    column:
+
+    * *plain* columns are columns of ``reach`` whose hit count is 1
+      whenever the trace reached them (one edge, no loop): the bool
+      matrix is read in place, never copied to counts;
+    * *counted* columns carry summed hit counts in ``counts`` (a loop
+      edge, or a group of edges sharing one key), 0 where untouched.
+
+    Attributes:
+        reach: ``(n, n_cols)`` bool matrix the plain columns index.
+        plain: ``int64`` indices of the plain columns of ``reach``.
+        plain_keys: map key of each plain column.
+        n_plain: per-row number of plain columns reached (``int64``).
+        counts: ``(n, C)`` int64 summed hit counts of the counted
+            columns.
+        count_keys: map key of each counted column.
+    """
+
+    reach: np.ndarray
+    plain: np.ndarray
+    plain_keys: np.ndarray
+    n_plain: np.ndarray
+    counts: np.ndarray
+    count_keys: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return int(self.reach.shape[0])
+
+
 def apply_counts(store: np.ndarray, slots: np.ndarray,
                  summed: np.ndarray) -> None:
     """Add ``summed`` hit counts into 8-bit ``store[slots]``.
@@ -234,13 +287,11 @@ class CoverageMap(ABC):
 
     # -- batched pipeline -------------------------------------------------
 
-    def update_compare_batch(self, keys: np.ndarray, counts: np.ndarray,
-                             offsets: np.ndarray, virgin: VirginMap
+    def update_compare_batch(self, batch, virgin: VirginMap
                              ) -> Tuple[BatchUpdate, np.ndarray]:
         """Aggregate, classify and flag a whole batch of traces at once.
 
-        The flat ``keys``/``counts`` arrays hold one segment per trace
-        (``offsets`` as in :class:`BatchExecResult`). Unlike
+        ``batch`` is a :class:`FlatKeys` or a :class:`DenseKeys`. Unlike
         :meth:`update` this does NOT touch the map: it computes, per
         trace, exactly what ``reset(); update(seg)`` would store and
         what ``classify()`` would bucket it to (see
@@ -253,12 +304,19 @@ class CoverageMap(ABC):
         ``False`` stays uninteresting no matter what earlier traces in
         the batch merge in the meantime. Flagged traces replay the full
         scalar pipeline to learn the truth (and to perform the merge).
-        One pass produces both, so a cold batch never walks its keys
-        twice.
+
+        The returned :class:`BatchUpdate` always has every trace's
+        ``n_unique``. Its segments are complete for a flat batch; a
+        dense batch builds them only for the flagged traces (the only
+        ones :meth:`segment_interesting` re-tests) and leaves the rest
+        empty.
         """
-        self._check_keys(keys)
+        if isinstance(batch, DenseKeys):
+            return self._update_compare_dense(batch, virgin.virgin)
+        self._check_keys(batch.keys)
         u_keys, summed, u_off, seg = aggregate_keys_batch(
-            keys, counts, offsets, self.map_size, return_segments=True)
+            batch.keys, batch.counts, batch.offsets, self.map_size,
+            return_segments=True)
         classified = classified_counts(summed)
         update = BatchUpdate(keys=u_keys, summed=summed,
                              classified=classified, offsets=u_off,
@@ -267,6 +325,60 @@ class CoverageMap(ABC):
             return update, np.zeros(update.n, dtype=bool)
         hit = self._new_bits(u_keys, classified, virgin.virgin)
         return update, np.bincount(seg[hit], minlength=update.n) > 0
+
+    def _update_compare_dense(self, batch: DenseKeys, virgin: np.ndarray
+                              ) -> Tuple[BatchUpdate, np.ndarray]:
+        """:meth:`update_compare_batch` on key columns.
+
+        A plain column's classified byte is 1, so one ``_new_bits`` call
+        over the plain keys picks the columns that could still clear a
+        virgin bit, and a row is flagged if it reached any of them: one
+        bool gather. Counted columns classify their summed counts and
+        test every (row, column) byte, masked to the touched ones (an
+        unassigned BigMap key flags whatever its byte).
+        """
+        # Column gathers go through the transposed views: the
+        # executor's reach matrix is stored edge-major, so a column of
+        # the window is a contiguous row there.
+        reach_t, counts = batch.reach.T, batch.counts
+        keys = np.concatenate([batch.plain_keys, batch.count_keys])
+        self._check_keys(keys)
+        hot = batch.plain[self._new_bits(batch.plain_keys, np.uint8(1),
+                                         virgin)]
+        flags = reach_t[hot].any(axis=0)
+        classified = classified_counts(counts)
+        touched = counts > 0
+        flags |= (touched & self._new_bits(batch.count_keys, classified,
+                                           virgin)).any(axis=1)
+        n_unique = batch.n_plain + np.count_nonzero(touched, axis=1)
+
+        # Segments of the flagged rows: their touched columns in key
+        # order. Column keys are distinct, so that is the ascending,
+        # duplicate-free segment aggregate_keys_batch would build. The
+        # touched mask is laid out key-major, then read row-major.
+        rows = np.flatnonzero(flags)
+        n_cols, n_plain = keys.size, batch.plain.size
+        order = np.argsort(keys)
+        rank = np.empty(n_cols, dtype=np.int64)
+        rank[order] = np.arange(n_cols)
+        mask = np.empty((n_cols, rows.size), dtype=bool)
+        mask[rank[:n_plain]] = reach_t[batch.plain][:, rows]
+        mask[rank[n_plain:]] = touched.T[:, rows]
+        nz = np.flatnonzero(mask.T)
+        pos = nz % n_cols  # key rank of each entry
+        # Plain entries sum to 1; counted ones read their count.
+        summed = np.ones(nz.size, dtype=np.int64)
+        count_col = (order - n_plain)[pos]
+        hit = np.flatnonzero(count_col >= 0)
+        summed[hit] = counts[rows[nz[hit] // n_cols], count_col[hit]]
+        offsets = np.zeros(batch.n + 1, dtype=np.int64)
+        offsets[rows + 1] = np.diff(np.searchsorted(
+            nz, np.arange(rows.size + 1) * n_cols))
+        np.cumsum(offsets, out=offsets)
+        update = BatchUpdate(keys=keys[order][pos], summed=summed,
+                             classified=classified_counts(summed),
+                             offsets=offsets, n_unique=n_unique)
+        return update, flags
 
     def segment_interesting(self, update: BatchUpdate, i: int,
                             virgin: VirginMap) -> bool:
@@ -293,7 +405,10 @@ class CoverageMap(ABC):
 
         ``classified`` holds each key's bucketed trace byte and
         ``virgin`` is the virgin byte array. The one place a map's key
-        to virgin-byte mapping lives. Read-only.
+        to virgin-byte mapping lives, for flat segments and key columns
+        alike: ``keys`` may be a per-column vector that ``classified``
+        (a scalar, or a ``(rows, columns)`` matrix) broadcasts against.
+        Read-only.
         """
 
     # -- introspection ---------------------------------------------------

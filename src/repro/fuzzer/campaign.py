@@ -17,9 +17,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core import AflCoverage, BigMapCoverage, CoverageMap, VirginMap
-from ..core.bitmap_base import BatchUpdate
+from ..core.bitmap_base import BatchUpdate, FlatKeys
 from ..core.errors import CampaignConfigError
 from ..instrumentation import apply_lafintel, build_instrumentation
+from ..instrumentation.edge_ids import EdgeTableInstrumentation
 from ..memsim.calibration import model_for_benchmark
 from ..memsim.costmodel import (AFL, BIGMAP, OP_CATEGORIES,
                                 BitmapCostModel, ExecShape)
@@ -131,6 +132,8 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.fuzzer not in (AFL, BIGMAP):
             raise CampaignConfigError(f"unknown fuzzer {self.fuzzer!r}")
+        if self.seed_scale is not None and self.seed_scale <= 0:
+            raise CampaignConfigError("seed_scale must be positive")
         if self.virtual_seconds <= 0:
             raise CampaignConfigError("virtual_seconds must be positive")
         if self.max_real_execs <= 0:
@@ -145,31 +148,25 @@ class BatchFront:
     """Vectorized front half of one (mega-)batch.
 
     Everything the batched processing loop needs per trace: the
-    mutants themselves, their batched traces and aggregated keys, and
-    the conservative interest flags. The in-process backend keeps every
-    row's trace; the process backend (``repro.fuzzer.mp``) computes the
-    front in worker processes, which return their rows and per-trace
-    arrays in full but ``bres``/``update`` segments only for the rows
-    they flag or see crash — the only rows that can need a stale-flag
-    re-test or a trace-reusing replay. Every other row has an empty
-    segment and ``kept`` False, and a replay of it re-executes, which
-    gives the same trace: ``execute`` is the batch kernel on one row.
+    mutants, their dense traces, the conservative interest flags, and
+    what pricing and the stale-flag re-test read. No flat trace is
+    built here: a replay, or the window's one map repair, cuts its
+    row's trace from ``bres`` when it gets there
+    (:meth:`BatchExecResult.result_for`).
 
     Attributes:
         batch: the mutants, rows in window order.
-        bres: the :class:`BatchExecResult`; its per-row ``traversals``
-            and ``crashes`` are always complete.
-        update: the aggregated :class:`BatchUpdate`; its per-row
-            ``n_unique`` (the cost model's ``unique_locations``) is
-            always complete. It lets the processing loop re-test a
-            flagged trace's keys against the *current* virgin map when
-            its cheap-run scan (or its own arrival) reaches it, and
-            downgrade a stale flag to the cheap path.
+        bres: the dense :class:`BatchExecResult` of every row.
+        update: the :class:`BatchUpdate`: every row's ``n_unique`` (the
+            cost model's ``unique_locations``), and the aggregated key
+            segments of (at least) the flagged rows. These let the
+            processing loop re-test a flagged trace's keys against the
+            *current* virgin map when its cheap-run scan (or its own
+            arrival) reaches it, and downgrade a stale flag to the
+            cheap path.
         flags: conservative "could be interesting" flags from the fused
             batched compare (see ``CoverageMap.update_compare_batch``).
         crashes: per-trace crash mask.
-        kept: per-trace mask of rows whose ``bres``/``update`` segments
-            are present.
     """
 
     batch: MutantBatch
@@ -177,7 +174,6 @@ class BatchFront:
     update: BatchUpdate
     flags: np.ndarray
     crashes: np.ndarray
-    kept: np.ndarray
 
     @property
     def traversals(self) -> np.ndarray:
@@ -640,9 +636,12 @@ class Campaign:
 
         Draw the window's havoc specs covering rows ``[lo, hi)``
         (default: all rows) and apply those rows at ``width`` (default:
-        the widest draw's), execute the whole (mega-)batch, gather
-        instrumentation keys, and run the fused
-        aggregate/classify/compare kernel. Execution backends override
+        the widest draw's), execute the whole (mega-)batch, and run the
+        fused classify/compare kernel on its keys. A metric whose key
+        depends on the edge alone feeds the kernel the dense window
+        straight from the executor's reach matrix
+        (:meth:`KeyColumns.window`); an input-dependent one gathers
+        flat key segments row by row. Execution backends override
         this — ``repro.fuzzer.mp`` has each worker process run it on
         its own row shard and concatenates the results in worker
         order, which is bit-identical because every draw is a pure
@@ -652,31 +651,29 @@ class Campaign:
         batch = self.mutator.havoc_apply(
             self.mutator.draw_rows(specs, lo, hi), width)
         bres = self.executor.execute_batch(batch.data)
-        keys, counts = self.instrumentation.keys_for_batch(bres, batch)
-        update, flags = self.coverage.update_compare_batch(
-            keys, counts, bres.offsets, self.virgin)
+        instrumentation = self.instrumentation
+        if isinstance(instrumentation, EdgeTableInstrumentation):
+            keys = instrumentation.columns.window(bres)
+        else:
+            flat, counts = instrumentation.keys_for_batch(bres, batch)
+            keys = FlatKeys(flat, counts, bres.offsets)
+        update, flags = self.coverage.update_compare_batch(keys,
+                                                           self.virgin)
         crashes = np.fromiter((c is not None for c in bres.crashes),
                               dtype=bool, count=bres.n)
         return BatchFront(batch=batch, bres=bres, update=update,
-                          flags=flags, crashes=crashes,
-                          kept=np.ones(bres.n, dtype=bool))
+                          flags=flags, crashes=crashes)
 
     def _repair_map(self, front: BatchFront, i: int) -> None:
         """Leave the map exactly as the serial engine would: holding
         the classified trace of the last processed mutant (checkpoints
-        capture the coverage map). The trace comes from the batch
-        result when the backend kept it, else from one scalar
-        re-execution — the same kernel on one row — then
-        reset + update + classify, which reproduces
+        capture the coverage map). The trace is cut from the dense
+        batch result, then reset + update + classify, which reproduces
         ``classify_and_compare``'s map effect (the merge never writes
         the local map). Host-only work: no clock, no virgin, no
         counters."""
-        row = front.batch.row(i)
-        if front.kept[i]:
-            result = front.bres.result_for(i)
-        else:
-            result = self.executor.execute(row.tobytes())
-        mkeys, mcounts = self.instrumentation.keys_for(result, row)
+        mkeys, mcounts = self.instrumentation.keys_for(
+            front.bres.result_for(i), front.batch.row(i))
         self.coverage.reset()
         self.coverage.update(mkeys, mcounts)
         self.coverage.classify()
@@ -774,9 +771,8 @@ class Campaign:
                         stop = True
                         break
                     if replays[i] and still_replays(i):
-                        pre = front.bres.result_for(i) \
-                            if front.kept[i] else None
-                        self._run_mutant(front.batch.tobytes(i), seed, pre)
+                        self._run_mutant(front.batch.tobytes(i), seed,
+                                         front.bres.result_for(i))
                         last_cheap = -1
                         if bigmap and self.coverage.active_bytes() != used:
                             # used_key moved: re-price the remaining

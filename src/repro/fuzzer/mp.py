@@ -30,11 +30,11 @@ Design (mirrors the runner/measurer split of Klees et al.):
   (:meth:`~repro.fuzzer.mutation.Mutator.draw_rows`), cuts them to its
   rows, applies them at the window width and runs the in-process
   front.
-* **Rows and sparse replay state come back.** Each worker returns its
-  mutant rows, the per-trace arrays (traversals, unique-location
-  counts, interest flags, crash marks) and *sparse replay state*: the
-  trace and aggregated-key segments of the rows it flagged or saw
-  crash, empty segments elsewhere, and the mask of kept rows
+* **Rows and dense traces come back.** Each worker returns its
+  mutant rows, its dense traces (the executor's reach matrix and loop
+  hit counts), the per-trace arrays (traversals, unique-location
+  counts, interest flags, crash marks) and the aggregated-key segments
+  of the rows it flagged, empty elsewhere
   (:class:`~repro.fuzzer.campaign.BatchFront`).
 * **Fixed reduction order.** The parent collects shard results in
   worker-index order (a blocking ``recv`` per pipe, in order), then
@@ -49,12 +49,11 @@ downgrades, replays, admissions, checkpoints, telemetry — runs
 unchanged in the parent, so campaign results are bit-identical for any
 worker count, including the serial engine. The parent re-tests each
 flag it meets in the cheap-run scan against the live virgin map, using
-the kept row's aggregated keys, so a flag gone stale joins the current
-run of cheap traces instead of ending it. Replays of kept rows reuse
-the worker's trace; the rest (budget-driven hang replays and the one
-map-repair row per window) re-execute, which gives the same trace
-because ``execute`` is the batch kernel on one row. Workers never
-mutate shared state and never touch the parent's RNG.
+the flagged row's aggregated keys, so a flag gone stale joins the
+current run of cheap traces instead of ending it. Every replay and the
+one map-repair row per window cut their trace from the worker's dense
+rows, exactly as the in-process engine does, so nothing re-executes.
+Workers never mutate shared state and never touch the parent's RNG.
 
 The worker entry point :func:`_mp_worker_main` runs in forked
 children, so module-level mutable state written on both sides of this
@@ -75,37 +74,19 @@ from ..core.errors import CampaignConfigError
 from .campaign import BatchFront, Campaign, CampaignConfig
 
 
-def _keep_segments(record, kept: np.ndarray, flat):
-    """``record`` with every segment outside ``kept`` emptied; ``flat``
-    names its per-entry arrays."""
-    sizes = np.diff(record.offsets)
-    take = np.repeat(kept, sizes)
-    offsets = np.concatenate(
-        ([0], np.cumsum(np.where(kept, sizes, 0), dtype=np.int64)))
-    fields = {name: getattr(record, name)[take] for name in flat}
-    return dataclasses.replace(record, offsets=offsets, **fields)
-
-
-def _sparse_front(front: BatchFront) -> BatchFront:
-    """A worker's reply: segments kept only for flagged/crashed rows."""
-    kept = front.flags | front.crashes
-    return dataclasses.replace(
-        front, kept=kept,
-        bres=_keep_segments(front.bres, kept, ("edges", "counts")),
-        update=_keep_segments(front.update, kept,
-                              ("keys", "summed", "classified")))
-
-
 def _concat(parts):
     """Concatenate per-shard records in shard order, field by field.
 
     Covers every record a front is made of (:class:`BatchFront` and the
     mutant batch, trace and key records inside it): nested records
-    recurse, arrays and lists concatenate, segment ``offsets`` are
-    rebased, and absent (None) fields stay absent.
+    recurse, arrays (along rows) and lists concatenate, segment
+    ``offsets`` are rebased, and absent (None) fields and fields marked
+    ``shared`` (one array every shard holds whole) stay as they are.
     """
     fields = {}
     for field in dataclasses.fields(parts[0]):
+        if field.metadata.get("shared"):
+            continue
         values = [getattr(p, field.name) for p in parts]
         if field.name == "offsets":
             shift = np.cumsum([0] + [int(v[-1]) for v in values])
@@ -128,7 +109,7 @@ def _mp_worker_main(campaign: "MPCampaign", conn) -> None:
     virgin/index/used_key state; writes nothing but its reply pipe.
     One request draws the specs overlapping one shard, applies that
     shard's rows at the window width, computes their front and ships
-    it back with sparse replay state.
+    it back.
     """
     try:
         while True:
@@ -143,8 +124,7 @@ def _mp_worker_main(campaign: "MPCampaign", conn) -> None:
                     campaign._used_key_shm[0])
             # The in-process front, bypassing this class's sharding
             # override.
-            front = Campaign._batch_front(campaign, specs, width, lo, hi)
-            conn.send(_sparse_front(front))
+            conn.send(Campaign._batch_front(campaign, specs, width, lo, hi))
     finally:
         conn.close()
 

@@ -16,11 +16,14 @@ to runtime hashing (paper §II-A2).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..target.cfg import Program
+from ..core.bitmap_base import DenseKeys
+from ..target.cfg import NO_LOOP, Program
 from ..target.executor import BatchExecResult, ExecResult
 
 
@@ -55,10 +58,11 @@ class Instrumentation(ABC):
         segment ``i`` holds exactly ``keys_for(result.result_for(i),
         input_rows[i])``. ``input_rows`` is any indexable of exact-length
         rows — a list of views, or the campaign's ``MutantBatch``, which
-        builds a view only when indexed. This base implementation loops
-        per trace (input-dependent metrics like context/ngram need the
-        exact per-row bytes); gather-table metrics override it with one
-        flat gather and never index a row.
+        builds a view only when indexed. It loops per trace: this is the
+        flat path of input-dependent metrics (context/ngram need the
+        exact per-row bytes), and the reference the dense window of
+        edge-table metrics (:meth:`KeyColumns.window`) is tested
+        against.
         """
         keys = np.empty(result.edges.size, dtype=np.int64)
         counts = np.empty(result.edges.size, dtype=np.int64)
@@ -97,12 +101,101 @@ def afl_edge_keys(program: Program, map_size: int,
         block_ids[program.dst_block]
 
 
+@dataclass(frozen=True)
+class KeyColumns:
+    """An edge-key table grouped into the columns of a dense window.
+
+    Built once per instrumentation (so once per campaign) from the
+    per-edge keys and the program's loop edges. Three kinds of column:
+
+    * a *plain* column is an edge that owns its key alone and is not a
+      loop: a trace that reaches it hits its key exactly once, so the
+      window reads its reach column in place;
+    * a *loop* column is a loop edge that owns its key alone: its count
+      is the edge's hit count;
+    * a *group* column is a key two or more edges share (a collision
+      group, loop edges included): its count sums its members' hits.
+
+    Attributes:
+        plain: ``int64`` plain edge indices.
+        plain_keys: their keys.
+        loop_hits: per loop column, its column in a batch's loop-hit
+            block (``BatchExecResult.hits``).
+        members: group member edges, grouped; group ``j`` owns
+            ``members[starts[j]:starts[j+1]]``.
+        member_hits: per member, its loop-hit column, or -1 for an edge
+            that counts 1.
+        starts: first member of each group.
+        count_keys: keys of the loop columns, then of the groups.
+    """
+
+    plain: np.ndarray
+    plain_keys: np.ndarray
+    loop_hits: np.ndarray
+    members: np.ndarray
+    member_hits: np.ndarray
+    starts: np.ndarray
+    count_keys: np.ndarray
+
+    @classmethod
+    def group(cls, edge_keys: np.ndarray,
+              loops: np.ndarray) -> "KeyColumns":
+        """Group ``edge_keys`` given the ascending loop edge indices."""
+        _, inverse, sizes = np.unique(edge_keys, return_inverse=True,
+                                      return_counts=True)
+        shared = sizes[inverse] > 1
+        is_loop = np.zeros(edge_keys.size, dtype=bool)
+        is_loop[loops] = True
+        plain = np.flatnonzero(~shared & ~is_loop)
+        lone = np.flatnonzero(~shared & is_loop)
+        members = np.flatnonzero(shared)
+        members = members[np.argsort(edge_keys[members], kind="stable")]
+        member_keys = edge_keys[members]
+        first = np.ones(members.size, dtype=bool)
+        first[1:] = member_keys[1:] != member_keys[:-1]
+        starts = np.flatnonzero(first)
+        return cls(plain=plain, plain_keys=edge_keys[plain],
+                   loop_hits=np.searchsorted(loops, lone),
+                   members=members,
+                   member_hits=np.where(is_loop[members],
+                                        np.searchsorted(loops, members), -1),
+                   starts=starts,
+                   count_keys=np.concatenate([edge_keys[lone],
+                                              member_keys[starts]]))
+
+    def window(self, result: BatchExecResult) -> DenseKeys:
+        """A batch's traces as :class:`DenseKeys` over these columns.
+
+        Only loop and group columns build counts: a gather of loop hits,
+        and per group one ``np.add.reduceat`` over its members' hits
+        (1 where a plain member was reached).
+        """
+        # Edge-major, like the executor's kernel: rows of the transposed
+        # reach and hit matrices are contiguous.
+        hits = result.hits.T
+        counts = np.empty((self.count_keys.size, result.n), dtype=np.int64)
+        n_loop = self.loop_hits.size
+        counts[:n_loop] = hits[self.loop_hits]
+        n_plain = result.n_edges - np.count_nonzero(counts[:n_loop], axis=0)
+        if self.starts.size:
+            block = result.reach.T[self.members].astype(np.int64)
+            loop = self.member_hits >= 0
+            block[loop] = hits[self.member_hits[loop]]
+            counts[n_loop:] = np.add.reduceat(block, self.starts, axis=0)
+            n_plain -= np.count_nonzero(block, axis=0)
+        return DenseKeys(reach=result.reach, plain=self.plain,
+                         plain_keys=self.plain_keys, n_plain=n_plain,
+                         counts=counts.T, count_keys=self.count_keys)
+
+
 class EdgeTableInstrumentation(Instrumentation):
     """A metric whose key depends on the edge alone.
 
     Subclasses fill ``edge_keys`` (one map key per program edge) at
-    construction; a trace's keys are then one gather, for one execution
-    or a whole batch alike, and the input bytes are never read.
+    construction; a trace's keys are then one gather and the input
+    bytes are never read. A whole batch needs no gather at all: the
+    table, grouped once into :attr:`columns`, reads the batch's dense
+    reach matrix directly (:meth:`KeyColumns.window`).
     """
 
     edge_keys: np.ndarray
@@ -111,13 +204,15 @@ class EdgeTableInstrumentation(Instrumentation):
                  input_bytes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return self.edge_keys[result.edges], result.counts
 
-    def keys_for_batch(self, result: BatchExecResult,
-                       input_rows: Sequence[np.ndarray]) \
-            -> Tuple[np.ndarray, np.ndarray]:
-        return self.edge_keys[result.edges], result.counts
-
     def distinct_keys_possible(self) -> int:
         return int(np.unique(self.edge_keys).size)
+
+    @cached_property
+    def columns(self) -> KeyColumns:
+        """The key table grouped for dense windows (built on first use)."""
+        return KeyColumns.group(
+            self.edge_keys,
+            np.flatnonzero(self.program.loop_off != NO_LOOP))
 
 
 class AflEdgeInstrumentation(EdgeTableInstrumentation):

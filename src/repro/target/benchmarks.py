@@ -85,6 +85,9 @@ class BenchmarkConfig:
     def build(self, scale: float = 1.0, *,
               seed_scale: Optional[float] = None) -> "BuiltBenchmark":
         """Materialize the program and its scaled seed corpus."""
+        if seed_scale is not None and seed_scale <= 0:
+            raise ValueError(
+                f"seed_scale must be positive, got {seed_scale}")
         program = generate_program(self.spec(scale))
         effective = scale if seed_scale is None else seed_scale
         n = max(1, int(round(self.n_seeds * effective)))

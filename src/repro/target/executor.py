@@ -19,6 +19,7 @@ which entry point produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -59,35 +60,57 @@ class ExecResult:
 
 @dataclass
 class BatchExecResult:
-    """Outcome of one batched execution of ``n`` inputs.
+    """Outcome of one batched execution of ``n`` inputs, in dense form.
 
-    Per-trace edge lists are concatenated into flat arrays; trace ``i``
-    owns the segment ``[offsets[i], offsets[i+1])``. Within a segment
-    edges are ascending, exactly as :class:`ExecResult` orders them.
+    The executor's kernel decides reachability for every (row, edge)
+    pair at once, so a batch is kept as that matrix plus the hit counts
+    of the program's loop edges (every other traversed edge counts 1).
+    Consumers that only need per-trace verdicts read the matrix
+    directly (the dense window front of the batched engine); a trace's
+    flat ``(edges, counts)`` list is cut from its dense row only when
+    asked for (:meth:`segment`, :meth:`result_for`), and the whole-batch
+    flat form (:attr:`edges`, :attr:`counts`, :attr:`offsets`) only when
+    a consumer walks every segment (input-dependent metrics' key
+    gather, and the tests' flat oracle).
 
     Attributes:
-        edges: flat ``int64`` edge indices for all traces.
-        counts: flat hit counts aligned with ``edges``.
-        offsets: ``int64`` array of ``n + 1`` segment boundaries.
+        reach: ``(n, n_edges)`` bool; ``reach[i, e]`` iff trace ``i``
+            traversed edge ``e`` (crash-truncated). Stored edge-major
+            (a transposed view), so gathering edge columns is cheap.
+        hits: ``(n, n_loops)`` uint16 hit counts of the loop edges
+            ``loops`` (``1 + inp[loop_off] % loop_cap``), 0 where the
+            trace did not traverse the edge.
+        loops: ascending ``int64`` edge indices of the program's loop
+            edges, the columns of ``hits``. One array per executor,
+            shared by every batch it runs (``shared``: concatenating
+            batches keeps it as is).
+        n_edges: per-trace number of distinct edges traversed
+            (``int64``, length n).
         traversals: per-trace total traversals (``int64``, length n).
         crashes: per-trace :class:`CrashInfo` or ``None``.
     """
 
-    edges: np.ndarray
-    counts: np.ndarray
-    offsets: np.ndarray
+    reach: np.ndarray
+    hits: np.ndarray
+    loops: np.ndarray = field(metadata={"shared": True})
+    n_edges: np.ndarray
     traversals: np.ndarray
     crashes: List[Optional[CrashInfo]]
 
     @property
     def n(self) -> int:
         """Number of traces in the batch."""
-        return int(self.offsets.size - 1)
+        return int(self.reach.shape[0])
 
     def segment(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(edges, counts) views for trace ``i``."""
-        lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
-        return self.edges[lo:hi], self.counts[lo:hi]
+        """(edges, counts) of trace ``i``, cut from its dense row."""
+        edges = np.flatnonzero(self.reach[i])
+        counts = np.ones(edges.size, dtype=np.int64)
+        live = np.flatnonzero(self.hits[i])
+        if live.size:
+            counts[np.searchsorted(edges, self.loops[live])] = \
+                self.hits[i, live]
+        return edges, counts
 
     def result_for(self, i: int) -> ExecResult:
         """Materialize trace ``i`` as a scalar :class:`ExecResult`."""
@@ -95,6 +118,48 @@ class BatchExecResult:
         return ExecResult(edges=edges, counts=counts,
                           traversals=int(self.traversals[i]),
                           crash=self.crashes[i])
+
+    def __getstate__(self) -> dict:
+        # The flat form is a cache: an mp worker's reply does not ship
+        # it, and whoever needs it rebuilds it from the dense form.
+        state = dict(self.__dict__)
+        state.pop("_flat", None)
+        return state
+
+    @cached_property
+    def _flat(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # One pass: entry row * n_edges + edge, ascending, so each
+        # row's edges form one ascending segment.
+        n_rows, n = self.reach.shape
+        flat = np.flatnonzero(self.reach)
+        offsets = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(self.n_edges, out=offsets[1:])
+        edges = flat - np.repeat(np.arange(n_rows, dtype=np.int64) * n,
+                                 self.n_edges)
+        counts = np.ones(edges.size, dtype=np.int64)
+        live = np.flatnonzero(self.hits)
+        if live.size:
+            lrows, lidx = np.divmod(live, self.loops.size)
+            pos = np.searchsorted(flat, lrows * n + self.loops[lidx])
+            counts[pos] = self.hits.ravel()[live]
+        return edges, counts, offsets
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Flat ``int64`` edge indices of all traces; trace ``i`` owns
+        ``[offsets[i], offsets[i+1])``, ascending as in
+        :class:`ExecResult`."""
+        return self._flat[0]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Flat hit counts aligned with :attr:`edges`."""
+        return self._flat[1]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """``int64`` array of ``n + 1`` segment boundaries."""
+        return self._flat[2]
 
 
 class Executor:
@@ -168,9 +233,9 @@ class Executor:
         The batch kernel on a one-row buffer, so a trace is the same
         whether its input runs alone or in a batch.
         """
-        bufs = np.zeros((1, self.program.input_len), dtype=np.uint8)
+        bufs = np.zeros((self.program.input_len, 1), dtype=np.uint8)
         raw = np.frombuffer(data, dtype=np.uint8)[:self.program.input_len]
-        bufs[0, :raw.size] = raw
+        bufs[:raw.size, 0] = raw
         return self._run(bufs).result_for(0)
 
     def execute_batch(self, data: np.ndarray) -> BatchExecResult:
@@ -183,67 +248,61 @@ class Executor:
         ``input_len``). Each trace equals ``execute(row_bytes)``.
 
         Returns:
-            :class:`BatchExecResult` with flat per-trace segments.
+            :class:`BatchExecResult` in dense form.
         """
         n_rows, width = data.shape
-        bufs = np.zeros((n_rows, self.program.input_len), dtype=np.uint8)
+        bufs = np.zeros((self.program.input_len, n_rows), dtype=np.uint8)
         w = min(width, self.program.input_len)
-        bufs[:, :w] = data[:, :w]
+        bufs[:w] = data[:, :w].T
         return self._run(bufs)
 
     def _run(self, bufs: np.ndarray) -> BatchExecResult:
         """The kernel behind :meth:`execute` and :meth:`execute_batch`:
-        ``bufs`` is ``(n, input_len)`` uint8, one input per row."""
-        n_rows = bufs.shape[0]
+        ``bufs`` is ``(input_len, n)`` uint8, one input per column.
+
+        The kernel works edge-major — a ``(n_edges, n)`` matrix, one
+        row per edge — so every guard write, parent gather and crash
+        probe moves whole contiguous rows. The result's ``reach`` is
+        that matrix's transpose, a view.
+        """
+        n_rows = bufs.shape[1]
         n = self.program.n_edges
-        reach = np.ones((n_rows, n), dtype=bool)  # execution order
-        reach[:, self._never] = False
+        reach = np.ones((n, n_rows), dtype=bool)  # execution order
+        reach[self._never] = False
         if self._lt.size:
-            reach[:, self._lt] = bufs[:, self._lt_off] < self._lt_val
+            reach[self._lt] = bufs[self._lt_off] < self._lt_val[:, None]
         if self._eq.size:
-            reach[:, self._eq] = bufs[:, self._eq_off] == self._eq_val
+            reach[self._eq] = bufs[self._eq_off] == self._eq_val[:, None]
         if self._multi.size:
-            reach[:, self._multi] = np.logical_and.reduceat(
-                bufs[:, self._magic_off] == self._magic_val,
-                self._multi_starts, axis=1)
+            reach[self._multi] = np.logical_and.reduceat(
+                bufs[self._magic_off] == self._magic_val[:, None],
+                self._multi_starts, axis=0)
         # Level by level: a parent's verdict is final before any child
         # reads it.
         for lo, hi, parents in self._levels:
-            reach[:, lo:hi] &= reach[:, parents]
+            reach[lo:hi] &= reach[parents]
 
         crashes: List[Optional[CrashInfo]] = [None] * n_rows
         if self._crash_cols.size:
-            hit = reach[:, self._crash_cols]
-            crashed_rows = np.flatnonzero(hit.any(axis=1))
+            hit = reach[self._crash_cols]
+            crashed_rows = np.flatnonzero(hit.any(axis=0))
             if crashed_rows.size:
                 first = self._crash_cols[
-                    np.argmax(hit[crashed_rows], axis=1)]
+                    np.argmax(hit[:, crashed_rows], axis=0)]
                 for row, col in zip(crashed_rows, first):
                     crashes[row] = self._crash_info(int(self._order[col]))
                     # The trace stops at the faulting edge.
-                    reach[row, col + 1:] = False
-        reach = np.take(reach, self._column, axis=1)  # edge order
+                    reach[col + 1:, row] = False
+        reach = reach[self._column]  # edge order
 
-        # One flat pass: entry row * n_edges + edge, ascending, so each
-        # row's edges form one ascending segment.
-        flat = np.flatnonzero(reach)
-        per_row = np.count_nonzero(reach, axis=1)
-        offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(per_row, out=offsets[1:])
-        edges = flat - np.repeat(np.arange(n_rows, dtype=np.int64) * n,
-                                 per_row)
-        counts = np.ones(edges.size, dtype=np.int64)
-        if self._loops.size:
-            live = np.flatnonzero(reach[:, self._loops])
-            if live.size:
-                lrows, lidx = np.divmod(live, self._loops.size)
-                pos = np.searchsorted(flat, lrows * n + self._loops[lidx])
-                counts[pos] = 1 + (bufs[lrows, self._loop_off[lidx]]
-                                   .astype(np.int64)
-                                   % self._loop_cap[lidx])
-        csum = np.zeros(edges.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=csum[1:])
-        traversals = csum[offsets[1:]] - csum[offsets[:-1]]
-        return BatchExecResult(edges=edges, counts=counts,
-                               offsets=offsets, traversals=traversals,
+        # A hit count is at most 1 + 255, so uint16 holds it.
+        hits = np.where(reach[self._loops],
+                        1 + bufs[self._loop_off].astype(np.int64)
+                        % self._loop_cap[:, None], 0).astype(np.uint16)
+        n_edges = reach.sum(axis=0, dtype=np.int64)
+        # Every traversed edge counts 1, a loop edge its hit count.
+        traversals = (n_edges + hits.sum(axis=0, dtype=np.int64)
+                      - np.count_nonzero(hits, axis=0))
+        return BatchExecResult(reach=reach.T, hits=hits.T, loops=self._loops,
+                               n_edges=n_edges, traversals=traversals,
                                crashes=crashes)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (AflCoverage, BigMapCoverage, VirginMap,
+from repro.core import (AflCoverage, BigMapCoverage, FlatKeys, VirginMap,
                         aggregate_keys, aggregate_keys_batch,
                         classified_counts)
 
@@ -120,7 +120,8 @@ class TestCompareBatch:
             cov.cov = np.zeros_like(warm.cov)
 
         segs, counts, fk, fc, off = make_batch(rng, 30)
-        update, flags = cov.update_compare_batch(fk, fc, off, virgin)
+        update, flags = cov.update_compare_batch(
+            FlatKeys(fk, fc, off), virgin)
 
         for i, (seg, cnt) in enumerate(zip(segs, counts)):
             probe = virgin.copy()
@@ -136,7 +137,8 @@ class TestCompareBatch:
         virgin = VirginMap(MAP)
         cov = cls(MAP)
         segs, counts, fk, fc, off = make_batch(rng, 40, max_seg=12)
-        update, flags = cov.update_compare_batch(fk, fc, off, virgin)
+        update, flags = cov.update_compare_batch(
+            FlatKeys(fk, fc, off), virgin)
         for i, (seg, cnt) in enumerate(zip(segs, counts)):
             cov.reset()
             cov.update(seg, cnt)
@@ -148,7 +150,8 @@ class TestCompareBatch:
         rng = np.random.default_rng(4)
         cov = cls(MAP)
         segs, counts, fk, fc, off = make_batch(rng, 15)
-        update, _ = cov.update_compare_batch(fk, fc, off, VirginMap(MAP))
+        update, _ = cov.update_compare_batch(FlatKeys(fk, fc, off),
+                                             VirginMap(MAP))
         for i, (seg, cnt) in enumerate(zip(segs, counts)):
             cov.reset()
             assert int(update.n_unique[i]) == cov.update(seg, cnt)
@@ -163,7 +166,8 @@ class TestCompareBatchProperty:
         cov = BigMapCoverage(MAP)
         for round_no in range(3):
             segs, counts, fk, fc, off = make_batch(rng, 10, max_seg=8)
-            update, flags = cov.update_compare_batch(fk, fc, off, virgin)
+            update, flags = cov.update_compare_batch(
+            FlatKeys(fk, fc, off), virgin)
             for i, (seg, cnt) in enumerate(zip(segs, counts)):
                 cov.reset()
                 cov.update(seg, cnt)
@@ -210,12 +214,11 @@ class TestSegmentInterestingProperty:
         for trace in before:
             run_scalar(cov, trace, virgin)
         keys, counts, offsets = flatten(batch)
-        update, _ = cov.update_compare_batch(keys, counts, offsets,
-                                             virgin)
+        batch_keys = FlatKeys(keys, counts, offsets)
+        update, _ = cov.update_compare_batch(batch_keys, virgin)
         for trace in after:
             run_scalar(cov, trace, virgin)
-        _, flags_now = cov.update_compare_batch(keys, counts, offsets,
-                                                virgin)
+        _, flags_now = cov.update_compare_batch(batch_keys, virgin)
         for i, trace in enumerate(batch):
             now = cov.segment_interesting(update, i, virgin)
             assert now == bool(flags_now[i]), f"trace {i}"
@@ -256,10 +259,102 @@ def test_hot_path_dtypes(cls):
     virgin.merge_sparse(unique, classified_counts(summed))
     assert virgin.virgin.dtype == np.uint8
 
-    update, flags = cov.update_compare_batch(fk, fc, off, virgin)
+    update, flags = cov.update_compare_batch(FlatKeys(fk, fc, off),
+                                             virgin)
     assert update.keys.dtype == np.int64
     assert update.summed.dtype == np.int64
     assert update.classified.dtype == np.uint8
     assert update.offsets.dtype == np.int64
     assert update.n_unique.dtype == np.int64
     assert flags.dtype == np.bool_
+
+
+def random_program(rng, n_edges):
+    """A random edge tree over a 16-byte input with byte guards, loop
+    edges (caps up to 512, so counts reach the 255 saturation) and
+    crash sites."""
+    from repro.target import Guard
+    from tests.target.test_executor import build_program
+    edges = [{}]
+    for e in range(1, n_edges):
+        edge = {"parent": int(rng.integers(0, e)),
+                "kind": [Guard.ALWAYS, Guard.BYTE_LT, Guard.BYTE_EQ][
+                    int(rng.integers(0, 3))],
+                "off": int(rng.integers(0, 16)),
+                "val": int(rng.integers(0, 4)) * 64}
+        if rng.random() < 0.4:
+            edge["loop_off"] = int(rng.integers(0, 16))
+            edge["loop_cap"] = int(rng.choice([2, 8, 64, 512]))
+        if rng.random() < 0.1:
+            edge["crash"] = e
+        edges.append(edge)
+    return build_program(edges, input_len=16)
+
+
+def random_rows(rng, n_rows):
+    """Zero-padded input rows whose bytes often meet the guards."""
+    values = np.array([0, 1, 63, 64, 128, 192, 255], dtype=np.uint8)
+    rows = values[rng.integers(0, values.size, size=(n_rows, 16))]
+    noise = rng.random((n_rows, 16)) < 0.3
+    rows[noise] = rng.integers(0, 256, size=int(noise.sum()),
+                               dtype=np.uint8)
+    return rows
+
+
+@pytest.mark.parametrize("cls", [AflCoverage, BigMapCoverage])
+class TestDenseFrontProperty:
+    """The dense window front (key columns read straight from the
+    executor's reach matrix) equals the flat reference: the whole-batch
+    key gather, ``aggregate_keys_batch`` and ``_new_bits``. Tiny maps
+    make plain and loop edges collide, so every column kind — plain,
+    lone loop, collision group — is exercised, against a virgin map
+    and BigMap index that earlier traces partly filled."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_edges=st.integers(2, 40),
+           map_bits=st.integers(4, 7),
+           metric=st.sampled_from(["afl-edge", "trace-pc-guard"]))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_matches_flat_reference(self, cls, seed, n_edges, map_bits,
+                                    metric):
+        from repro.instrumentation import build_instrumentation
+        from repro.target import Executor
+        rng = np.random.default_rng(seed)
+        map_size = 1 << map_bits
+        program = random_program(rng, n_edges)
+        executor = Executor(program)
+        instr = build_instrumentation(metric, program, map_size,
+                                      seed=seed)
+        cov, virgin = cls(map_size), VirginMap(map_size)
+        for row in random_rows(rng, 4):
+            keys, counts = instr.keys_for(executor.execute(row.tobytes()),
+                                          row)
+            cov.reset()
+            cov.update(keys, counts)
+            cov.classify_and_compare(virgin)
+
+        rows = random_rows(rng, 24)
+        bres = executor.execute_batch(rows)
+        update, flags = cov.update_compare_batch(
+            instr.columns.window(bres), virgin)
+
+        keys, counts = instr.keys_for_batch(bres, list(rows))
+        u_keys, summed, u_off = aggregate_keys_batch(
+            keys, counts, bres.offsets, map_size)
+        classified = classified_counts(summed)
+        new = cov._new_bits(u_keys, classified, virgin.virgin)
+        assert np.array_equal(update.n_unique, np.diff(u_off))
+        assert np.array_equal(bres.traversals, [
+            counts[lo:hi].sum() for lo, hi in zip(bres.offsets[:-1],
+                                                  bres.offsets[1:])])
+        for i in range(bres.n):
+            ref = slice(u_off[i], u_off[i + 1])
+            assert bool(flags[i]) == bool(new[ref].any()), f"row {i}"
+            got = slice(update.offsets[i], update.offsets[i + 1])
+            if not flags[i]:
+                assert got.start == got.stop, f"row {i}: unflagged segment"
+                continue
+            assert np.array_equal(update.keys[got], u_keys[ref])
+            assert np.array_equal(update.summed[got], summed[ref])
+            assert np.array_equal(update.classified[got], classified[ref])
+            assert cov.segment_interesting(update, i, virgin)

@@ -63,7 +63,8 @@ class TestCli:
         (["--scale", "0"], "scale must be positive"),
         (["--budget", "-1"], "virtual_seconds must be positive"),
         (["--max-execs", "0"], "max_real_execs must be positive"),
-    ], ids=["scale", "budget", "max-execs"])
+        (["--seed-scale", "0"], "seed_scale must be positive"),
+    ], ids=["scale", "budget", "max-execs", "seed-scale"])
     def test_config_errors_are_usage_errors(self, flags, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["zlib", *flags])
