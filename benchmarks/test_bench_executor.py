@@ -31,23 +31,38 @@ def test_havoc_throughput(benchmark, sqlite_small):
     benchmark(lambda: _one_mutant(mutator, keys, seed))
 
 
-@pytest.fixture(scope="module")
-def zlib_window():
+def _zlib_draws(energy):
     """A scheduling window as the batched engine builds one: 8 zlib
-    draws of 128 mutants each, every other one spliced, 1,024 rows."""
+    draws of ``energy`` mutants each, every other one spliced."""
     built = get_benchmark("zlib").build(scale=0.5, seed_scale=0.2)
     mutator = Mutator(max_len=max(built.program.input_len * 4, 64))
     seeds, keys = built.seeds, np.random.PCG64(2)
-    specs = [(keys.random_raw(), seeds[k % len(seeds)], 128,
+    specs = [(keys.random_raw(), seeds[k % len(seeds)], energy,
               seeds[(k + 1) % len(seeds)] if k % 2 else None)
              for k in range(8)]
     return mutator, mutator.draw_rows(specs)
+
+
+@pytest.fixture(scope="module")
+def zlib_window():
+    """A steady-state window: 8 draws of 128 mutants, 1,024 rows."""
+    return _zlib_draws(128)
 
 
 def test_havoc_window_throughput(benchmark, zlib_window):
     """One window's apply at the window width: the bulk mutation work
     of a batched campaign (``test_havoc_throughput`` times one row)."""
     mutator, draws = zlib_window
+    batch = benchmark(lambda: mutator.havoc_apply(draws))
+    benchmark.extra_info["rows"] = batch.n
+    benchmark.extra_info["width"] = batch.width
+
+
+def test_havoc_small_window_throughput(benchmark):
+    """A window the size of a Figure 6 probe's: 8 draws of 16 mutants,
+    128 rows. Each length-op step holds few rows, so its fixed cost and
+    the scalar tail weigh more than in the 1,024-row window."""
+    mutator, draws = _zlib_draws(16)
     batch = benchmark(lambda: mutator.havoc_apply(draws))
     benchmark.extra_info["rows"] = batch.n
     benchmark.extra_info["width"] = batch.width

@@ -36,9 +36,10 @@ ARITH_MAX = 35
 #: Havoc block-operation size cap, as a fraction of the input.
 _BLOCK_FRACTION = 0.25
 
-#: Below this many live mutants, a vectorized length-op step costs more
-#: than finishing the remaining stacks with plain row slices.
-_SCALAR_STEP_CUTOFF = 48
+#: At or below this many live mutants, a vectorized length-op step costs
+#: more than finishing the remaining stacks with plain row slices (16
+#: timed best on both 1,024-row and 128-row zlib windows).
+_SCALAR_STEP_CUTOFF = 16
 
 
 def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -49,6 +50,24 @@ def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     idx = np.repeat(starts - ends + lens, lens)
     idx += np.arange(idx.size)
     return idx
+
+
+def _stride(width: int) -> int:
+    """Row stride of the length-op buffer for ``width``-byte rows: room
+    for the furthest byte a window step can touch. A delete's windows
+    end by ``2 * width``; an insert writes its tail window (under
+    ``width`` bytes) past a block of at most a quarter of the row,
+    starting below ``width``."""
+    return 2 * width + max(1, width // 4)
+
+
+def _windows(flat: np.ndarray, size: int) -> np.ndarray:
+    """Every ``size``-byte window of ``flat`` as one row of a strided
+    view: ``_windows(flat, size)[s]`` is ``flat[s:s + size]``. A fancy
+    index of start offsets then gathers or scatters whole windows, each
+    a contiguous copy, without a per-byte index array."""
+    return np.ndarray((flat.size - size + 1, size), np.uint8,
+                      buffer=flat, strides=(1, 1))
 
 
 @dataclass
@@ -298,10 +317,44 @@ class Mutator:
         bounds = np.concatenate(
             ([0], np.cumsum([d.n for d in draws], dtype=np.int64)))
         total = int(bounds[-1])
-        mat = np.zeros((total, width), dtype=np.uint8)
         lengths = np.empty(total, dtype=np.int64)
+        if not total:
+            return MutantBatch(data=np.zeros((0, width), dtype=np.uint8),
+                               lengths=lengths)
 
-        flat = mat.reshape(-1)
+        # The draws' cells are already flat and row-major, which
+        # :meth:`_apply_stacked` requires: the window's are their
+        # concatenation. The start rows go in as a plain argument (a
+        # ``*args`` tuple would hold them for the whole call), so the
+        # wide buffer is freed as soon as phase A is done with it.
+        n_ops = np.concatenate([d.n_ops for d in draws])
+        op, f1, f2, f3, f4, sel, val = (
+            np.concatenate([getattr(d, name) for d in draws])
+            for name in _CELL_FIELDS)
+        mat = self._apply_stacked(
+            self._start_rows(draws, bounds, width, lengths), lengths,
+            width, np.repeat(np.arange(total), n_ops),
+            _spans(np.zeros_like(n_ops), n_ops),
+            op, f1, f2, f3, f4, sel, val)
+
+        if self.dictionary:
+            self.dictionary.stamp(
+                mat, lengths, np.concatenate([d.stamp for d in draws],
+                                             axis=1))
+        return MutantBatch(data=mat, lengths=lengths)
+
+    def _start_rows(self, draws: Sequence["HavocDraw"], bounds: np.ndarray,
+                    width: int, lengths: np.ndarray) -> np.ndarray:
+        """Each mutant's bytes before its stack: the base (or random
+        fill for an empty base), spliced where drawn, cut at ``width``.
+
+        Rows are laid out in the length-op buffer of
+        :meth:`_apply_stacked`, ``_stride(width)`` bytes apart and zero
+        past their lengths, which are written into ``lengths``.
+        """
+        stride = _stride(width)
+        buf = np.zeros((int(bounds[-1]), stride), dtype=np.uint8)
+        mat, flat = buf[:, :width], buf.reshape(-1)
         for k, d in enumerate(draws):
             lo, hi = int(bounds[k]), int(bounds[k + 1])
             base = d.base
@@ -319,45 +372,40 @@ class Mutator:
                 # the joined end.
                 i = np.flatnonzero(d.do_splice)
                 ca, cb = d.cut_a[i], d.cut_b[i]
-                row0 = (lo + i) * width
+                row0 = (lo + i) * stride
                 end = np.minimum(width, ca + (d.partner.size - cb))
                 tail = np.maximum(end - ca, 0)
                 dst = _spans(row0 + ca, tail)
                 flat[dst] = d.partner[dst - np.repeat(row0 + ca - cb, tail)]
                 flat[_spans(row0 + end, np.maximum(size - end, 0))] = 0
                 lengths[lo + i] = end
+        return buf
 
-        if total:
-            # The draws' cells are already flat and row-major, which
-            # :meth:`_apply_stacked` requires: the window's are their
-            # concatenation.
-            n_ops = np.concatenate([d.n_ops for d in draws])
-            self._apply_stacked(
-                mat, lengths, width, np.repeat(np.arange(total), n_ops),
-                _spans(np.zeros_like(n_ops), n_ops),
-                *(np.concatenate([getattr(d, name) for d in draws])
-                  for name in _CELL_FIELDS))
-
-        if self.dictionary and draws:
-            self.dictionary.stamp(
-                mat, lengths, np.concatenate([d.stamp for d in draws],
-                                             axis=1))
-        return MutantBatch(data=mat, lengths=lengths)
-
-    def _apply_stacked(self, mat: np.ndarray, lengths: np.ndarray,
+    def _apply_stacked(self, buf: np.ndarray, lengths: np.ndarray,
                        width: int, rows: np.ndarray, rnds: np.ndarray,
                        op: np.ndarray, f1a: np.ndarray, f2a: np.ndarray,
                        f3a: np.ndarray, f4a: np.ndarray,
-                       sela: np.ndarray, vala: np.ndarray) -> None:
+                       sela: np.ndarray, vala: np.ndarray) -> np.ndarray:
         """Apply every mutant's havoc stack in canonical type-major order.
 
         Inputs are flat parallel arrays with one entry per live
         (row, round) stack cell, sorted row-major — grouped by ``rows``
         with ``rnds`` ascending inside each group (the order
-        :meth:`havoc_apply` builds). Length-changing ops
-        (delete/insert) run first, per mutant in round order,
-        vectorized across mutants one stack position at a time.
-        Byte-level ops then run against the final geometry in a
+        :meth:`havoc_apply` builds). ``buf`` holds the start rows
+        (:meth:`_start_rows`) ``_stride(width)`` bytes apart, every
+        byte past a row's length zero, its margin past ``width``
+        included. The result is a new ``(rows, width)`` matrix.
+
+        Phase A: length-changing ops (delete/insert) run first, per
+        mutant in round order, vectorized across mutants one stack
+        position at a time with :meth:`_window_step`, on ``buf``. Each
+        step keeps the zero margin, which is what lets it move a row's
+        tail as one fixed-size window instead of a per-byte span. Once
+        a step has at most :data:`_SCALAR_STEP_CUTOFF` mutants left,
+        :meth:`_length_tail` finishes the remaining stacks row by row.
+        The rows are then cut to ``width`` and ``buf`` is dropped.
+
+        Phase B: byte-level ops run against the final geometry in a
         handful of whole-batch passes: XOR bit flips and mod-256
         arithmetic are commutative (``ufunc.at`` handles duplicate
         targets), and all overwrites are resolved per byte by round
@@ -393,7 +441,7 @@ class Mutator:
             lo = 0
             for step, hi in enumerate(np.cumsum(np.bincount(pos))):
                 if hi - lo <= _SCALAR_STEP_CUTOFF:
-                    self._length_tail(mat, lengths, width, a_idx, rows,
+                    self._length_tail(buf, lengths, width, a_idx, rows,
                                       starts, counts, step, op, f1a,
                                       f2a, f3a, f4a, vala, fb_idx)
                     break
@@ -406,8 +454,10 @@ class Mutator:
                     good = ~bad
                     r, k, ln, f1, f2, f3, v = (
                         x[good] for x in (r, k, ln, f1, f2, f3, v))
-                self._length_step(mat, lengths, width, r, k, ln, f1, f2,
+                self._window_step(buf, lengths, width, r, k, ln, f1, f2,
                                   f3, v)
+        mat = buf[:, :width].copy()
+        del buf
 
         # -- phase B: byte-level ops against the final geometry --
         # Group the cells by op once (a stable sort of uint8 codes is a
@@ -514,8 +564,9 @@ class Mutator:
             acc = np.full(mat.size, -1, dtype=np.int16)
             np.maximum.at(acc, lin, np.concatenate(key_parts))
             flat[lin] = acc[lin].astype(np.uint8)
+        return mat
 
-    def _length_tail(self, mat: np.ndarray, lengths: np.ndarray,
+    def _length_tail(self, buf: np.ndarray, lengths: np.ndarray,
                      width: int, a_idx: np.ndarray, rows: np.ndarray,
                      starts: np.ndarray, counts: np.ndarray, step: int,
                      op: np.ndarray, f1a: np.ndarray, f2a: np.ndarray,
@@ -524,15 +575,18 @@ class Mutator:
         """Finish the remaining length-op stacks with row slices.
 
         Once few mutants still have pending deletes/inserts, the fixed
-        cost of a vectorized :meth:`_length_step` exceeds plain
+        cost of a vectorized :meth:`_window_step` exceeds plain
         slice-copy work, so the deep tail of the longest stacks runs
-        sequentially. Bit-identical to the vectorized step: same
-        formulas, same guard fallbacks, same write order per mutant.
+        sequentially, from stack position ``step`` on. Bit-identical to
+        the vectorized step: same formulas, same guard fallbacks, same
+        write order per mutant. Every write is clipped at ``width`` and
+        a delete zeroes the bytes it vacates, so the rows of ``buf``
+        stay zero past their lengths, margin included.
         """
         min_len = self.min_len
         fb: list = []
         for row in np.flatnonzero(counts > step):
-            row_v = mat[row]
+            row_v = buf[row]
             for j in range(starts[row] + step,
                            starts[row] + counts[row]):
                 cell = int(a_idx[j])
@@ -572,52 +626,59 @@ class Mutator:
         if fb:
             fb_idx.append(np.asarray(fb, dtype=np.int64))
 
-    def _length_step(self, mat: np.ndarray, lengths: np.ndarray,
+    def _window_step(self, buf: np.ndarray, lengths: np.ndarray,
                      width: int, r: np.ndarray, kind: np.ndarray,
                      n_: np.ndarray, a: np.ndarray, b: np.ndarray,
                      c: np.ndarray, v: np.ndarray) -> None:
-        """One stack position of block deletes/inserts, fused.
+        """One stack position of block deletes/inserts, as window copies.
 
-        Both ops are "move the tail, then write a region": a delete
-        shifts ``[start+length, n)`` left and zeroes the vacated end, a
-        clone/insert shifts ``[dst, n)`` right and writes the block into
-        the gap. Every span is clipped at ``width`` before it is
-        expanded, so no byte past the row is ever indexed. Rows in
-        ``r`` are distinct, so the ops are independent; all gathers
-        land before any scatter. ``kind`` is sorted (0 delete, 1 clone,
-        2 constant insert), so each kind's region bytes are one slice
-        of the step's region.
+        Every byte of ``buf`` past a row's length is zero, the margin
+        past ``width`` included, so a tail can be moved as one window
+        of a fixed size ``T`` per step (the longest tail of the step):
+        the bytes a shorter row's window takes past its end are zeros.
+        Each window is one row of the strided view :func:`_windows`,
+        indexed by per-row flat start offsets, so a copy is contiguous
+        and no per-byte index array is built.
+
+        - A delete is one window copy from ``src + length`` to ``src``;
+          the zeros past the row's end fill the vacated bytes.
+        - An insert gathers the tails ``[dst, dst + T)``, writes the
+          clone (gathered first) or constant blocks at ``dst`` as
+          windows of the step's longest block, then writes the tails at
+          ``dst + length``. ``T`` also covers the longest block's
+          overrun past a shorter one, so the tail write overwrites it.
+          Only rows pushed past ``width`` leave bytes in the margin,
+          and only those get their margin zeroed again.
+
+        Rows in ``r`` are distinct, so the ops are independent, and
+        ``kind`` is sorted (0 delete, 1 clone, 2 constant insert), so
+        each kind is one slice of the step.
         """
         cap = np.maximum(1, (n_ * _BLOCK_FRACTION).astype(np.int64))
         length = 1 + (b * cap).astype(np.int64)
         # Delete's block start and insert's clone source share a formula.
         src = (a * (n_ - length + 1)).astype(np.int64)
-        dst = (c * (n_ + 1)).astype(np.int64)  # unused for deletes
-        flat = mat.reshape(-1)
-        row0 = r * width  # 1-D fancy indexing beats 2-D row/col pairs
-        is_del = kind == 0
+        row0 = r * buf.shape[1]
+        flat = buf.reshape(-1)
         d, k = np.searchsorted(kind, (1, 2))
-        # Region: a delete's vacated end, or the part of an inserted
-        # block that fits (dst <= n < width).
-        size = np.where(is_del, length, np.minimum(length, width - dst))
-        region = _spans(row0 + np.where(is_del, n_ - length, dst), size)
-        b1, b2 = int(size[:d].sum()), int(size[:k].sum())
-        # Clone sources are the only region bytes that must be read
-        # before any scatter lands; deletes fill with zeros and the
-        # rest with a constant, so those skip the gather entirely.
-        clone_vals = flat[region[b1:b2] + np.repeat((src - dst)[d:k],
-                                                    size[d:k])]
-        # Tail move: [move_from, move_from + tail) shifts to move_to.
-        move_from = np.where(is_del, src + length, dst)
-        move_to = np.where(is_del, src, dst + length)
-        tail = np.where(is_del, n_ - move_from, np.maximum(
-            0, np.minimum(n_, width - length) - dst))
-        tail_from = _spans(row0 + move_from, tail)
-        flat[tail_from + np.repeat(move_to - move_from, tail)] = \
-            flat[tail_from]
-        flat[region[:b1]] = 0
-        flat[region[b1:b2]] = clone_vals
-        flat[region[b2:]] = np.repeat(v[k:], size[k:])
+        if d:
+            at = row0[:d] + src[:d]
+            view = _windows(flat, int((n_[:d] - src[:d]).max()))
+            view[at] = view[at + length[:d]]
+        if d < kind.size:
+            ln, size = n_[d:], length[d:]
+            dst = row0[d:] + (c[d:] * (ln + 1)).astype(np.int64)
+            block = int(size.max())
+            tails = _windows(flat, max(int((row0[d:] + ln - dst).max()),
+                                       block - int(size.min())))
+            moved = tails[dst]
+            blocks = _windows(flat, block)
+            blocks[dst[:k - d]] = blocks[row0[d:k] + src[d:k]]
+            blocks[dst[k - d:]] = v[k:, None]
+            tails[dst + size] = moved
+            over = ln + size > width
+            if over.any():
+                buf[r[d:][over], width:] = 0
         lengths[r] = np.where(
-            is_del, np.maximum(self.min_len, n_ - length),
+            kind == 0, np.maximum(self.min_len, n_ - length),
             np.minimum(width, n_ + length))

@@ -350,8 +350,8 @@ class TestCheapRunStructure:
 
 #: Campaign shapes the process backend must reproduce exactly: the
 #: base bigmap window, a dictionary campaign (token stamps drawn in
-#: the workers), a hang-heavy one (budget-driven replays of rows whose
-#: trace the workers did not keep) and a flat-map AFL one.
+#: the workers), a hang-heavy one (budget-driven replays, each trace
+#: cut from the workers' dense rows) and a flat-map AFL one.
 MP_CONFIGS = {
     "bigmap": dict(fuzzer="bigmap", batch_window=8),
     "dictionary": dict(fuzzer="bigmap", batch_window=8,

@@ -1,11 +1,14 @@
 """Unit tests for the mutation engine."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fuzzer import Campaign, CampaignConfig, Mutator
+from repro.fuzzer import mutation
 from repro.target import get_benchmark
 
 
@@ -261,6 +264,58 @@ class TestShardPurity:
         assert a.stamp is None and b.stamp.shape == (4, 9)
         for name in ("n_ops", "op", "f1", "f2", "f3", "f4", "sel", "val"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@st.composite
+def _length_windows(draw):
+    """Length bounds, a window of specs and an explicit width (or None)
+    that reach every corner of the length-op phase: empty bases, bases
+    at ``min_len`` (deletes fall back), bases near ``max_len`` with a
+    ``max_len`` under the 64-byte floor (inserts hit the width guard),
+    splices on and off, and widths wider than any draw's."""
+    min_len = draw(st.integers(1, 8), label="min_len")
+    max_len = draw(st.one_of(st.integers(min_len, 48),
+                             st.integers(64, 200)), label="max_len")
+
+    def sized(label):
+        n = draw(st.one_of(st.just(0), st.just(min_len),
+                           st.integers(max(0, max_len - 3), max_len + 2),
+                           st.integers(0, max_len)), label=label)
+        return draw(st.binary(min_size=n, max_size=n), label=label)
+
+    window = [(sized("base"), draw(st.integers(1, 40), label="n"),
+               sized("partner") if draw(st.booleans(), label="splice")
+               else None)
+              for _ in range(draw(st.integers(1, 4), label="draws"))]
+    extra = draw(st.one_of(st.none(), st.integers(1, 80)), label="extra")
+    return min_len, max_len, window, extra
+
+
+class TestLengthOpPaths:
+    """Phase A of ``havoc_apply`` finishes its stacks with the scalar
+    ``_length_tail`` once a step has at most ``_SCALAR_STEP_CUTOFF``
+    mutants left; the vectorized window steps run before that. Both
+    paths must build the same mutants, whichever step the switch falls
+    on."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), shape=_length_windows())
+    def test_cutoff_never_changes_the_mutants(self, seed, shape):
+        min_len, max_len, window, extra = shape
+        mutator = make_mutator(seed, min_len=min_len, max_len=max_len)
+        draws = mutator.draw_rows(_keyed(mutator, window))
+        width = None if extra is None else \
+            max(d.width for d in draws) + extra
+        prod = mutator.havoc_apply(draws, width)
+        for cutoff in (0, prod.n):  # all vectorized, all scalar
+            with mock.patch.object(mutation, "_SCALAR_STEP_CUTOFF",
+                                   cutoff):
+                other = mutator.havoc_apply(draws, width)
+            assert np.array_equal(other.data, prod.data), cutoff
+            assert np.array_equal(other.lengths, prod.lengths), cutoff
+        assert prod.lengths.max() <= prod.width
+        past = np.arange(prod.width) >= prod.lengths[:, None]
+        assert not prod.data[past].any()
 
 
 @pytest.fixture(scope="module")
