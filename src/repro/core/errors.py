@@ -116,12 +116,3 @@ class ExperimentError(ReproError, RuntimeError):
     experiment failed (and, with ``--keep-going``, continue with the
     rest) while preserving the original traceback as ``__cause__``.
     """
-
-
-class ArtifactIntegrityError(ReproError, RuntimeError):
-    """A sealed artifact failed its integrity check.
-
-    Raised by :mod:`repro.fleet.artifacts` when a sealed artifact is
-    truncated, bit-corrupt, or missing its trailer, so the caller can
-    quarantine the file and fall back to its last good state.
-    """

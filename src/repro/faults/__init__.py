@@ -11,16 +11,8 @@ Public surface:
   backoff, retry caps and per-instance health tracking used by
   :class:`repro.fuzzer.ParallelSession` to restart failed instances
   from their checkpoints.
-* :class:`FleetFaultEvent` / :class:`FleetFaultPlan` — seeded
-  dispatch-tick fault schedules for a multi-trial runner. Their
-  executor was removed; the schema stays, with its tests, pending its
-  own deletion (ROADMAP).
 """
 
-from .fleetplan import (ARTIFACT_CORRUPT, ARTIFACT_TRUNCATE,
-                        DISPATCHER_KILL, FLEET_FAULT_KINDS, STORE_LOCK,
-                        WORKER_KILL, WORKER_STALL, FleetFaultEvent,
-                        FleetFaultPlan)
 from .injector import FaultInjector
 from .plan import (CORRUPT_SYNC, CRASH, FAULT_KINDS, SLOW, STALL,
                    FaultEvent, FaultPlan)
@@ -32,7 +24,4 @@ __all__ = [
     "FaultEvent", "FaultPlan", "FaultInjector",
     "RUNNING", "DEAD", "LOST",
     "InstanceHealth", "RestartPolicy", "SessionSupervisor",
-    "DISPATCHER_KILL", "WORKER_KILL", "WORKER_STALL",
-    "ARTIFACT_CORRUPT", "ARTIFACT_TRUNCATE", "STORE_LOCK",
-    "FLEET_FAULT_KINDS", "FleetFaultEvent", "FleetFaultPlan",
 ]

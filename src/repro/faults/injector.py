@@ -21,7 +21,9 @@ class FaultInjector:
 
     def __init__(self, plan: Optional[FaultPlan]) -> None:
         self.plan = plan or FaultPlan()
-        self._fired: Set[FaultEvent] = set()
+        #: Positions in ``plan.events`` already fired. Positions, not
+        #: events: two equal events in one plan are two faults.
+        self._fired: Set[int] = set()
 
     def take(self, instance: int, start: float,
              end: float) -> List[FaultEvent]:
@@ -31,9 +33,10 @@ class FaultInjector:
         overlapping window yields nothing.
         """
         out = []
-        for event in self.plan.events_in(instance, start, end):
-            if event not in self._fired:
-                self._fired.add(event)
+        for pos, event in enumerate(self.plan.events):
+            if (event.instance == instance and start <= event.time < end
+                    and pos not in self._fired):
+                self._fired.add(pos)
                 out.append(event)
         return out
 

@@ -26,6 +26,7 @@ Four fault kinds model the failure modes real ``-M``/``-S`` fleets see:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
@@ -67,17 +68,21 @@ class FaultEvent:
             raise FaultPlanError(
                 f"unknown fault kind {self.kind!r}; known: "
                 f"{', '.join(FAULT_KINDS)}")
-        if self.time < 0:
-            raise FaultPlanError(f"event time must be >= 0, got {self.time}")
+        # Chained comparisons are False for NaN, so each check also
+        # rejects NaN and infinity (an event at time NaN never fires).
+        if not 0 <= self.time < math.inf:
+            raise FaultPlanError(
+                f"event time must be finite and >= 0, got {self.time}")
         if self.instance < 0:
             raise FaultPlanError(
                 f"instance index must be >= 0, got {self.instance}")
-        if self.duration < 0:
+        if not 0 <= self.duration < math.inf:
             raise FaultPlanError(
-                f"duration must be >= 0, got {self.duration}")
-        if self.magnitude < 1.0:
+                f"duration must be finite and >= 0, got {self.duration}")
+        if not 1.0 <= self.magnitude < math.inf:
             raise FaultPlanError(
-                f"slow magnitude must be >= 1, got {self.magnitude}")
+                f"slow magnitude must be finite and >= 1, "
+                f"got {self.magnitude}")
 
 
 class FaultPlan:
@@ -113,9 +118,6 @@ class FaultPlan:
                 f"plan addresses instance {self.max_instance()} but the "
                 f"session has only {n_instances} instances")
 
-    def for_instance(self, instance: int) -> List[FaultEvent]:
-        return [e for e in self.events if e.instance == instance]
-
     def events_in(self, instance: int, start: float,
                   end: float) -> List[FaultEvent]:
         """Events for ``instance`` with ``start <= time < end``."""
@@ -142,10 +144,15 @@ class FaultPlan:
         """
         if n_instances < 1:
             raise FaultPlanError("need at least one instance")
-        if horizon <= 0:
-            raise FaultPlanError("horizon must be positive")
-        if rate < 0:
-            raise FaultPlanError("rate must be >= 0")
+        if not 0 < horizon < math.inf:
+            raise FaultPlanError(
+                f"horizon must be finite and positive, got {horizon}")
+        if not 0 <= rate < math.inf:
+            raise FaultPlanError(f"rate must be finite and >= 0, got {rate}")
+        if not 0 <= mean_duration < math.inf:
+            raise FaultPlanError(
+                f"mean_duration must be finite and >= 0, "
+                f"got {mean_duration}")
         for kind in kinds:
             if kind not in FAULT_KINDS:
                 raise FaultPlanError(f"unknown fault kind {kind!r}")

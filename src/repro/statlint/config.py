@@ -45,8 +45,8 @@ class LintConfig:
             everything else must route timing through this shim.
         det003_paths: files whose iteration order feeds rendered or
             serialized output (DET003 applies only there).
-        err002_paths: fleet artifact-handling code (ERR002 applies
-            only there): writes must be atomic, failures routed.
+        err002_paths: fault-handling code (ERR002 applies only
+            there): writes must be atomic, failures routed.
         telemetry_paths: the telemetry subsystem (TEL001): no host
             clock, no unseeded randomness, canonical JSON encoding,
             no unordered iteration anywhere in these files.
@@ -67,7 +67,7 @@ class LintConfig:
     wallclock_allow: Tuple[str, ...] = ("repro/core/walltime.py",)
     det003_paths: Tuple[str, ...] = (
         "*/analysis/*", "*/experiments/*", "*serialize*", "*report*")
-    err002_paths: Tuple[str, ...] = ("*/fleet/*", "*/faults/*")
+    err002_paths: Tuple[str, ...] = ("*/faults/*",)
     telemetry_paths: Tuple[str, ...] = ("repro/telemetry/*",)
     snapshot_exempt: Tuple[str, ...] = ()
     snapshot_methods: Tuple[str, ...] = (

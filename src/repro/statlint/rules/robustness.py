@@ -7,14 +7,14 @@
   exception is exactly that. Handlers that construct or raise a
   ``*Error`` (chaining the original as ``__cause__``) pass — that is
   the supervised-fault pattern the parallel session uses.
-* **ERR002** — on artifact-handling paths (``err002_paths``): a
-  broad ``except`` whose entire body is ``pass``, or a plain
-  ``open(..., "w"/"wb")`` write. Crash safety hangs on artifacts
-  being written atomically (temp file + ``os.replace``) and
-  corruption being *routed* (quarantine + integrity log), never
-  ignored; a torn ``open("w")`` write or a pass-swallowed integrity
-  failure silently voids both. Append-mode opens pass (an integrity
-  log is append-only by design), as do reads and ``r+b``.
+* **ERR002** — on fault-handling paths (``err002_paths``): a broad
+  ``except`` whose entire body is ``pass``, or a plain
+  ``open(..., "w"/"wb")`` write. Crash safety hangs on files being
+  written atomically (temp file + ``os.replace``) and failures being
+  *routed*, never ignored; a torn ``open("w")`` write or a
+  pass-swallowed failure silently voids both. Append-mode opens pass
+  (an append-only log cannot be torn mid-record by a rewrite), as do
+  reads and ``r+b``.
 * **NUM001** — ``+``/``-``/``*`` arithmetic where an operand is a
   ``uint8``/``uint16`` numpy array (map counters, virgin bytes)
   without a widening ``.astype`` on either side. 8-bit counter adds
@@ -99,14 +99,14 @@ def _open_write_mode(node: ast.Call) -> bool:
 
 
 @register
-class FleetArtifactWriteRule(FileRule):
+class AtomicWriteRule(FileRule):
     id = "ERR002"
-    title = "pass-swallowed failure or non-atomic write on a fleet path"
-    rationale = ("Fleet artifacts must be written atomically "
-                 "(atomic_write_bytes: temp + fsync + rename) and "
-                 "failures routed (quarantine + integrity log); a "
-                 "torn open('w') write or an except:pass on these "
-                 "paths silently voids the crash-safety contract.")
+    title = "pass-swallowed failure or non-atomic write on a fault path"
+    rationale = ("Files on fault-handling paths must be written "
+                 "atomically (write to a temp file and os.replace it) "
+                 "and failures routed; a torn open('w') write or an "
+                 "except:pass on these paths silently voids the "
+                 "crash-safety contract.")
 
     def check_file(self, source, config: LintConfig) -> Iterator:
         if not path_matches(source.relpath, config.err002_paths):
@@ -121,15 +121,14 @@ class FleetArtifactWriteRule(FileRule):
                             source.relpath, handler.lineno,
                             handler.col_offset,
                             "broad except with a pass-only body on a "
-                            "fleet artifact path; route the failure "
-                            "(quarantine/log_integrity) or narrow the "
-                            "exception")
+                            "fault-handling path; route the failure "
+                            "or narrow the exception")
             elif isinstance(node, ast.Call) and _open_write_mode(node):
                 yield self.finding(
                     source.relpath, node.lineno, node.col_offset,
-                    "non-atomic open(..., 'w') on a fleet artifact "
-                    "path; a crash mid-write leaves a torn file — use "
-                    "atomic_write_bytes/write_artifact")
+                    "non-atomic open(..., 'w') on a fault-handling "
+                    "path; a crash mid-write leaves a torn file — "
+                    "write to a temp file and os.replace it")
 
 
 _SMALL_DTYPES = ("uint8", "uint16", "int8", "int16")

@@ -1,11 +1,15 @@
 """Unit tests for the fault-injection primitives (repro.faults)."""
 
+import math
+
 import pytest
 
 from repro.core.errors import FaultPlanError
 from repro.faults import (CRASH, DEAD, FAULT_KINDS, LOST, RUNNING, SLOW,
                           FaultEvent, FaultInjector, FaultPlan,
                           RestartPolicy, SessionSupervisor)
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestFaultEvent:
@@ -28,6 +32,16 @@ class TestFaultEvent:
     def test_sub_unity_magnitude_rejected(self):
         with pytest.raises(FaultPlanError):
             FaultEvent(time=0.1, instance=0, kind=SLOW, magnitude=0.5)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["time", "duration", "magnitude"])
+    def test_non_finite_rejected(self, field, value):
+        # NaN passes every ``< 0`` check, and an event at time NaN
+        # would never fire.
+        kwargs = dict(time=1.0, instance=0, kind=SLOW, duration=1.0,
+                      magnitude=2.0)
+        with pytest.raises(FaultPlanError):
+            FaultEvent(**dict(kwargs, **{field: value}))
 
 
 class TestFaultPlan:
@@ -81,6 +95,14 @@ class TestFaultPlan:
             FaultPlan.generate(seed=1, n_instances=1, horizon=1.0,
                                rate=1.0, kinds=("meltdown",))
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["horizon", "rate", "mean_duration"])
+    def test_generation_rejects_non_finite(self, field, value):
+        kwargs = dict(seed=1, n_instances=2, horizon=10.0, rate=1.0,
+                      mean_duration=1.0)
+        with pytest.raises(FaultPlanError):
+            FaultPlan.generate(**dict(kwargs, **{field: value}))
+
 
 class TestFaultInjector:
     def test_events_fire_exactly_once(self):
@@ -91,6 +113,16 @@ class TestFaultInjector:
         # replay the fault.
         assert injector.take(0, 0.0, 2.0) == []
         assert injector.fired_events == 1
+
+    def test_equal_events_fire_once_each(self):
+        # Two identical planned crashes are two faults: the injected
+        # count must equal len(plan).
+        plan = FaultPlan([FaultEvent(1.0, 0, CRASH),
+                          FaultEvent(1.0, 0, CRASH)])
+        injector = FaultInjector(plan)
+        assert len(injector.take(0, 0.0, 2.0)) == 2
+        assert injector.take(0, 0.0, 2.0) == []
+        assert injector.fired_events == len(plan) == 2
 
     def test_none_plan_is_empty(self):
         injector = FaultInjector(None)

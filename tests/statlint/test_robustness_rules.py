@@ -74,7 +74,7 @@ class TestBroadExcept:
 
 class TestFleetArtifactWrites:
     def test_fires_on_open_w_on_a_fleet_path(self, lint_tree):
-        result = lint_tree({"repro/fleet/writer.py": """\
+        result = lint_tree({"repro/faults/writer.py": """\
             def persist(path, data):
                 with open(path, "wb") as fh:
                     fh.write(data)
@@ -83,7 +83,7 @@ class TestFleetArtifactWrites:
         assert "atomic" in result.active[0].message
 
     def test_fires_on_mode_keyword(self, lint_tree):
-        result = lint_tree({"repro/fleet/writer.py": """\
+        result = lint_tree({"repro/faults/writer.py": """\
             def persist(path, text):
                 with open(path, mode="w") as fh:
                     fh.write(text)
@@ -92,7 +92,7 @@ class TestFleetArtifactWrites:
 
     def test_fires_on_pass_swallow_on_a_fleet_path(self, lint_tree):
         # The pass-only broad except trips both the general routing
-        # rule and the fleet-specific one.
+        # rule and the fault-path one.
         result = lint_tree({"repro/faults/cleanup.py": """\
             import os
 
@@ -105,9 +105,9 @@ class TestFleetArtifactWrites:
         assert rules_fired(result) == ["ERR001", "ERR002"]
 
     def test_reads_appends_and_inplace_pass(self, lint_tree):
-        # Append is the integrity log's contract; r+b is how chaos
-        # injects damage; reads are never torn by the writer dying.
-        result = lint_tree({"repro/fleet/reader.py": """\
+        # Appends and in-place r+b edits never truncate the file;
+        # reads are never torn by the writer dying.
+        result = lint_tree({"repro/faults/reader.py": """\
             def touch(path):
                 with open(path, "rb") as fh:
                     data = fh.read()
@@ -127,7 +127,7 @@ class TestFleetArtifactWrites:
         assert rules_fired(result) == []
 
     def test_suppression_covers_the_line_below(self, lint_tree):
-        result = lint_tree({"repro/fleet/writer.py": """\
+        result = lint_tree({"repro/faults/writer.py": """\
             def atomic_write(path, data):
                 # statlint: disable=ERR002 (atomic-write implementation site)
                 with open(path + ".tmp", "wb") as fh:
