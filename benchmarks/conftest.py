@@ -43,9 +43,9 @@ class _FallbackBenchmark:
     def __call__(self, fn, *args, **kwargs):
         # Host micro-benchmarks measure host wall time by design; this
         # is the intentional exception to the repro.core.walltime rule.
-        start = time.perf_counter()  # statlint: disable=DET001 (bench fixture times the host on purpose)
+        start = time.perf_counter()
         result = fn(*args, **kwargs)
-        self.elapsed = time.perf_counter() - start  # statlint: disable=DET001 (bench fixture times the host on purpose)
+        self.elapsed = time.perf_counter() - start
         return result
 
     def pedantic(self, fn, args=(), kwargs=None, rounds=1,

@@ -38,9 +38,9 @@ def _run(built, engine):
     campaign = engine(CampaignConfig(**_WORKLOAD), built=built)
     # Host wall time is the point of this bench — the intentional
     # exception to the repro.core.walltime rule, as in conftest.
-    start = time.perf_counter()  # statlint: disable=DET001 (bench times the host on purpose)
+    start = time.perf_counter()
     result = campaign.run()
-    elapsed = time.perf_counter() - start  # statlint: disable=DET001 (bench times the host on purpose)
+    elapsed = time.perf_counter() - start
     return result, elapsed
 
 

@@ -60,9 +60,9 @@ def _run(built, factory):
     campaign = factory(built)
     # Host wall time is the point of this bench — the intentional
     # exception to the repro.core.walltime rule, as in conftest.
-    start = time.perf_counter()  # statlint: disable=DET001 (bench times the host on purpose)
+    start = time.perf_counter()
     result = campaign.run()
-    elapsed = time.perf_counter() - start  # statlint: disable=DET001 (bench times the host on purpose)
+    elapsed = time.perf_counter() - start
     summary = _summary(campaign, result)
     if isinstance(campaign, MPCampaign):
         campaign.close()
@@ -132,9 +132,9 @@ def _measure_8mb():
         host_times, result = [], None
         for _ in range(_ROUNDS):
             campaign = Campaign(config, built=built)
-            start = time.perf_counter()  # statlint: disable=DET001 (bench times the host on purpose)
+            start = time.perf_counter()
             result = campaign.run()
-            host_times.append(time.perf_counter() - start)  # statlint: disable=DET001 (bench times the host on purpose)
+            host_times.append(time.perf_counter() - start)
         point[fuzzer] = {
             "host_execs_per_sec": round(result.execs /
                                         min(host_times), 1),

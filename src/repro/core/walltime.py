@@ -1,14 +1,16 @@
 """Host wall-time measurement shim — the only sanctioned clock access.
 
-Determinism invariant (statlint DET001): simulated results must be a
-function of configuration alone. Campaign time is *virtual*
+Determinism invariant (DET001): simulated results must be a function
+of configuration alone. Campaign time is *virtual*
 (:class:`repro.fuzzer.clock.VirtualClock`, charged from the cost
 model); host wall time may influence nothing but operator-facing
 telemetry, such as how long an experiment harness took to regenerate a
 report. That legitimate use is isolated here, on the monotonic
 ``perf_counter`` (immune to NTP steps and calendar jumps, unlike
-``time.time``), and ``[tool.statlint]`` allowlists exactly this module
-— any other wall-clock read in the tree fails CI.
+``time.time``). The DET001 check under ``tests/statlint`` exempts
+exactly this module; any other wall-clock read in the tree fails
+tier-1 unless ``test_real_tree.py`` allow-lists its site (the benches
+that report host throughput).
 """
 
 from __future__ import annotations

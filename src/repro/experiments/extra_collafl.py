@@ -22,8 +22,9 @@ from ..instrumentation import (CollAflInstrumentation,
                                build_instrumentation, required_map_size)
 from .common import BenchmarkCache, Profile, get_profile
 
-#: Runner registry id for this experiment (statlint EXP001 keeps the
-#: module, the registry and ORDER consistent).
+#: Runner registry id for this experiment (tests/statlint/
+#: test_project_rules.py keeps the module, the registry and ORDER
+#: consistent).
 EXPERIMENT_ID = "collafl"
 
 BENCHMARK = "licm"

@@ -16,8 +16,9 @@ from ..analysis.reporting import render_table
 from .common import (MAP_SIZE_LABELS, MAP_SIZES, BenchmarkCache, Profile,
                      discovery_campaign, get_profile)
 
-#: Runner registry id for this experiment (statlint EXP001 keeps the
-#: module, the registry and ORDER consistent).
+#: Runner registry id for this experiment (tests/statlint/
+#: test_project_rules.py keeps the module, the registry and ORDER
+#: consistent).
 EXPERIMENT_ID = "dedup-bias"
 
 BENCHMARKS = ("licm", "gvn")

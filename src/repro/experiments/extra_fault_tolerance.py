@@ -31,8 +31,9 @@ from ..faults import FaultPlan, RestartPolicy
 from ..fuzzer import CampaignConfig, ParallelSession
 from .common import BenchmarkCache, Profile, get_profile
 
-#: Runner registry id for this experiment (statlint EXP001 keeps the
-#: module, the registry and ORDER consistent).
+#: Runner registry id for this experiment (tests/statlint/
+#: test_project_rules.py keeps the module, the registry and ORDER
+#: consistent).
 EXPERIMENT_ID = "fault-tolerance"
 
 BENCHMARK = "libpng"

@@ -17,8 +17,9 @@ from ..fuzzer import CampaignConfig, ParallelSession
 from ..target.benchmarks import FIG8_BENCHMARK_NAMES
 from .common import BenchmarkCache, Profile, get_profile
 
-#: Runner registry id for this experiment (statlint EXP001 keeps the
-#: module, the registry and ORDER consistent).
+#: Runner registry id for this experiment (tests/statlint/
+#: test_project_rules.py keeps the module, the registry and ORDER
+#: consistent).
 EXPERIMENT_ID = "fig10"
 
 FIG10_MAP_SIZE = 1 << 21

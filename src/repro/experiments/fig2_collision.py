@@ -12,8 +12,9 @@ from ..analysis.collision import collision_rate
 from ..analysis.reporting import render_table
 from .common import Profile, get_profile
 
-#: Runner registry id for this experiment (statlint EXP001 keeps the
-#: module, the registry and ORDER consistent).
+#: Runner registry id for this experiment (tests/statlint/
+#: test_project_rules.py keeps the module, the registry and ORDER
+#: consistent).
 EXPERIMENT_ID = "fig2"
 
 #: The figure's axes.

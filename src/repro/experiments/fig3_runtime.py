@@ -19,8 +19,9 @@ from ..analysis.reporting import render_table
 from ..target.benchmarks import FIG3_BENCHMARK_NAMES
 from .common import BenchmarkCache, Profile, get_profile
 
-#: Runner registry id for this experiment (statlint EXP001 keeps the
-#: module, the registry and ORDER consistent).
+#: Runner registry id for this experiment (tests/statlint/
+#: test_project_rules.py keeps the module, the registry and ORDER
+#: consistent).
 EXPERIMENT_ID = "fig3"
 
 #: Figure 3's map sizes.

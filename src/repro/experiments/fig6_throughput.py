@@ -16,8 +16,9 @@ from .common import (MAP_SIZE_LABELS, MAP_SIZES, PAPER_FIG6_AVG_SPEEDUPS,
                      BenchmarkCache, Profile, get_profile,
                      throughput_probe)
 
-#: Runner registry id for this experiment (statlint EXP001 keeps the
-#: module, the registry and ORDER consistent).
+#: Runner registry id for this experiment (tests/statlint/
+#: test_project_rules.py keeps the module, the registry and ORDER
+#: consistent).
 EXPERIMENT_ID = "fig6"
 
 

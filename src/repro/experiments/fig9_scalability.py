@@ -25,8 +25,9 @@ from ..memsim.contention import InstanceLoad, solve_parallel
 from ..target import TABLE2_BENCHMARKS
 from .common import BenchmarkCache, Profile, get_profile, throughput_probe
 
-#: Runner registry id for this experiment (statlint EXP001 keeps the
-#: module, the registry and ORDER consistent).
+#: Runner registry id for this experiment (tests/statlint/
+#: test_project_rules.py keeps the module, the registry and ORDER
+#: consistent).
 EXPERIMENT_ID = "fig9"
 
 #: Figure 9 fixes the map at 2 MB.

@@ -17,8 +17,9 @@ from ..analysis.reporting import render_table
 from ..target import TABLE2_BENCHMARKS, generate_program
 from .common import Profile, get_profile
 
-#: Runner registry id for this experiment (statlint EXP001 keeps the
-#: module, the registry and ORDER consistent).
+#: Runner registry id for this experiment (tests/statlint/
+#: test_project_rules.py keeps the module, the registry and ORDER
+#: consistent).
 EXPERIMENT_ID = "table2"
 
 

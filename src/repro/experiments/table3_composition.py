@@ -21,8 +21,9 @@ from ..target import TABLE3_BENCHMARKS
 from .common import (BenchmarkCache, Profile, discovery_campaign,
                      get_profile)
 
-#: Runner registry id for this experiment (statlint EXP001 keeps the
-#: module, the registry and ORDER consistent).
+#: Runner registry id for this experiment (tests/statlint/
+#: test_project_rules.py keeps the module, the registry and ORDER
+#: consistent).
 EXPERIMENT_ID = "table3"
 
 TABLE3_MAP_SIZES = (1 << 16, 1 << 21)

@@ -118,12 +118,6 @@ class FaultPlan:
                 f"plan addresses instance {self.max_instance()} but the "
                 f"session has only {n_instances} instances")
 
-    def events_in(self, instance: int, start: float,
-                  end: float) -> List[FaultEvent]:
-        """Events for ``instance`` with ``start <= time < end``."""
-        return [e for e in self.events
-                if e.instance == instance and start <= e.time < end]
-
     @classmethod
     def generate(cls, *, seed: int, n_instances: int, horizon: float,
                  rate: float, kinds: Sequence[str] = FAULT_KINDS,

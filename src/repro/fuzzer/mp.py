@@ -263,5 +263,5 @@ class MPCampaign(Campaign):
         # A finalizer must never raise (the interpreter would print and
         # discard it mid-GC); close() is best-effort here and explicit
         # close()/context-manager exits surface real errors.
-        except Exception:  # statlint: disable=ERR001 (finalizer)
+        except Exception:
             pass

@@ -16,7 +16,8 @@ the parallel-session supervisor, and the memsim cost model:
 * :mod:`.introspect` / :mod:`.validate` — live status rendering and
   consumer-side artifact validation (``python -m repro.telemetry``).
 
-Determinism contract (statlint TEL001): nothing in this package reads
+Determinism contract (TEL001, enforced by
+``tests/statlint/test_telemetry_rule.py``): nothing in this package reads
 the wall clock or unseeded randomness; all timestamps are virtual
 seconds from the simulated campaign clock, all serialization uses
 sorted keys. Two runs of the same configuration therefore produce

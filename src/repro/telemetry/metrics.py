@@ -2,7 +2,8 @@
 
 The registry is the numeric half of the telemetry layer (events are the
 other half, :mod:`repro.telemetry.events`). Its design constraint is
-the repo's determinism invariant (statlint DET001/TEL001): a metric
+the repo's determinism invariant (DET001/TEL001, enforced under
+``tests/statlint``): a metric
 snapshot must be a pure function of the observations fed into it —
 no wall clocks, no entropy, no platform-dependent iteration order.
 Concretely:

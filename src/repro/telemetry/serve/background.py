@@ -81,7 +81,7 @@ class BackgroundServer:
             poll_interval=self.poll_interval)
         try:
             loop.run_until_complete(server.start())
-        # statlint: disable=ERR001 (start() re-raises as TelemetryError)
+        # Stored, not swallowed: start() re-raises it as TelemetryError.
         except BaseException as exc:
             self._error = exc
             self._ready.set()

@@ -5,7 +5,8 @@ A *span* is a named region of the fuzzing hot path (``run_one``,
 tracer accumulates, per span name, how many times the region ran and
 how many **virtual cycles** elapsed inside it — virtual because the
 campaign's notion of time is the modeled :class:`VirtualClock`, not the
-host's wall clock (which statlint TEL001 bans from this package).
+host's wall clock (which TEL001, tests/statlint/test_telemetry_rule.py,
+bans from this package).
 
 Two cost sources feed the same profile:
 

@@ -59,9 +59,14 @@ class TestFaultPlan:
         plan = FaultPlan([FaultEvent(1.0, 0, CRASH),
                           FaultEvent(2.0, 0, CRASH),
                           FaultEvent(1.5, 1, CRASH)])
-        assert len(plan.events_in(0, 0.0, 2.0)) == 1   # end exclusive
-        assert len(plan.events_in(0, 1.0, 2.5)) == 2   # start inclusive
-        assert len(plan.events_in(1, 0.0, 2.0)) == 1
+
+        def window(instance, start, end):
+            # A fresh injector per query: take() marks events fired.
+            return len(FaultInjector(plan).take(instance, start, end))
+
+        assert window(0, 0.0, 2.0) == 1   # end exclusive
+        assert window(0, 1.0, 2.5) == 2   # start inclusive
+        assert window(1, 0.0, 2.0) == 1
 
     def test_validate_for_fleet(self):
         plan = FaultPlan([FaultEvent(1.0, 3, CRASH)])

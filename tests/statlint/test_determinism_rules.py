@@ -1,166 +1,66 @@
-"""DET001/DET002/DET003: each fires on a violation fixture, stays
-quiet on the compliant variant, and is silenced by a suppression."""
+"""DET001/DET002/DET003: each fires on a seeded violation and stays
+quiet on the compliant variant."""
 
-from repro.statlint import LintConfig
-
-from lint_helpers import rules_fired
+from lint_helpers import fired, lint
 
 
 class TestWallClock:
-    def test_fires_on_time_time(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            import time
+    def test_fires_on_time_time(self):
+        (violation,) = lint("import time\n\ndef stamp():\n    time.time()\n")
+        assert violation[:4] == ("DET001", "mod.py", "stamp", 4)
+        assert "time.time" in violation.message
 
-            def stamp():
-                return time.time()
-            """})
-        assert rules_fired(result) == ["DET001"]
-        (finding,) = result.active
-        assert finding.line == 4
-        assert "time.time" in finding.message
+    def test_fires_on_datetime_now(self):
+        assert fired("import datetime; datetime.datetime.now()") == ["DET001"]
 
-    def test_fires_on_datetime_now(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            import datetime
+    def test_fires_on_aliased_import(self):
+        assert fired("from time import perf_counter as pc; pc()") == [
+            "DET001"]
 
-            def stamp():
-                return datetime.datetime.now()
-            """})
-        assert rules_fired(result) == ["DET001"]
+    def test_allowlisted_shim_passes(self):
+        assert fired("import time; time.perf_counter()",
+                     path="src/repro/core/walltime.py") == []
 
-    def test_fires_on_aliased_import(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            from time import perf_counter as pc
-
-            def stamp():
-                return pc()
-            """})
-        assert rules_fired(result) == ["DET001"]
-
-    def test_allowlisted_shim_passes(self, lint_tree):
-        result = lint_tree({"repro/core/walltime.py": """\
-            import time
-
-            def wall_now():
-                return time.perf_counter()
-            """})
-        assert rules_fired(result) == []
-
-    def test_local_name_time_is_not_flagged(self, lint_tree):
+    def test_local_name_time_is_not_flagged(self):
         # No `import time`: a local callable named `time` is fine.
-        result = lint_tree({"mod.py": """\
-            def run(time):
-                return time.time()
-            """})
-        assert rules_fired(result) == []
-
-    def test_suppression_silences(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            import time
-
-            def stamp():
-                return time.time()  # statlint: disable=DET001 (host-side)
-            """})
-        assert rules_fired(result) == []
-        assert [f.rule for f in result.suppressed] == ["DET001"]
+        assert fired("def run(time):\n    return time.time()\n") == []
 
 
 class TestUnseededRandom:
-    def test_fires_on_stdlib_random(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            import random
+    def test_fires_on_stdlib_random(self):
+        assert fired("import random; random.random()") == ["DET002"]
 
-            def draw():
-                return random.random()
-            """})
-        assert rules_fired(result) == ["DET002"]
+    def test_fires_on_legacy_numpy_random(self):
+        assert fired("import numpy as np; np.random.rand(4)") == ["DET002"]
 
-    def test_fires_on_legacy_numpy_random(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            import numpy as np
+    def test_fires_on_unseeded_default_rng(self):
+        assert fired("import numpy as np; np.random.default_rng()") == [
+            "DET002"]
 
-            def draw():
-                return np.random.rand(4)
-            """})
-        assert rules_fired(result) == ["DET002"]
+    def test_fires_on_seed_none(self):
+        assert fired("from numpy.random import default_rng\n"
+                     "default_rng(seed=None)\n") == ["DET002"]
 
-    def test_fires_on_unseeded_default_rng(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            import numpy as np
-
-            def make_rng():
-                return np.random.default_rng()
-            """})
-        assert rules_fired(result) == ["DET002"]
-
-    def test_fires_on_seed_none(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            from numpy.random import default_rng
-
-            def make_rng():
-                return default_rng(seed=None)
-            """})
-        assert rules_fired(result) == ["DET002"]
-
-    def test_seeded_generator_passes(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            import numpy as np
-
-            def draw(seed):
-                rng = np.random.default_rng(seed)
-                return rng.integers(0, 256, size=8)
-            """})
-        assert rules_fired(result) == []
-
-    def test_suppression_silences(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            import random
-
-            def draw():
-                # statlint: disable=DET002 (demo script, not a result path)
-                return random.random()
-            """})
-        assert rules_fired(result) == []
+    def test_seeded_generator_passes(self):
+        assert fired("import numpy as np\n"
+                     "np.random.default_rng(seed).integers(0, 256)\n") == []
 
 
 class TestUnorderedIteration:
-    CONFIG = LintConfig(det003_paths=("*/analysis/*",))
+    OUTPUT = "src/repro/analysis/report.py"
 
-    def test_fires_on_set_iteration_in_output_path(self, lint_tree):
-        result = lint_tree({"pkg/analysis/report.py": """\
-            def render(names):
-                for name in set(names):
-                    print(name)
-            """}, config=self.CONFIG)
-        assert rules_fired(result) == ["DET003"]
+    def test_fires_on_set_iteration_in_output_path(self):
+        assert fired("for name in set(names):\n    print(name)\n",
+                     path=self.OUTPUT) == ["DET003"]
 
-    def test_fires_on_dict_keys_comprehension(self, lint_tree):
-        result = lint_tree({"pkg/analysis/report.py": """\
-            def render(table):
-                return [table[k] for k in table.keys()]
-            """}, config=self.CONFIG)
-        assert rules_fired(result) == ["DET003"]
+    def test_fires_on_dict_keys_comprehension(self):
+        assert fired("rows = [table[k] for k in table.keys()]",
+                     path=self.OUTPUT) == ["DET003"]
 
-    def test_sorted_wrapping_passes(self, lint_tree):
-        result = lint_tree({"pkg/analysis/report.py": """\
-            def render(names):
-                for name in sorted(set(names)):
-                    print(name)
-            """}, config=self.CONFIG)
-        assert rules_fired(result) == []
+    def test_sorted_wrapping_passes(self):
+        assert fired("for name in sorted(set(names)):\n    print(name)\n",
+                     path=self.OUTPUT) == []
 
-    def test_non_output_modules_are_not_checked(self, lint_tree):
-        result = lint_tree({"pkg/core/scratch.py": """\
-            def consume(names):
-                for name in set(names):
-                    yield name
-            """}, config=self.CONFIG)
-        assert rules_fired(result) == []
-
-    def test_suppression_silences(self, lint_tree):
-        result = lint_tree({"pkg/analysis/report.py": """\
-            def render(names):
-                for name in set(names):  # statlint: disable=DET003 (order-free sink)
-                    print(name)
-            """}, config=self.CONFIG)
-        assert rules_fired(result) == []
+    def test_non_output_modules_are_not_checked(self):
+        assert fired("for name in set(names):\n    print(name)\n",
+                     path="src/repro/core/scratch.py") == []

@@ -1,203 +1,103 @@
-"""SNAP001/EXP001: cross-module drift between hand-maintained
-structures — campaign state vs checkpoint snapshot, experiment modules
-vs the runner registry."""
+"""SNAP001/EXP001: drift between hand-maintained parallel structures:
+campaign state vs the checkpoint snapshot, experiment modules vs the
+runner registry. Both run the real objects rather than reading source,
+so dynamically set attributes and registrations count too."""
 
-from repro.statlint import LintConfig
+import importlib
+import pkgutil
+from types import ModuleType, SimpleNamespace
 
-from lint_helpers import rules_fired
+import pytest
 
-#: A minimal campaign/checkpoint pair with full snapshot coverage.
-CAMPAIGN_OK = """\
-    class Campaign:
-        def __init__(self, config):
-            self.config = config
-            self.execs = 0
-            self.hangs = 0
-
-        def start(self):
-            self.model = object()
-    """
-
-CHECKPOINT_OK = """\
-    def snapshot_campaign(campaign):
-        return {
-            "execs": campaign.execs,
-            "hangs": campaign.hangs,
-            "model": campaign.model,
-        }
-    """
-
-SNAP_CONFIG = LintConfig(
-    enable=("SNAP001",),
-    snapshot_exempt=("config",),
-    snapshot_methods=("__init__", "start"),
-    campaign_path="repro/fuzzer/campaign.py",
-    checkpoint_path="repro/fuzzer/checkpoint.py")
+from lint_helpers import (EXPERIMENT_PREFIXES, registry_problems,
+                          snapshot_drift, started_campaign)
 
 
-def snap_tree(campaign=CAMPAIGN_OK, checkpoint=CHECKPOINT_OK):
-    return {"repro/fuzzer/campaign.py": campaign,
-            "repro/fuzzer/checkpoint.py": checkpoint}
+def drift(snap=lambda c: (c.execs, c.hangs, c.model), exempt=("config",),
+          **grown):
+    campaign = SimpleNamespace(config={}, execs=0, hangs=0, model=0, **grown)
+    return snapshot_drift(campaign, snap, exempt)
 
 
 class TestSnapshotCoverage:
-    def test_full_coverage_is_clean(self, lint_tree):
-        result = lint_tree(snap_tree(), config=SNAP_CONFIG)
-        assert rules_fired(result) == []
+    def test_full_coverage_is_clean(self):
+        assert drift() == []
 
-    def test_uncovered_field_fires(self, lint_tree):
-        # Deliberately drop one captured field from the snapshot.
-        omitted = CHECKPOINT_OK.replace(
-            '            "hangs": campaign.hangs,\n', "")
-        assert omitted != CHECKPOINT_OK
-        result = lint_tree(snap_tree(checkpoint=omitted),
-                           config=SNAP_CONFIG)
-        assert rules_fired(result) == ["SNAP001"]
-        (finding,) = result.active
-        assert "'self.hangs'" in finding.message
-        assert finding.path.endswith("campaign.py")
+    def test_uncovered_field_fires(self):
+        assert drift(snap=lambda c: (c.execs, c.model)) == [
+            "hangs: not captured and not exempt"]
 
-    def test_new_campaign_field_fires(self, lint_tree):
-        # The symmetric drift: Campaign grows a field the snapshot
-        # (and the exempt list) never heard of.
-        grown = (CAMPAIGN_OK.rstrip() +
-                 "\n            self.restarts = 0\n")
-        result = lint_tree(snap_tree(campaign=grown),
-                           config=SNAP_CONFIG)
-        assert rules_fired(result) == ["SNAP001"]
-        assert "'self.restarts'" in result.active[0].message
+    def test_new_campaign_field_fires(self):
+        assert drift(restarts=0) == ["restarts: not captured and not exempt"]
 
-    def test_exempt_field_is_clean(self, lint_tree):
-        grown = (CAMPAIGN_OK.rstrip() +
-                 "\n            self.restarts = 0\n")
-        exempting = LintConfig(
-            enable=SNAP_CONFIG.enable,
-            snapshot_exempt=("config", "restarts"),
-            snapshot_methods=SNAP_CONFIG.snapshot_methods)
-        result = lint_tree(snap_tree(campaign=grown), config=exempting)
-        assert rules_fired(result) == []
+    def test_exempt_field_is_clean(self):
+        assert drift(exempt=("config", "restarts"), restarts=0) == []
 
-    def test_getattr_read_counts_as_captured(self, lint_tree):
-        omitted = CHECKPOINT_OK.replace(
-            '            "hangs": campaign.hangs,\n',
-            '            "hangs": getattr(campaign, "hangs", 0),\n')
-        assert omitted != CHECKPOINT_OK
-        result = lint_tree(snap_tree(checkpoint=omitted),
-                           config=SNAP_CONFIG)
-        assert rules_fired(result) == []
+    def test_getattr_read_counts_as_captured(self):
+        assert drift(snap=lambda c: (c.execs, getattr(c, "hangs", 0),
+                                     c.model)) == []
 
-    def test_stale_exemption_captured_field_fires(self, lint_tree):
-        # "execs" is exempt AND captured: the exemption is stale.
-        stale = LintConfig(
-            enable=SNAP_CONFIG.enable,
-            snapshot_exempt=("config", "execs"),
-            snapshot_methods=SNAP_CONFIG.snapshot_methods)
-        result = lint_tree(snap_tree(), config=stale)
-        assert rules_fired(result) == ["SNAP001"]
-        (finding,) = result.active
-        assert "stale" in finding.message
-        assert finding.path.endswith("checkpoint.py")
+    def test_stale_exemption_captured_field_fires(self):
+        assert drift(exempt=("config", "execs")) == [
+            "execs: exempt but captured"]
 
-    def test_stale_exemption_unknown_field_fires(self, lint_tree):
-        stale = LintConfig(
-            enable=SNAP_CONFIG.enable,
-            snapshot_exempt=("config", "never_existed"),
-            snapshot_methods=SNAP_CONFIG.snapshot_methods)
-        result = lint_tree(snap_tree(), config=stale)
-        assert rules_fired(result) == ["SNAP001"]
-        assert "never_existed" in result.active[0].message
+    def test_stale_exemption_unknown_field_fires(self):
+        assert drift(exempt=("config", "gone")) == [
+            "gone: exempt but never set"]
 
 
-RUNNER_OK = """\
-    from . import fig1_demo
-
-    EXPERIMENTS = {
-        "fig1": fig1_demo.run,
-    }
-
-    ORDER = ("fig1",)
-    """
-
-EXPERIMENT_OK = '''\
-    """Demo experiment."""
-
-    EXPERIMENT_ID = "fig1"
+@pytest.mark.parametrize("fuzzer", ["afl", "bigmap"])
+def test_shipped_snapshot_covers_the_campaign(fuzzer):
+    from repro.fuzzer.checkpoint import snapshot_campaign
+    assert snapshot_drift(started_campaign(fuzzer), snapshot_campaign) == []
 
 
-    def run(profile):
-        return "report"
-    '''
-
-EXP_CONFIG = LintConfig(enable=("EXP001",),
-                        runner_path="repro/experiments/runner.py")
-
-
-def exp_tree(runner=RUNNER_OK, experiment=EXPERIMENT_OK,
-             module="fig1_demo.py"):
-    return {"repro/experiments/runner.py": runner,
-            f"repro/experiments/{module}": experiment}
+def problems(name="fig1_demo", doc="Demo.", experiment_id="fig1",
+             run=print, order=("fig1",)):
+    module = ModuleType(name, doc)
+    module.EXPERIMENT_ID, module.run = experiment_id, run
+    # The registry maps a key to a module's run(); only its __module__ counts.
+    registered = {"fig1": SimpleNamespace(__module__="pkg.fig1_demo")}
+    return registry_problems({name: module}, registered, order)
 
 
 class TestExperimentRegistry:
-    def test_registered_with_metadata_is_clean(self, lint_tree):
-        result = lint_tree(exp_tree(), config=EXP_CONFIG)
-        assert rules_fired(result) == []
+    def test_registered_with_metadata_is_clean(self):
+        assert problems() == []
 
-    def test_unregistered_module_fires(self, lint_tree):
-        result = lint_tree(exp_tree(module="fig2_orphan.py"),
-                           config=EXP_CONFIG)
-        assert rules_fired(result) == ["EXP001"]
-        assert "not registered" in result.active[0].message
+    def test_unregistered_module_fires(self):
+        assert problems(name="fig2_orphan") == [
+            "fig2_orphan: not registered in EXPERIMENTS"]
 
-    def test_missing_experiment_id_fires(self, lint_tree):
-        stripped = EXPERIMENT_OK.replace(
-            '    EXPERIMENT_ID = "fig1"\n', "")
-        result = lint_tree(exp_tree(experiment=stripped),
-                           config=EXP_CONFIG)
-        assert rules_fired(result) == ["EXP001"]
-        assert "EXPERIMENT_ID" in result.active[0].message
+    def test_missing_experiment_id_fires(self):
+        (problem,) = problems(experiment_id=None)
+        assert "EXPERIMENT_ID None" in problem
 
-    def test_mismatched_experiment_id_fires(self, lint_tree):
-        renamed = EXPERIMENT_OK.replace('"fig1"', '"fig99"')
-        result = lint_tree(exp_tree(experiment=renamed),
-                           config=EXP_CONFIG)
-        assert rules_fired(result) == ["EXP001"]
-        assert "does not match" in result.active[0].message
+    def test_mismatched_experiment_id_fires(self):
+        (problem,) = problems(experiment_id="fig99")
+        assert "is not the registry key 'fig1'" in problem
 
-    def test_missing_docstring_fires(self, lint_tree):
-        undocumented = EXPERIMENT_OK.replace(
-            '    """Demo experiment."""\n', "")
-        result = lint_tree(exp_tree(experiment=undocumented),
-                           config=EXP_CONFIG)
-        assert rules_fired(result) == ["EXP001"]
-        assert "docstring" in result.active[0].message
+    def test_missing_docstring_fires(self):
+        assert problems(doc=None) == ["fig1_demo: no module docstring"]
 
-    def test_missing_run_fires(self, lint_tree):
-        runless = EXPERIMENT_OK.replace("def run(", "def make(")
-        result = lint_tree(exp_tree(experiment=runless),
-                           config=EXP_CONFIG)
-        assert rules_fired(result) == ["EXP001"]
-        assert "run()" in result.active[0].message
+    def test_missing_run_fires(self):
+        assert problems(run=None) == ["fig1_demo: no run() entry point"]
 
-    def test_registered_but_not_in_order_fires(self, lint_tree):
-        no_order = RUNNER_OK.replace('    ORDER = ("fig1",)\n',
-                                     "    ORDER = ()\n")
-        result = lint_tree(exp_tree(runner=no_order), config=EXP_CONFIG)
-        assert rules_fired(result) == ["EXP001"]
-        assert "ORDER" in result.active[0].message
+    def test_registered_but_not_in_order_fires(self):
+        assert problems(order=()) == [
+            "fig1_demo: registered but missing from ORDER"]
 
-    def test_order_entry_without_registration_fires(self, lint_tree):
-        extra_order = RUNNER_OK.replace('ORDER = ("fig1",)',
-                                        'ORDER = ("fig1", "ghost")')
-        result = lint_tree(exp_tree(runner=extra_order),
-                           config=EXP_CONFIG)
-        assert rules_fired(result) == ["EXP001"]
-        assert "ghost" in result.active[0].message
+    def test_order_entry_without_registration_fires(self):
+        assert problems(order=("fig1", "ghost")) == [
+            "ghost: in ORDER but not registered"]
 
-    def test_annotated_registry_is_readable(self, lint_tree):
-        # The real runner declares EXPERIMENTS with a type annotation.
-        annotated = RUNNER_OK.replace(
-            "EXPERIMENTS = {",
-            "EXPERIMENTS: dict = {")
-        result = lint_tree(exp_tree(runner=annotated), config=EXP_CONFIG)
-        assert rules_fired(result) == []
+
+def test_shipped_registry_is_consistent():
+    from repro import experiments
+    from repro.experiments import runner
+    modules = {info.name: importlib.import_module(
+        f"repro.experiments.{info.name}")
+        for info in pkgutil.iter_modules(experiments.__path__)
+        if info.name.startswith(EXPERIMENT_PREFIXES)}
+    assert len(modules) >= 13
+    assert registry_problems(modules, runner.EXPERIMENTS, runner.ORDER) == []

@@ -1,203 +1,84 @@
-"""ERR001/NUM001: broad-except routing and narrow-int arithmetic."""
+"""ERR001/ERR002/NUM001: broad-except routing, atomic writes on fault
+paths, and narrow-int arithmetic."""
 
-from lint_helpers import rules_fired
+from lint_helpers import fired, lint
+
+SWALLOW = "try:\n    fn()\nexcept Exception:\n    result = None\n"
+FAULTS = "src/repro/faults/writer.py"
+WRITE = "with open(path, 'wb') as fh:\n    fh.write(data)\n"
 
 
 class TestBroadExcept:
-    def test_fires_on_swallowed_exception(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            def safe(fn):
-                try:
-                    return fn()
-                except Exception:
-                    return None
-            """})
-        assert rules_fired(result) == ["ERR001"]
-        (finding,) = result.active
-        assert finding.line == 4
+    def test_fires_on_swallowed_exception(self):
+        (violation,) = lint(SWALLOW)
+        assert (violation.rule, violation.line) == ("ERR001", 3)
 
-    def test_fires_on_bare_except(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            def safe(fn):
-                try:
-                    return fn()
-                except:
-                    pass
-            """})
-        assert rules_fired(result) == ["ERR001"]
-        assert "bare except" in result.active[0].message
+    def test_fires_on_bare_except(self):
+        (violation,) = lint(SWALLOW.replace("except Exception:", "except:"))
+        assert "bare except" in violation.message
 
-    def test_reraise_passes(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            def noisy(fn):
-                try:
-                    return fn()
-                except Exception:
-                    raise
-            """})
-        assert rules_fired(result) == []
+    def test_reraise_passes(self):
+        assert fired(SWALLOW.replace("result = None", "raise")) == []
 
-    def test_chaining_into_error_class_passes(self, lint_tree):
+    def test_chaining_into_error_class_passes(self):
         # The supervised-fault pattern: wrap into a *Error taxonomy
         # class (original chained as __cause__) and account for it.
-        result = lint_tree({"mod.py": """\
-            from repro.core.errors import InstanceFaultError
+        assert fired(SWALLOW.replace(
+            "result = None", "record(InstanceFaultError.wrap(0, exc))")) == []
 
-            def supervise(self, i, fn):
-                try:
-                    return fn()
-                except Exception as exc:
-                    self.record(InstanceFaultError.wrap(i, exc))
-            """})
-        assert rules_fired(result) == []
-
-    def test_narrow_except_is_not_flagged(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            def read(path):
-                try:
-                    return path.read_text()
-                except FileNotFoundError:
-                    return ""
-            """})
-        assert rules_fired(result) == []
-
-    def test_suppression_silences(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            def best_effort(fn):
-                try:
-                    return fn()
-                except Exception:  # statlint: disable=ERR001 (cosmetic cleanup)
-                    return None
-            """})
-        assert rules_fired(result) == []
+    def test_narrow_except_is_not_flagged(self):
+        assert fired(SWALLOW.replace("Exception", "FileNotFoundError")) == []
 
 
 class TestFleetArtifactWrites:
-    def test_fires_on_open_w_on_a_fleet_path(self, lint_tree):
-        result = lint_tree({"repro/faults/writer.py": """\
-            def persist(path, data):
-                with open(path, "wb") as fh:
-                    fh.write(data)
-            """})
-        assert rules_fired(result) == ["ERR002"]
-        assert "atomic" in result.active[0].message
+    def test_fires_on_open_w_on_a_fleet_path(self):
+        (violation,) = lint(WRITE, path=FAULTS)
+        assert violation.rule == "ERR002"
+        assert "atomic" in violation.message
 
-    def test_fires_on_mode_keyword(self, lint_tree):
-        result = lint_tree({"repro/faults/writer.py": """\
-            def persist(path, text):
-                with open(path, mode="w") as fh:
-                    fh.write(text)
-            """})
-        assert rules_fired(result) == ["ERR002"]
+    def test_fires_on_mode_keyword(self):
+        assert fired(WRITE.replace("'wb'", "mode='w'"), FAULTS) == ["ERR002"]
 
-    def test_fires_on_pass_swallow_on_a_fleet_path(self, lint_tree):
-        # The pass-only broad except trips both the general routing
-        # rule and the fault-path one.
-        result = lint_tree({"repro/faults/cleanup.py": """\
-            import os
+    def test_fires_on_pass_swallow_on_a_fleet_path(self):
+        # A pass-only broad except trips both the general routing rule
+        # and the fault-path one.
+        assert fired(SWALLOW.replace("result = None", "pass"), FAULTS) == [
+            "ERR001", "ERR002"]
 
-            def tidy(path):
-                try:
-                    os.replace(path, path + ".bak")
-                except Exception:
-                    pass
-            """})
-        assert rules_fired(result) == ["ERR001", "ERR002"]
+    def test_reads_appends_and_inplace_pass(self):
+        # Appends and in-place r+b edits never truncate the file; reads
+        # are never torn by the writer dying.
+        assert fired("open(path, 'rb'); open(path, 'a'); open(path, 'r+b')",
+                     FAULTS) == []
 
-    def test_reads_appends_and_inplace_pass(self, lint_tree):
-        # Appends and in-place r+b edits never truncate the file;
-        # reads are never torn by the writer dying.
-        result = lint_tree({"repro/faults/reader.py": """\
-            def touch(path):
-                with open(path, "rb") as fh:
-                    data = fh.read()
-                with open(path, "a") as fh:
-                    fh.write("entry\\n")
-                with open(path, "r+b") as fh:
-                    fh.write(data)
-            """})
-        assert rules_fired(result) == []
-
-    def test_same_code_off_fleet_paths_passes(self, lint_tree):
-        result = lint_tree({"repro/analysis/export.py": """\
-            def persist(path, data):
-                with open(path, "wb") as fh:
-                    fh.write(data)
-            """})
-        assert rules_fired(result) == []
-
-    def test_suppression_covers_the_line_below(self, lint_tree):
-        result = lint_tree({"repro/faults/writer.py": """\
-            def atomic_write(path, data):
-                # statlint: disable=ERR002 (atomic-write implementation site)
-                with open(path + ".tmp", "wb") as fh:
-                    fh.write(data)
-            """})
-        assert rules_fired(result) == []
-        assert [f.rule for f in result.suppressed] == ["ERR002"]
+    def test_same_code_off_fleet_paths_passes(self):
+        assert fired(WRITE, path="src/repro/analysis/export.py") == []
 
 
 class TestNarrowIntArithmetic:
-    def test_fires_on_uint8_add(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            import numpy as np
+    COUNTERS = "import numpy as np\ncounters = np.zeros(64, dtype=np.uint8)\n"
 
-            counters = np.zeros(64, dtype=np.uint8)
-            total = counters + 1
-            """})
-        assert rules_fired(result) == ["NUM001"]
-        assert "'counters'" in result.active[0].message
+    def test_fires_on_uint8_add(self):
+        (violation,) = lint(self.COUNTERS + "total = counters + 1\n")
+        assert violation.rule == "NUM001"
+        assert "'counters'" in violation.message
 
-    def test_fires_on_augmented_assignment(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            import numpy as np
+    def test_fires_on_augmented_assignment(self):
+        assert fired("import numpy as np\n"
+                     "def bump(hits):\n"
+                     "    self.store = np.zeros(16, dtype='uint16')\n"
+                     "    self.store[hits] += 1\n") == ["NUM001"]
 
-            def bump(hits):
-                store = np.zeros(16, dtype=np.uint16)
-                store += hits
-                return store
-            """})
-        assert rules_fired(result) == ["NUM001"]
+    def test_fires_on_astype_narrowed_value(self):
+        assert fired("import numpy as np\n"
+                     "narrow = wide.astype(np.uint8)\n"
+                     "tripled = narrow * 3\n") == ["NUM001"]
 
-    def test_fires_on_astype_narrowed_value(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            import numpy as np
-
-            def shrink(wide):
-                narrow = wide.astype(np.uint8)
-                return narrow * 3
-            """})
-        assert rules_fired(result) == ["NUM001"]
-
-    def test_widening_cast_passes(self, lint_tree):
+    def test_widening_cast_passes(self):
         # The idiom used by apply_counts in repro.core.bitmap_base.
-        result = lint_tree({"mod.py": """\
-            import numpy as np
+        assert fired(self.COUNTERS +
+                     "total = counters.astype(np.int64) + summed\n") == []
 
-            def apply(summed):
-                store = np.zeros(64, dtype=np.uint8)
-                return store.astype(np.int64) + summed
-            """})
-        assert rules_fired(result) == []
-
-    def test_wide_arrays_pass(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            import numpy as np
-
-            cycles = np.zeros(64, dtype=np.int64)
-            total = cycles + 1
-            """})
-        assert rules_fired(result) == []
-
-    def test_comment_line_suppression_silences(self, lint_tree):
-        result = lint_tree({"mod.py": """\
-            import numpy as np
-
-            def wrap_on_purpose(deltas):
-                counters = np.zeros(64, dtype=np.uint8)
-                # statlint: disable=NUM001 (wrap-at-256 is the AFL policy)
-                counters += deltas
-                return counters
-            """})
-        assert rules_fired(result) == []
-        assert [f.rule for f in result.suppressed] == ["NUM001"]
+    def test_wide_arrays_pass(self):
+        assert fired(self.COUNTERS.replace("uint8", "int64") +
+                     "total = counters + 1\n") == []

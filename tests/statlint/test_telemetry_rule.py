@@ -1,164 +1,70 @@
-"""TEL001: the telemetry subsystem's stricter determinism bar.
+"""TEL001: inside ``repro/telemetry`` only, no host clock (not even the
+walltime shim), no unseeded randomness, canonical JSON encoding and no
+unordered iteration."""
 
-Fires on wall clocks (including the walltime shim, which general code
-may use), unseeded randomness, non-canonical JSON encoding, and
-unordered iteration — but only inside ``telemetry-paths``; identical
-code elsewhere is judged by the general rules instead.
-"""
-
-from repro.statlint import LintConfig
-
-from lint_helpers import rules_fired
+from lint_helpers import TELEMETRY_PATHS, lint, shipped_sources, tel001
 
 
-def only_tel(result):
-    return [f for f in result.active if f.rule == "TEL001"]
+def tel(text, path="src/repro/telemetry/mod.py"):
+    return [v.message for v in lint(text, path) if v.rule == "TEL001"]
 
 
 class TestScope:
-    def test_quiet_outside_telemetry_paths(self, lint_tree):
-        result = lint_tree({"repro/analysis/mod.py": """\
-            import json
-
-            def enc(d):
-                return json.dumps(d)
-            """})
-        assert "TEL001" not in rules_fired(result)
-
-    def test_custom_paths_config(self, lint_tree):
-        result = lint_tree(
-            {"obs/mod.py": """\
-                import json
-
-                def enc(d):
-                    return json.dumps(d)
-                """},
-            LintConfig(enable=("TEL001",), telemetry_paths=("obs/*",)))
-        assert rules_fired(result) == ["TEL001"]
+    def test_quiet_outside_telemetry_paths(self):
+        assert tel("import json; json.dumps(event)",
+                   path="src/repro/analysis/mod.py") == []
 
 
 class TestWallClock:
-    def test_fires_on_time_time(self, lint_tree):
-        result = lint_tree({"repro/telemetry/mod.py": """\
-            import time
+    def test_fires_on_time_time(self):
+        (message,) = tel("import time; time.time()")
+        assert "virtual clock" in message
 
-            def stamp():
-                return time.time()
-            """})
-        findings = only_tel(result)
-        assert len(findings) == 1
-        assert "virtual clock" in findings[0].message
-
-    def test_fires_on_walltime_shim(self, lint_tree):
+    def test_fires_on_walltime_shim(self):
         # General code may use the shim; telemetry may not read host
         # time at all, so even the allowlisted entry point is flagged.
-        result = lint_tree({"repro/telemetry/mod.py": """\
-            from repro.core.walltime import wall_now
-
-            def stamp():
-                return wall_now()
-            """})
-        assert len(only_tel(result)) == 1
+        assert len(tel("from repro.core.walltime import wall_now\n"
+                       "wall_now()\n")) == 1
 
 
 class TestRandomness:
-    def test_fires_on_stdlib_random(self, lint_tree):
-        result = lint_tree({"repro/telemetry/mod.py": """\
-            import random
+    def test_fires_on_stdlib_random(self):
+        assert len(tel("import random; random.random()")) == 1
 
-            def jitter():
-                return random.random()
-            """})
-        assert len(only_tel(result)) == 1
+    def test_fires_on_unseeded_default_rng(self):
+        assert len(tel("import numpy as np; np.random.default_rng()")) == 1
 
-    def test_fires_on_unseeded_default_rng(self, lint_tree):
-        result = lint_tree({"repro/telemetry/mod.py": """\
-            import numpy as np
-
-            def rng():
-                return np.random.default_rng()
-            """})
-        assert len(only_tel(result)) == 1
-
-    def test_seeded_rng_passes(self, lint_tree):
-        result = lint_tree({"repro/telemetry/mod.py": """\
-            import numpy as np
-
-            def rng(seed):
-                return np.random.default_rng(seed)
-            """})
-        assert only_tel(result) == []
+    def test_seeded_rng_passes(self):
+        assert tel("import numpy as np; np.random.default_rng(seed)") == []
 
 
 class TestCanonicalJson:
-    def test_fires_on_dumps_without_sort_keys(self, lint_tree):
-        result = lint_tree({"repro/telemetry/sinks.py": """\
-            import json
+    def test_fires_on_dumps_without_sort_keys(self):
+        (message,) = tel("import json; json.dumps(event)")
+        assert "sort_keys" in message
 
-            def enc(event):
-                return json.dumps(event)
-            """})
-        findings = only_tel(result)
-        assert len(findings) == 1
-        assert "sort_keys" in findings[0].message
+    def test_fires_on_sort_keys_false(self):
+        assert len(tel("import json; json.dumps(event, sort_keys=False)")) == 1
 
-    def test_fires_on_sort_keys_false(self, lint_tree):
-        result = lint_tree({"repro/telemetry/sinks.py": """\
-            import json
-
-            def enc(event):
-                return json.dumps(event, sort_keys=False)
-            """})
-        assert len(only_tel(result)) == 1
-
-    def test_sorted_encoding_passes(self, lint_tree):
-        result = lint_tree({"repro/telemetry/sinks.py": """\
-            import json
-
-            def enc(event):
-                return json.dumps(event, sort_keys=True,
-                                  separators=(",", ":"))
-            """})
-        assert only_tel(result) == []
+    def test_sorted_encoding_passes(self):
+        assert tel("import json\n"
+                   "json.dumps(event, sort_keys=True, indent=1)\n") == []
 
 
 class TestUnorderedIteration:
-    def test_fires_on_set_iteration(self, lint_tree):
-        result = lint_tree({"repro/telemetry/mod.py": """\
-            def names(events):
-                return [e for e in set(events)]
-            """})
-        assert len(only_tel(result)) == 1
+    def test_fires_on_set_iteration(self):
+        assert len(tel("names = [e for e in set(events)]")) == 1
 
-    def test_fires_on_dict_keys_loop(self, lint_tree):
-        result = lint_tree({"repro/telemetry/mod.py": """\
-            def lines(stats):
-                out = []
-                for key in stats.keys():
-                    out.append(key)
-                return out
-            """})
-        assert len(only_tel(result)) == 1
+    def test_fires_on_dict_keys_loop(self):
+        assert len(tel("for key in stats.keys():\n    print(key)\n")) == 1
 
-    def test_sorted_iteration_passes(self, lint_tree):
-        result = lint_tree({"repro/telemetry/mod.py": """\
-            def lines(stats):
-                return [key for key in sorted(stats)]
-            """})
-        assert only_tel(result) == []
+    def test_sorted_iteration_passes(self):
+        assert tel("lines = [key for key in sorted(stats)]") == []
 
 
 class TestRealTree:
     def test_shipping_telemetry_package_is_clean(self):
-        from pathlib import Path
-
-        from repro.statlint import lint_paths
-        from repro.statlint.config import find_pyproject, load_config
-
-        from lint_helpers import REPO_ROOT
-
-        src = REPO_ROOT / "src"
-        config = load_config(find_pyproject(src))
-        result = lint_paths([src / "repro" / "telemetry"], config,
-                            root=src)
-        assert [f for f in result.active if f.rule == "TEL001"] == []
+        telemetry = [src for src in shipped_sources()
+                     if src.in_scope(TELEMETRY_PATHS)]
+        assert len(telemetry) > 5
+        assert [v for src in telemetry for v in tel001(src)] == []
