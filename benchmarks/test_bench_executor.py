@@ -91,6 +91,36 @@ def test_window_front_throughput(benchmark, zlib_window):
     benchmark.extra_info["flagged"] = int(flags.sum())
 
 
+def test_replay_throughput(benchmark):
+    """Load one early window's flagged rows into the map, as replays
+    do: each row's aggregated front segment goes straight into an 8 MB
+    BigMap (reset, update, classify), with no flat cut, re-keying or
+    re-aggregation. licm is large, so an early window flags almost
+    every row and each carries thousands of keys."""
+    from repro.fuzzer import Campaign, CampaignConfig
+    campaign = Campaign(CampaignConfig(
+        benchmark="licm", fuzzer="bigmap", map_size=1 << 23, scale=0.2,
+        seed_scale=0.1, batch_window=1))
+    campaign.start()
+    specs, _, _ = campaign._collect_window()
+    front = campaign._batch_front(specs)
+    rows = np.flatnonzero(front.flags)
+    coverage = campaign.coverage
+
+    def replay():
+        for i in rows:
+            trace = campaign._row_trace(front, i)
+            coverage.reset()
+            coverage.update_aggregated(trace.keys, trace.summed)
+            coverage.classify()
+
+    benchmark(replay)
+    benchmark.extra_info["rows"] = int(front.flags.size)
+    benchmark.extra_info["flagged"] = int(rows.size)
+    benchmark.extra_info["keys_per_row"] = round(
+        float(np.mean(np.diff(front.update.offsets)[rows])), 1)
+
+
 def test_full_pipeline_iteration(benchmark, sqlite_small):
     """Mutate + execute + map update + classify/compare: the real cost
     of one simulated fuzzing iteration on the host."""

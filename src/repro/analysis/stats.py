@@ -16,7 +16,7 @@ single fuzzing runs are noise, so multi-trial comparisons must carry
 Everything is implemented on numpy alone (no scipy dependency); the
 Mann–Whitney p-value uses the tie-corrected normal approximation with
 continuity correction — the same ``method="asymptotic"`` formulation
-scipy uses, which ``tests/fleet/test_fleet_stats.py`` pins against
+scipy uses, which ``tests/analysis/test_rank_stats.py`` pins against
 precomputed scipy golden values.
 """
 

@@ -25,7 +25,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .bitmap_base import CoverageMap, aggregate_keys, apply_counts
+from .bitmap_base import CoverageMap, apply_counts
 from .classify import classify_counts
 from .compare import CompareResult, VirginMap
 from .hashing import crc32_full
@@ -66,13 +66,15 @@ class AflCoverage(CoverageMap):
             self.trace.fill(0)
             self._touched = []
 
-    def update(self, keys: np.ndarray, counts: np.ndarray) -> int:
-        self._check_keys(keys)
-        unique, summed = aggregate_keys(keys, counts)
+    def update_aggregated(self, unique: np.ndarray,
+                          summed: np.ndarray) -> int:
         if unique.size == 0:
             return 0
         apply_counts(self.trace, unique, summed)
-        self._touched.append(unique)
+        # A copy: a replayed segment is a view into its whole window's
+        # key array, which would otherwise stay alive until the next
+        # reset.
+        self._touched.append(unique.copy())
         return int(unique.size)
 
     def classify(self) -> None:

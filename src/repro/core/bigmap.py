@@ -33,7 +33,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .bitmap_base import CoverageMap, aggregate_keys, apply_counts
+from .bitmap_base import CoverageMap, apply_counts
 from .classify import classify_counts
 from .compare import CompareResult, VirginMap
 from .errors import MapFullError
@@ -64,9 +64,8 @@ class BigMapCoverage(CoverageMap):
     def reset(self) -> None:
         self.cov[:self.used_key] = 0
 
-    def update(self, keys: np.ndarray, counts: np.ndarray) -> int:
-        self._check_keys(keys)
-        unique, summed = aggregate_keys(keys, counts)
+    def update_aggregated(self, unique: np.ndarray,
+                          summed: np.ndarray) -> int:
         if unique.size == 0:
             return 0
         slots = self.index[unique]

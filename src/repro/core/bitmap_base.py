@@ -173,6 +173,13 @@ class BatchUpdate:
     def n(self) -> int:
         return int(self.offsets.size - 1)
 
+    def segment(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(keys, summed)`` of trace ``i``: the aggregated trace
+        :meth:`CoverageMap.update_aggregated` loads. Empty for a dense
+        batch's unflagged trace, which has no segment."""
+        lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
+        return self.keys[lo:hi], self.summed[lo:hi]
+
 
 @dataclass
 class FlatKeys:
@@ -254,13 +261,32 @@ class CoverageMap(ABC):
     def reset(self) -> None:
         """Clear per-execution state ahead of the next test case."""
 
-    @abstractmethod
     def update(self, keys: np.ndarray, counts: np.ndarray) -> int:
         """Record that each ``keys[i]`` was traversed ``counts[i]`` times.
+
+        Aggregates the trace (:func:`aggregate_keys`) and loads it
+        through :meth:`update_aggregated`.
 
         Returns:
             Number of distinct map locations touched (after collision
             aliasing) — the ``unique_locations`` of the cost model.
+        """
+        self._check_keys(keys)
+        return self.update_aggregated(*aggregate_keys(keys, counts))
+
+    @abstractmethod
+    def update_aggregated(self, unique: np.ndarray,
+                          summed: np.ndarray) -> int:
+        """Record one already aggregated trace.
+
+        ``unique`` holds ascending, duplicate-free ``int64`` keys and
+        ``summed`` their collision-summed hit counts: what
+        :func:`aggregate_keys` returns, and what one segment of a
+        :class:`BatchUpdate` holds. The keys are not range-checked here
+        (:meth:`update` and :meth:`update_compare_batch` check them).
+
+        Returns:
+            ``unique.size``: the distinct map locations touched.
         """
 
     @abstractmethod

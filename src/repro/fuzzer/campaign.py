@@ -12,12 +12,12 @@ fewer test cases in the same budget, exactly as on real hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..core import AflCoverage, BigMapCoverage, CoverageMap, VirginMap
-from ..core.bitmap_base import BatchUpdate, FlatKeys
+from ..core.bitmap_base import BatchUpdate, FlatKeys, aggregate_keys
 from ..core.errors import CampaignConfigError
 from ..instrumentation import apply_lafintel, build_instrumentation
 from ..instrumentation.edge_ids import EdgeTableInstrumentation
@@ -26,6 +26,7 @@ from ..memsim.costmodel import (AFL, BIGMAP, OP_CATEGORIES,
                                 BitmapCostModel, ExecShape)
 from ..memsim.machine import Machine, XEON_E5645
 from ..target import BuiltBenchmark, Executor, get_benchmark
+from ..target.crashes import CrashInfo
 from ..target.executor import BatchExecResult, ExecResult
 from ..telemetry.metrics import sequential_sum
 from ..telemetry.recorder import TelemetryRecorder
@@ -143,6 +144,22 @@ class CampaignConfig:
                 f"batch_window must be >= 1, got {self.batch_window}")
 
 
+class AggregatedTrace(NamedTuple):
+    """One execution as the scalar pipeline loads it into the map.
+
+    Attributes:
+        keys: ascending, duplicate-free ``int64`` map keys.
+        summed: their collision-summed hit counts.
+        traversals: total edge traversals (the cost model's driver).
+        crash: the triggered :class:`CrashInfo`, or ``None``.
+    """
+
+    keys: np.ndarray
+    summed: np.ndarray
+    traversals: int
+    crash: Optional[CrashInfo]
+
+
 @dataclass
 class BatchFront:
     """Vectorized front half of one (mega-)batch.
@@ -150,9 +167,9 @@ class BatchFront:
     Everything the batched processing loop needs per trace: the
     mutants, their dense traces, the conservative interest flags, and
     what pricing and the stale-flag re-test read. No flat trace is
-    built here: a replay, or the window's one map repair, cuts its
-    row's trace from ``bres`` when it gets there
-    (:meth:`BatchExecResult.result_for`).
+    built here: a flagged row that replays loads its aggregated segment
+    from ``update``, and any other row that reaches the map cuts its
+    trace from ``bres`` when it gets there (:meth:`Campaign._row_trace`).
 
     Attributes:
         batch: the mutants, rows in window order.
@@ -163,7 +180,8 @@ class BatchFront:
             processing loop re-test a flagged trace's keys against the
             *current* virgin map when its cheap-run scan (or its own
             arrival) reaches it, and downgrade a stale flag to the
-            cheap path.
+            cheap path; a replayed row loads its segment straight into
+            the map.
         flags: conservative "could be interesting" flags from the fused
             batched compare (see ``CoverageMap.update_compare_batch``).
         crashes: per-trace crash mask.
@@ -271,29 +289,38 @@ class Campaign:
         cls = AflCoverage if self.config.fuzzer == AFL else BigMapCoverage
         return cls(self.config.map_size, validate_keys=False)
 
+    def _aggregated(self, result: ExecResult,
+                    inp: np.ndarray) -> AggregatedTrace:
+        """Key and aggregate one flat trace; ``inp`` is its exact-length
+        input (input-dependent metrics read it)."""
+        keys, counts = self.instrumentation.keys_for(result, inp)
+        return AggregatedTrace(*aggregate_keys(keys, counts),
+                               result.traversals, result.crash)
+
     def _pipeline(self, data: bytes, want_snapshot: bool = False,
-                  precomputed: Optional[ExecResult] = None):
+                  trace: Optional[AggregatedTrace] = None):
         """Execute one test case through the full coverage pipeline.
 
-        ``precomputed`` may carry the trace from a batched execution of
-        the same input — ``executor.execute(data)`` is the same kernel
-        on one row — so replays skip the re-execution. The
-        execute span is still entered (zero host work, zero clock
+        ``trace`` may carry the aggregated trace from a batched
+        execution of the same input — ``executor.execute(data)`` is the
+        same kernel on one row, and the map loads the same aggregate
+        either way — so replays skip the re-execution and the
+        re-aggregation. The execute span is still entered (zero clock
         delta) to keep telemetry call counts engine-independent.
 
-        Returns ``(exec_result, compare_result, shape, snapshot)`` where
+        Returns ``(trace, compare_result, shape, snapshot)`` where
         ``snapshot`` is ``(covered_locations, coverage_hash)`` captured
         while the trace is still in the map (None unless the run is
         interesting or ``want_snapshot`` is set).
         """
         with self._span_execute:
-            result = precomputed if precomputed is not None \
-                else self.executor.execute(data)
-        inp = np.frombuffer(data, dtype=np.uint8)
-        keys, counts = self.instrumentation.keys_for(result, inp)
+            if trace is None:
+                trace = self._aggregated(
+                    self.executor.execute(data),
+                    np.frombuffer(data, dtype=np.uint8))
 
         self.coverage.reset()
-        n_unique = self.coverage.update(keys, counts)
+        n_unique = self.coverage.update_aggregated(trace.keys, trace.summed)
         with self._span_classify:
             compare = self.coverage.classify_and_compare(self.virgin)
 
@@ -305,13 +332,13 @@ class Campaign:
             hash_bytes = self.coverage.active_bytes()
             snapshot = (self.coverage.nonzero_locations().copy(), cov_hash)
         shape = ExecShape(
-            traversals=result.traversals,
+            traversals=trace.traversals,
             unique_locations=n_unique,
             used_bytes=self.coverage.active_bytes()
             if self.config.fuzzer == BIGMAP else 0,
             interesting=interesting,
             hash_bytes=hash_bytes)
-        return result, compare, shape, snapshot
+        return trace, compare, shape, snapshot
 
     def _charge(self, shape: ExecShape) -> float:
         """Charge one execution's modeled cost to the virtual clock."""
@@ -365,15 +392,14 @@ class Campaign:
     def _trace_hash(self, data: bytes) -> int:
         """Classified-trace hash of one execution, without touching
         the virgin map (the trim oracle). Charged like a normal run."""
-        result = self.executor.execute(data)
-        inp = np.frombuffer(data, dtype=np.uint8)
-        keys, counts = self.instrumentation.keys_for(result, inp)
+        trace = self._aggregated(self.executor.execute(data),
+                                 np.frombuffer(data, dtype=np.uint8))
         self.coverage.reset()
-        n_unique = self.coverage.update(keys, counts)
+        n_unique = self.coverage.update_aggregated(trace.keys, trace.summed)
         self.coverage.classify()
         value = self.coverage.hash()
         self._charge(ExecShape(
-            traversals=result.traversals, unique_locations=n_unique,
+            traversals=trace.traversals, unique_locations=n_unique,
             used_bytes=self.coverage.active_bytes()
             if self.config.fuzzer == BIGMAP else 0,
             interesting=True,
@@ -409,8 +435,8 @@ class Campaign:
         if self.tmout_triage.observe(*self.coverage.classified_trace()):
             self.unique_hangs += 1
 
-    def _handle_crash(self, result) -> None:
-        self.crashwalk.observe(result.crash, self.clock.seconds)
+    def _handle_crash(self, trace: AggregatedTrace) -> None:
+        self.crashwalk.observe(trace.crash, self.clock.seconds)
         # Sparse merge: equivalent to the full-map merge, without
         # sweeping a multi-MB array on the host per crash.
         self.afl_triage.observe(*self.coverage.classified_trace())
@@ -424,7 +450,7 @@ class Campaign:
         exists after running the seeds — so seed executions are recorded
         first and charged retroactively once the model exists. The
         seeds execute as one zero-padded batch; each trace then runs
-        the scalar pipeline as ``precomputed``.
+        the scalar pipeline as a precomputed ``trace``.
         """
         seeds = self.built.seeds
         rows = np.zeros((len(seeds), self.program.input_len), dtype=np.uint8)
@@ -434,9 +460,10 @@ class Campaign:
         bres = self.executor.execute_batch(rows)
         pending = []
         for i, data in enumerate(seeds):
-            result, compare, shape, snapshot = self._pipeline(
-                data, want_snapshot=True, precomputed=bres.result_for(i))
-            pending.append((data, result, compare, shape, snapshot))
+            trace, compare, shape, snapshot = self._pipeline(
+                data, want_snapshot=True, trace=self._aggregated(
+                    bres.result_for(i), np.frombuffer(data, dtype=np.uint8)))
+            pending.append((data, trace, compare, shape, snapshot))
 
         shapes = [p[3] for p in pending]
         reference = ExecShape(
@@ -461,10 +488,10 @@ class Campaign:
             self._hang_budget_cycles = \
                 self.config.hang_factor * max(mean_cycles, 1.0)
 
-        for data, result, compare, shape, snapshot in pending:
+        for data, trace, compare, shape, snapshot in pending:
             cycles = self._charge(shape)
-            if result.crash is not None:
-                self._handle_crash(result)
+            if trace.crash is not None:
+                self._handle_crash(trace)
             else:
                 # User seeds are always admitted, as in AFL.
                 self._admit(data, cycles, depth=0, parent_id=None,
@@ -551,10 +578,10 @@ class Campaign:
                 filler = self.rng.integers(
                     0, 256, size=self.program.input_len,
                     dtype=np.uint8).tobytes()
-                result, compare, shape, snapshot = self._pipeline(
+                trace, compare, shape, snapshot = self._pipeline(
                     filler, want_snapshot=True)
                 cycles = self._charge(shape)
-                if result.crash is None:
+                if trace.crash is None:
                     self._admit(filler, cycles, 0, None, snapshot)
                 continue
 
@@ -614,14 +641,14 @@ class Campaign:
         return specs, seeds, bounds
 
     def _run_mutant(self, mutant: bytes, seed: Seed,
-                    precomputed: Optional[ExecResult] = None) -> None:
+                    trace: Optional[AggregatedTrace] = None) -> None:
         """One mutant of ``seed`` through the scalar pipeline: charge
         it, then dispatch the crash / hang / interesting verdict."""
-        result, compare, shape, snapshot = self._pipeline(
-            mutant, precomputed=precomputed)
+        trace, compare, shape, snapshot = self._pipeline(mutant,
+                                                         trace=trace)
         cycles = self._charge(shape)
-        if result.crash is not None:
-            self._handle_crash(result)
+        if trace.crash is not None:
+            self._handle_crash(trace)
         elif self._is_hang(cycles):
             # Hanging inputs are reported, never queued (AFL drops them
             # from the fuzzing flow the same way).
@@ -664,18 +691,34 @@ class Campaign:
         return BatchFront(batch=batch, bres=bres, update=update,
                           flags=flags, crashes=crashes)
 
+    def _row_trace(self, front: BatchFront, i: int) -> AggregatedTrace:
+        """Row ``i`` of a window as the aggregated trace the map loads.
+
+        A row the front flagged already has its sorted, duplicate-free
+        segment in ``front.update`` (a stale downgrade leaves it there),
+        so it is loaded as is. Any other row — a crash-only or
+        hang-budget replay, or the map repair's cheap row — has none and
+        is cut from its dense row, keyed and aggregated. Both give
+        the same arrays the serial engine's ``keys_for`` +
+        :func:`aggregate_keys` would (a non-empty segment is complete).
+        """
+        keys, summed = front.update.segment(i)
+        if keys.size:
+            return AggregatedTrace(keys, summed, int(front.traversals[i]),
+                                   front.bres.crashes[i])
+        return self._aggregated(front.bres.result_for(i), front.batch.row(i))
+
     def _repair_map(self, front: BatchFront, i: int) -> None:
         """Leave the map exactly as the serial engine would: holding
         the classified trace of the last processed mutant (checkpoints
-        capture the coverage map). The trace is cut from the dense
-        batch result, then reset + update + classify, which reproduces
-        ``classify_and_compare``'s map effect (the merge never writes
-        the local map). Host-only work: no clock, no virgin, no
-        counters."""
-        mkeys, mcounts = self.instrumentation.keys_for(
-            front.bres.result_for(i), front.batch.row(i))
+        capture the coverage map). The row's aggregated trace
+        (:meth:`_row_trace`) is loaded with reset + update + classify,
+        which reproduces ``classify_and_compare``'s map effect (the
+        merge never writes the local map). Host-only work: no clock, no
+        virgin, no counters."""
+        trace = self._row_trace(front, i)
         self.coverage.reset()
-        self.coverage.update(mkeys, mcounts)
+        self.coverage.update_aggregated(trace.keys, trace.summed)
         self.coverage.classify()
 
     def _run_window(self, window, deadline: float) -> None:
@@ -688,7 +731,10 @@ class Campaign:
         might be interesting replay the scalar pipeline
         (:meth:`_run_mutant`) — which also performs the virgin merge
         exactly as the serial reference engine
-        (:class:`repro.fuzzer.oracle.SerialCampaign`) would.
+        (:class:`repro.fuzzer.oracle.SerialCampaign`) would. A replay
+        neither re-executes nor re-aggregates: a flagged row loads the
+        aggregated segment the front built for it, and only a row
+        without one is cut from the dense batch (:meth:`_row_trace`).
         Everything else is charged from the batch pricing without ever
         materializing a coverage map: maximal runs of consecutive cheap
         traces are charged in one vectorized sweep whose float
@@ -772,7 +818,7 @@ class Campaign:
                         break
                     if replays[i] and still_replays(i):
                         self._run_mutant(front.batch.tobytes(i), seed,
-                                         front.bres.result_for(i))
+                                         self._row_trace(front, i))
                         last_cheap = -1
                         if bigmap and self.coverage.active_bytes() != used:
                             # used_key moved: re-price the remaining
@@ -899,10 +945,10 @@ class Campaign:
         This is AFL's ``-M``/``-S`` corpus synchronization: imported
         entries are executed (and charged) like any test case.
         """
-        result, compare, shape, snapshot = self._pipeline(data)
+        trace, compare, shape, snapshot = self._pipeline(data)
         cycles = self._charge(shape)
-        if result.crash is not None:
-            self._handle_crash(result)
+        if trace.crash is not None:
+            self._handle_crash(trace)
             return False
         if compare.interesting:
             self._admit(data, cycles, 0, None, snapshot)

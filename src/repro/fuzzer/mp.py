@@ -50,9 +50,11 @@ unchanged in the parent, so campaign results are bit-identical for any
 worker count, including the serial engine. The parent re-tests each
 flag it meets in the cheap-run scan against the live virgin map, using
 the flagged row's aggregated keys, so a flag gone stale joins the
-current run of cheap traces instead of ending it. Every replay and the
-one map-repair row per window cut their trace from the worker's dense
-rows, exactly as the in-process engine does, so nothing re-executes.
+current run of cheap traces instead of ending it. A flagged replay
+loads the aggregated segment its worker shipped; a row without one (a
+crash-only or hang-budget replay, or the window's one map-repair row)
+cuts its trace from the worker's dense rows, exactly as the in-process
+engine does, so nothing re-executes or re-aggregates.
 Workers never mutate shared state and never touch the parent's RNG.
 
 The worker entry point :func:`_mp_worker_main` runs in forked
