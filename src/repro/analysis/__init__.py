@@ -3,8 +3,7 @@
 from .collision import (collision_probability, collision_rate,
                         collision_rate_table, expected_distinct_keys,
                         keys_for_collision_probability)
-from .coverage_eval import (coverage_growth, covered_edge_mask,
-                            evaluate_corpus)
+from .coverage_eval import covered_edge_mask, evaluate_corpus
 from .reporting import render_bar_block, render_series, render_table
 from .serialize import (load_corpus, load_result, result_from_dict,
                         result_to_dict, save_corpus, save_result)
@@ -14,7 +13,7 @@ from .throughput import (arithmetic_mean, average_speedup, geometric_mean,
 __all__ = [
     "collision_probability", "collision_rate", "collision_rate_table",
     "expected_distinct_keys", "keys_for_collision_probability",
-    "coverage_growth", "covered_edge_mask", "evaluate_corpus",
+    "covered_edge_mask", "evaluate_corpus",
     "render_bar_block", "render_series", "render_table",
     "load_corpus", "load_result", "result_from_dict", "result_to_dict",
     "save_corpus", "save_result",

@@ -10,49 +10,36 @@ hashing, no map, no collisions).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional
 
 import numpy as np
 
 from ..target.cfg import Program
 from ..target.executor import Executor
 
-
-def evaluate_corpus(program: Program, corpus: Iterable[bytes],
-                    executor: Optional[Executor] = None) -> int:
-    """Distinct true edges covered by ``corpus`` (collision-free)."""
-    executor = executor or Executor(program)
-    covered = np.zeros(program.n_edges, dtype=bool)
-    for data in corpus:
-        result = executor.execute(data)
-        covered[result.edges] = True
-    return int(np.count_nonzero(covered))
-
-
-def coverage_growth(program: Program, corpus: Iterable[bytes],
-                    executor: Optional[Executor] = None
-                    ) -> List[Tuple[int, int]]:
-    """(inputs evaluated, cumulative true edges) after each input.
-
-    Corpus order matters; campaigns store queue order (discovery
-    order), so this approximates the discovery curve re-measured
-    independently.
-    """
-    executor = executor or Executor(program)
-    covered = np.zeros(program.n_edges, dtype=bool)
-    curve: List[Tuple[int, int]] = []
-    for i, data in enumerate(corpus, start=1):
-        result = executor.execute(data)
-        covered[result.edges] = True
-        curve.append((i, int(np.count_nonzero(covered))))
-    return curve
+#: Most inputs executed in one batch.
+_CHUNK = 1024
 
 
 def covered_edge_mask(program: Program, corpus: Iterable[bytes],
                       executor: Optional[Executor] = None) -> np.ndarray:
-    """Boolean per-edge coverage mask of a corpus."""
+    """Boolean per-edge coverage mask of a corpus.
+
+    The corpus runs in batches of at most ``_CHUNK`` inputs
+    (:meth:`Executor.execute_inputs`); an edge is covered when any
+    trace of any batch reached it.
+    """
     executor = executor or Executor(program)
+    corpus = list(corpus)
     covered = np.zeros(program.n_edges, dtype=bool)
-    for data in corpus:
-        covered[executor.execute(data).edges] = True
+    for lo in range(0, len(corpus), _CHUNK):
+        covered |= executor.execute_inputs(
+            corpus[lo:lo + _CHUNK]).reach.any(axis=0)
     return covered
+
+
+def evaluate_corpus(program: Program, corpus: Iterable[bytes],
+                    executor: Optional[Executor] = None) -> int:
+    """Distinct true edges covered by ``corpus`` (collision-free)."""
+    return int(np.count_nonzero(covered_edge_mask(program, corpus,
+                                                  executor)))

@@ -453,11 +453,7 @@ class Campaign:
         the scalar pipeline as a precomputed ``trace``.
         """
         seeds = self.built.seeds
-        rows = np.zeros((len(seeds), self.program.input_len), dtype=np.uint8)
-        for row, data in zip(rows, seeds):
-            raw = np.frombuffer(data, dtype=np.uint8)[:row.size]
-            row[:raw.size] = raw
-        bres = self.executor.execute_batch(rows)
+        bres = self.executor.execute_inputs(seeds)
         pending = []
         for i, data in enumerate(seeds):
             trace, compare, shape, snapshot = self._pipeline(
@@ -667,10 +663,10 @@ class Campaign:
         fused classify/compare kernel on its keys. A metric whose key
         depends on the edge alone feeds the kernel the dense window
         straight from the executor's reach matrix
-        (:meth:`KeyColumns.window`); an input-dependent one gathers
-        flat key segments row by row. Execution backends override
-        this — ``repro.fuzzer.mp`` has each worker process run it on
-        its own row shard and concatenates the results in worker
+        (:meth:`KeyColumns.window`); an input-dependent one runs its
+        key kernel once over the batch's flat trace. Execution backends
+        override this — ``repro.fuzzer.mp`` has each worker process run
+        it on its own row shard and concatenates the results in worker
         order, which is bit-identical because every draw is a pure
         function of its spec and every per-trace quantity is
         row/segment-local.

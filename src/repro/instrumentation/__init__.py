@@ -4,30 +4,32 @@ Public surface:
 
 * :class:`Instrumentation` — the metric interface (trace → map keys).
 * :class:`AflEdgeInstrumentation` — classic AFL ``(Bx>>1)^By`` hashing.
-* :class:`TracePCGuardInstrumentation` — sequential static IDs.
-* :class:`NGramInstrumentation` — last-N-blocks partial path coverage.
-* :class:`ContextSensitiveInstrumentation` — Angora-style contexts.
+* :class:`TracePCGuardInstrumentation`, :class:`CollAflInstrumentation`
+  — sequential static IDs (:func:`sequential_edge_keys`).
+* :class:`ContextVariantInstrumentation` — input-dependent keys, built by
+  :func:`NGramInstrumentation` (last N blocks) or
+  :func:`ContextSensitiveInstrumentation` (Angora-style contexts).
 * :func:`apply_lafintel` — the multi-byte-compare splitting transform.
-* :func:`build_instrumentation` / :func:`compose_lafintel_ngram` —
-  factories used by experiments and examples.
+* :func:`build_instrumentation` — metrics by name, for experiments.
 """
 
 from .collafl import CollAflInstrumentation, required_map_size
-from .context import ContextSensitiveInstrumentation
 from .edge_ids import (AflEdgeInstrumentation, Instrumentation,
                        TracePCGuardInstrumentation, afl_edge_keys,
-                       assign_block_ids)
+                       assign_block_ids, sequential_edge_keys)
 from .lafintel import DEFAULT_STATIC_EXPANSION, apply_lafintel
-from .ngram import NGramInstrumentation, ngram_base_keys
-from .pipeline import (build_instrumentation, compose_lafintel_ngram,
-                       metric_names)
+from .ngram import (ContextSensitiveInstrumentation,
+                    ContextVariantInstrumentation, NGramInstrumentation,
+                    ngram_base_keys)
+from .pipeline import build_instrumentation, metric_names
 
 __all__ = [
     "CollAflInstrumentation", "required_map_size",
-    "ContextSensitiveInstrumentation",
     "AflEdgeInstrumentation", "Instrumentation",
     "TracePCGuardInstrumentation", "afl_edge_keys", "assign_block_ids",
+    "sequential_edge_keys",
     "DEFAULT_STATIC_EXPANSION", "apply_lafintel",
+    "ContextSensitiveInstrumentation", "ContextVariantInstrumentation",
     "NGramInstrumentation", "ngram_base_keys",
-    "build_instrumentation", "compose_lafintel_ngram", "metric_names",
+    "build_instrumentation", "metric_names",
 ]

@@ -21,7 +21,8 @@ static assignment covers all *materialized* edges; the ``static_edges``
 metadata (the unvisited remainder of the notional binary) still forces
 the map size up, reproducing the trade-off. Indirect-edge fallback
 hashing is modeled with a configurable fraction, as in
-:class:`~repro.instrumentation.edge_ids.TracePCGuardInstrumentation`.
+:class:`~repro.instrumentation.edge_ids.TracePCGuardInstrumentation`,
+and the two share one ID table.
 """
 
 from __future__ import annotations
@@ -29,16 +30,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..target.cfg import Program
-from .edge_ids import EdgeTableInstrumentation
+from .edge_ids import EdgeTableInstrumentation, sequential_edge_keys
 
 
 def required_map_size(program: Program) -> int:
     """Smallest power-of-two map that fits CollAFL's static assignment.
 
     CollAFL reserves a slot per *static* edge (visited or not); the
-    paper cites this as its map-bloat drawback.
+    paper cites this as its map-bloat drawback. A program with more
+    materialized than static edges needs a slot for each of those.
     """
-    needed = max(program.static_edges, 1)
+    needed = max(program.static_edges, program.n_edges, 1)
     size = 1
     while size < needed:
         size <<= 1
@@ -64,28 +66,10 @@ class CollAflInstrumentation(EdgeTableInstrumentation):
     def __init__(self, program: Program, map_size: int, seed: int = 0,
                  indirect_fraction: float = 0.05) -> None:
         super().__init__(program, map_size)
-        if not 0 <= indirect_fraction <= 1:
-            raise ValueError(f"indirect_fraction must be in [0, 1], "
-                             f"got {indirect_fraction}")
-        rng = np.random.default_rng(np.random.PCG64(seed ^ 0xC0111))
-        n = program.n_edges
-
-        # Static pass: deterministic unique IDs, offset so that the
-        # unvisited static remainder notionally occupies the tail.
-        keys = np.arange(n, dtype=np.int64)
-        self.fully_static = map_size >= program.static_edges
-        if not self.fully_static:
-            keys = keys % map_size
-
-        # Indirect edges cannot be assigned statically: CollAFL hashes
-        # them over the remaining space, with possible collisions.
-        indirect = rng.random(n) < indirect_fraction
-        n_ind = int(indirect.sum())
-        if n_ind:
-            keys[indirect] = rng.integers(0, map_size, size=n_ind,
-                                          dtype=np.int64)
-        self.edge_keys = keys
-        self.indirect_mask = indirect
+        self.edge_keys, self.indirect_mask = sequential_edge_keys(
+            program, map_size, seed ^ 0xC0111, indirect_fraction)
+        self.fully_static = map_size >= max(program.static_edges,
+                                            program.n_edges)
 
     def direct_collision_count(self) -> int:
         """Colliding *direct* edges — zero when ``fully_static``."""

@@ -49,6 +49,7 @@ class Instrumentation(ABC):
                  input_bytes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(keys, counts)`` for one execution's trace."""
 
+    @abstractmethod
     def keys_for_batch(self, result: BatchExecResult,
                        input_rows: Sequence[np.ndarray]) \
             -> Tuple[np.ndarray, np.ndarray]:
@@ -58,20 +59,8 @@ class Instrumentation(ABC):
         segment ``i`` holds exactly ``keys_for(result.result_for(i),
         input_rows[i])``. ``input_rows`` is any indexable of exact-length
         rows — a list of views, or the campaign's ``MutantBatch``, which
-        builds a view only when indexed. It loops per trace: this is the
-        flat path of input-dependent metrics (context/ngram need the
-        exact per-row bytes), and the reference the dense window of
-        edge-table metrics (:meth:`KeyColumns.window`) is tested
-        against.
+        builds a view only when indexed.
         """
-        keys = np.empty(result.edges.size, dtype=np.int64)
-        counts = np.empty(result.edges.size, dtype=np.int64)
-        for i in range(result.n):
-            lo, hi = int(result.offsets[i]), int(result.offsets[i + 1])
-            k, c = self.keys_for(result.result_for(i), input_rows[i])
-            keys[lo:hi] = k
-            counts[lo:hi] = c
-        return keys, counts
 
     @abstractmethod
     def distinct_keys_possible(self) -> int:
@@ -192,10 +181,11 @@ class EdgeTableInstrumentation(Instrumentation):
     """A metric whose key depends on the edge alone.
 
     Subclasses fill ``edge_keys`` (one map key per program edge) at
-    construction; a trace's keys are then one gather and the input
-    bytes are never read. A whole batch needs no gather at all: the
-    table, grouped once into :attr:`columns`, reads the batch's dense
-    reach matrix directly (:meth:`KeyColumns.window`).
+    construction; a trace's keys, or a batch's flat ones, are then one
+    gather and the input bytes are never read. The campaign's window
+    front needs no gather at all: the table, grouped once into
+    :attr:`columns`, reads the batch's dense reach matrix directly
+    (:meth:`KeyColumns.window`).
     """
 
     edge_keys: np.ndarray
@@ -203,6 +193,8 @@ class EdgeTableInstrumentation(Instrumentation):
     def keys_for(self, result: ExecResult,
                  input_bytes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return self.edge_keys[result.edges], result.counts
+
+    keys_for_batch = keys_for
 
     def distinct_keys_possible(self) -> int:
         return int(np.unique(self.edge_keys).size)
@@ -232,6 +224,27 @@ class AflEdgeInstrumentation(EdgeTableInstrumentation):
         self.edge_keys = afl_edge_keys(program, map_size, seed)
 
 
+def sequential_edge_keys(program: Program, map_size: int, seed: int,
+                         indirect_fraction: float) \
+        -> Tuple[np.ndarray, np.ndarray]:
+    """``(edge_keys, indirect_mask)``: edge ``e`` keys to ``e % map_size``,
+    except an ``indirect_fraction`` share of edges with no destination
+    known at compile time, which draw random keys. Both trace-pc-guard
+    and CollAFL number edges this way, each with its own ``seed``."""
+    if not 0 <= indirect_fraction <= 1:
+        raise ValueError(f"indirect_fraction must be in [0, 1], got "
+                         f"{indirect_fraction}")
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    n = program.n_edges
+    keys = np.arange(n, dtype=np.int64) % map_size
+    indirect = rng.random(n) < indirect_fraction
+    n_ind = int(indirect.sum())
+    if n_ind:
+        keys[indirect] = rng.integers(0, map_size, size=n_ind,
+                                      dtype=np.int64)
+    return keys, indirect
+
+
 class TracePCGuardInstrumentation(EdgeTableInstrumentation):
     """Sequential static-edge IDs à la Clang's trace-pc-guard.
 
@@ -246,16 +259,5 @@ class TracePCGuardInstrumentation(EdgeTableInstrumentation):
     def __init__(self, program: Program, map_size: int, seed: int = 0,
                  indirect_fraction: float = 0.05) -> None:
         super().__init__(program, map_size)
-        if not 0 <= indirect_fraction <= 1:
-            raise ValueError(f"indirect_fraction must be in [0, 1], got "
-                             f"{indirect_fraction}")
-        rng = np.random.default_rng(np.random.PCG64(seed ^ 0x7C9))
-        n = program.n_edges
-        keys = np.arange(n, dtype=np.int64) % map_size
-        indirect = rng.random(n) < indirect_fraction
-        n_ind = int(indirect.sum())
-        if n_ind:
-            keys[indirect] = rng.integers(0, map_size, size=n_ind,
-                                          dtype=np.int64)
-        self.edge_keys = keys
-        self.indirect_mask = indirect
+        self.edge_keys, self.indirect_mask = sequential_edge_keys(
+            program, map_size, seed ^ 0x7C9, indirect_fraction)

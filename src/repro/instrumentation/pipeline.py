@@ -1,10 +1,11 @@
-"""Factory for instrumentation pipelines and metric compositions.
+"""Factory for instrumentation pipelines.
 
 The paper's key flexibility claim (§IV-D) is that *anything* producing
 bitmap keys can sit in front of BigMap. This module is the one place
 that knows every metric's name, so experiments and examples can say
-``build_instrumentation("ngram3", program, map_size)`` and the §V-C
-composition is ``apply_lafintel(program)`` + ``"ngram3"``.
+``build_instrumentation("ngram3", program, map_size)``. The §V-C
+composition is ``build_instrumentation("ngram3", apply_lafintel(program),
+map_size)``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from typing import Callable, Dict
 
 from ..target.cfg import Program
 from .collafl import CollAflInstrumentation
-from .context import ContextSensitiveInstrumentation
 from .edge_ids import (AflEdgeInstrumentation, Instrumentation,
                        TracePCGuardInstrumentation)
-from .lafintel import apply_lafintel
-from .ngram import NGramInstrumentation
+from .ngram import ContextSensitiveInstrumentation, NGramInstrumentation
 
 _BUILDERS: Dict[str, Callable[..., Instrumentation]] = {
     "afl-edge": AflEdgeInstrumentation,
@@ -55,9 +54,3 @@ def build_instrumentation(metric: str, program: Program, map_size: int,
                          f"{', '.join(metric_names())}") from None
     return builder(program, map_size, seed=seed)
 
-
-def compose_lafintel_ngram(program: Program, map_size: int, *,
-                           n: int = 3, seed: int = 0) -> Instrumentation:
-    """The paper's §V-C composition: laf-intel + N-gram (default N=3)."""
-    transformed = apply_lafintel(program)
-    return NGramInstrumentation(transformed, map_size, n=n, seed=seed)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -237,6 +237,19 @@ class Executor:
         raw = np.frombuffer(data, dtype=np.uint8)[:self.program.input_len]
         bufs[:raw.size, 0] = raw
         return self._run(bufs).result_for(0)
+
+    def execute_inputs(self, inputs: Sequence[bytes]) -> BatchExecResult:
+        """Run a list of byte inputs as one :meth:`execute_batch`.
+
+        Each input is truncated to ``input_len`` and zero-padded, as in
+        :meth:`execute`, so trace ``i`` equals ``execute(inputs[i])``.
+        """
+        rows = np.zeros((len(inputs), self.program.input_len),
+                        dtype=np.uint8)
+        for row, data in zip(rows, inputs):
+            raw = np.frombuffer(data, dtype=np.uint8)[:row.size]
+            row[:raw.size] = raw
+        return self.execute_batch(rows)
 
     def execute_batch(self, data: np.ndarray) -> BatchExecResult:
         """Run a ``(n, width)`` uint8 matrix of inputs in one pass.

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import (arithmetic_mean, average_speedup,
-                            coverage_growth, covered_edge_mask,
-                            evaluate_corpus, geometric_mean,
-                            render_bar_block, render_series,
-                            render_table, speedups)
+                            covered_edge_mask, evaluate_corpus,
+                            geometric_mean, render_bar_block,
+                            render_series, render_table, speedups)
 from repro.target import Executor
 
 
@@ -23,12 +22,19 @@ class TestCoverageEval:
         assert evaluate_corpus(tiny_program, tiny_seeds,
                                executor=ex) == len(union)
 
-    def test_growth_curve_monotone(self, tiny_program, tiny_seeds):
-        curve = coverage_growth(tiny_program, tiny_seeds)
-        assert len(curve) == len(tiny_seeds)
-        values = [v for _, v in curve]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert curve[-1][1] == evaluate_corpus(tiny_program, tiny_seeds)
+    def test_union_across_batches(self, tiny_program, tiny_seeds,
+                                  monkeypatch):
+        """A corpus longer than one batch covers the union of every
+        batch's traces."""
+        from repro.analysis import coverage_eval
+        monkeypatch.setattr(coverage_eval, "_CHUNK", 2)
+        ex = Executor(tiny_program)
+        mask = np.zeros(tiny_program.n_edges, dtype=bool)
+        for s in tiny_seeds:
+            mask[ex.execute(s).edges] = True
+        assert len(tiny_seeds) > 2
+        assert np.array_equal(
+            covered_edge_mask(tiny_program, iter(tiny_seeds)), mask)
 
     def test_mask_matches_count(self, tiny_program, tiny_seeds):
         mask = covered_edge_mask(tiny_program, tiny_seeds)

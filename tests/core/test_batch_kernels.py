@@ -304,8 +304,8 @@ def random_rows(rng, n_rows):
 @pytest.mark.parametrize("cls", [AflCoverage, BigMapCoverage])
 class TestDenseFrontProperty:
     """The dense window front (key columns read straight from the
-    executor's reach matrix) equals the flat reference: the whole-batch
-    key gather, ``aggregate_keys_batch`` and ``_new_bits``. Tiny maps
+    executor's reach matrix) equals the flat reference: the per-row
+    key oracle, ``aggregate_keys_batch`` and ``_new_bits``. Tiny maps
     make plain and loop edges collide, so every column kind — plain,
     lone loop, collision group — is exercised, against a virgin map
     and BigMap index that earlier traces partly filled."""
@@ -319,6 +319,7 @@ class TestDenseFrontProperty:
                                     metric):
         from repro.instrumentation import build_instrumentation
         from repro.target import Executor
+        from tests.instrumentation.key_oracle import oracle_keys_for_batch
         rng = np.random.default_rng(seed)
         map_size = 1 << map_bits
         program = random_program(rng, n_edges)
@@ -338,7 +339,7 @@ class TestDenseFrontProperty:
         update, flags = cov.update_compare_batch(
             instr.columns.window(bres), virgin)
 
-        keys, counts = instr.keys_for_batch(bres, list(rows))
+        keys, counts = oracle_keys_for_batch(instr, bres, rows)
         u_keys, summed, u_off = aggregate_keys_batch(
             keys, counts, bres.offsets, map_size)
         classified = classified_counts(summed)

@@ -40,6 +40,24 @@ class TestStaticAssignment:
         assert not inst.fully_static
         assert inst.direct_collision_count() > 0
 
+    def test_more_edges_than_static_keys_stay_in_map(self):
+        """A program with fewer static than materialized edges still
+        keys every edge inside the map, and needs a map that holds every
+        edge to be fully static."""
+        small = generate_program(ProgramSpec(
+            name="t", n_core_edges=600, input_len=64, seed=1,
+            static_edges=100))
+        assert small.static_edges < small.n_edges
+        inst = CollAflInstrumentation(small, 1 << 7)
+        assert not inst.fully_static
+        assert inst.edge_keys.min() >= 0
+        assert inst.edge_keys.max() < (1 << 7)
+        size = required_map_size(small)
+        assert size >= small.n_edges
+        fits = CollAflInstrumentation(small, size, indirect_fraction=0.0)
+        assert fits.fully_static
+        assert fits.direct_collision_count() == 0
+
     def test_indirect_edges_may_collide(self, program):
         inst = CollAflInstrumentation(program, 1 << 17, seed=3,
                                       indirect_fraction=0.5)

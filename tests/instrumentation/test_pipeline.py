@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.instrumentation import (build_instrumentation,
-                                   compose_lafintel_ngram, metric_names)
+from repro.instrumentation import (apply_lafintel, build_instrumentation,
+                                   metric_names)
 from repro.target import Executor
 
 
@@ -36,7 +36,8 @@ class TestFactory:
 
 class TestComposition:
     def test_lafintel_ngram_composition(self, tiny_program):
-        inst = compose_lafintel_ngram(tiny_program, 1 << 18, n=3, seed=2)
+        inst = build_instrumentation("ngram3", apply_lafintel(tiny_program),
+                                     1 << 18, seed=2)
         # The composition's program is the transformed one.
         assert inst.program.meta.get("laf_applied")
         assert inst.program.n_edges >= tiny_program.n_edges
@@ -45,7 +46,8 @@ class TestComposition:
 
     def test_composition_executes_end_to_end(self, tiny_program,
                                              tiny_seeds):
-        inst = compose_lafintel_ngram(tiny_program, 1 << 18, n=3, seed=2)
+        inst = build_instrumentation("ngram3", apply_lafintel(tiny_program),
+                                     1 << 18, seed=2)
         ex = Executor(inst.program)
         result = ex.execute(tiny_seeds[0])
         keys, counts = inst.keys_for(

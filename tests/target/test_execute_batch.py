@@ -12,6 +12,7 @@ import pytest
 from repro.instrumentation import build_instrumentation, metric_names
 from repro.target import Executor, get_benchmark
 
+from tests.instrumentation.key_oracle import oracle_keys_for_batch
 from tests.target.test_executor import build_program
 
 
@@ -116,6 +117,20 @@ class TestExecuteBatchEquivalence:
         assert batch.n == 0
         assert batch.edges.size == 0
 
+    def test_execute_inputs_matches_scalar(self):
+        bench = get_benchmark("zlib").build(scale=0.02)
+        executor = Executor(bench.program)
+        rows = [b"", bytes(range(256)) * 2] + random_rows(
+            bench.program, np.random.default_rng(3), 6)
+        batch = executor.execute_inputs(rows)
+        assert batch.n == len(rows)
+        for i, row in enumerate(rows):
+            scalar = executor.execute(row)
+            edges, counts = batch.segment(i)
+            assert np.array_equal(edges, scalar.edges), f"row {i}"
+            assert np.array_equal(counts, scalar.counts), f"row {i}"
+            assert batch.crashes[i] == scalar.crash
+
     def test_rows_longer_than_input_len_truncate(self):
         bench = get_benchmark("zlib").build(scale=0.02)
         executor = Executor(bench.program)
@@ -134,10 +149,11 @@ class TestKeysForBatch:
         mat, views = pack_rows(rows)
         batch = executor.execute_batch(mat)
         keys, counts = instr.keys_for_batch(batch, views)
-        assert keys.size == batch.edges.size
+        want_keys, want_counts = oracle_keys_for_batch(instr, batch, views)
+        assert np.array_equal(keys, want_keys), metric
+        assert np.array_equal(counts, want_counts), metric
         for i, row in enumerate(rows):
-            scalar = executor.execute(row)
-            k, c = instr.keys_for(scalar, views[i])
+            k, c = instr.keys_for(executor.execute(row), views[i])
             lo, hi = int(batch.offsets[i]), int(batch.offsets[i + 1])
-            assert np.array_equal(keys[lo:hi], k), f"{metric} row {i}"
-            assert np.array_equal(counts[lo:hi], c)
+            assert np.array_equal(k, want_keys[lo:hi]), f"{metric} row {i}"
+            assert np.array_equal(c, want_counts[lo:hi])
