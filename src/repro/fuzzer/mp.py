@@ -4,45 +4,51 @@
 :class:`~repro.fuzzer.campaign.Campaign` — same RNG stream, same
 scheduling, same replay semantics — but computes the whole vectorized
 *front* of every mega-batch (havoc apply, execute, key gather, fused
-aggregate/classify/compare) across a pool of forked worker processes.
+aggregate/classify/compare) across ``workers`` processes: the parent
+and ``workers - 1`` forked children.
 
 Design (mirrors the runner/measurer split of Klees et al.):
 
 * **Shared state in shared memory.** The virgin map, the BigMap index
   table and the ``used_key`` counter live in
   :mod:`multiprocessing.shared_memory` segments created *before* the
-  workers fork. The parent's own arrays are replaced by views into
+  children fork. The parent's own arrays are replaced by views into
   those segments, so every in-place write the parent makes — virgin
   merges during replays, index slot assignments, checkpoint restores
   (which deliberately restore with ``arr[:] = saved``) — is immediately
-  visible to every worker with zero copies and no synchronization
-  protocol: workers only ever *read* the shared segments, and only
-  between windows-fronts, when the parent is blocked waiting for them.
-* **Specs, not rows, go out.** The parent draws no havoc randomness.
-  Scheduling takes one key per seed from the canonical RNG stream and
+  visible to every child with zero copies and no synchronization
+  protocol: while a window's front runs, every process, the parent
+  included, only *reads* the shared segments, and the parent writes
+  them only after it has received every child's reply. With one
+  worker no child exists, so nothing is re-homed.
+* **Specs, not rows, go out.** Scheduling draws no havoc randomness:
+  it takes one key per seed from the canonical RNG stream and
   pairs it with the seed and partner bytes and the energy: the draw's
   *spec* (:meth:`~repro.fuzzer.campaign.Campaign._collect_window`). A
   window of ``n`` rows is split into ``workers`` contiguous shards
   with bounds ``n * w // workers`` — a pure function of ``(n,
-  workers)``, independent of timing — and each worker receives the
-  window width, its bounds and the window's specs. It draws only the
-  specs overlapping its shard
+  workers)``, independent of timing. Child ``w`` (from 1) receives the
+  window width, the bounds of shard ``w`` and the window's specs; the
+  parent sends every child its request first and then computes shard
+  0 itself. Each process draws only the specs overlapping its shard
   (:meth:`~repro.fuzzer.mutation.Mutator.draw_rows`), cuts them to its
   rows, applies them at the window width and runs the in-process
   front.
-* **Rows and dense traces come back.** Each worker returns its
+* **Rows and dense traces come back.** Each child returns its
   mutant rows, its dense traces (the executor's reach matrix and loop
   hit counts), the per-trace arrays (traversals, unique-location
   counts, interest flags, crash marks) and the aggregated-key segments
   of the rows it flagged, empty elsewhere
   (:class:`~repro.fuzzer.campaign.BatchFront`).
-* **Fixed reduction order.** The parent collects shard results in
-  worker-index order (a blocking ``recv`` per pipe, in order), then
-  concatenates. A draw is a pure function of its spec, a row's
-  mutant depends only on its own draw and the window width, and every
-  front quantity is row/segment-local, so the concatenation is
-  bit-identical to the in-process front no matter how many workers
-  computed it — the equivalence contract of DESIGN.md §8.
+* **Fixed reduction order.** The parent puts its own shard first,
+  collects the children's in child order (a blocking ``recv`` per pipe,
+  in order), then concatenates. It receives every reply even when its
+  own shard raises, so a pipe never holds a stale window's reply. A
+  draw is a pure function of its spec, a row's mutant depends only on
+  its own draw and the window width, and every front quantity is
+  row/segment-local, so the concatenation is bit-identical to the
+  in-process front no matter how many workers computed it — the
+  equivalence contract of DESIGN.md §8.
 
 Everything after the front — charging, hang prediction, stale-flag
 downgrades, replays, admissions, checkpoints, telemetry — runs
@@ -51,17 +57,18 @@ worker count, including the serial engine. The parent re-tests each
 flag it meets in the cheap-run scan against the live virgin map, using
 the flagged row's aggregated keys, so a flag gone stale joins the
 current run of cheap traces instead of ending it. A flagged replay
-loads the aggregated segment its worker shipped; a row without one (a
+loads the aggregated segment its shard built; a row without one (a
 crash-only or hang-budget replay, or the window's one map-repair row)
-cuts its trace from the worker's dense rows, exactly as the in-process
+cuts its trace from the shard's dense rows, exactly as the in-process
 engine does, so nothing re-executes or re-aggregates.
-Workers never mutate shared state and never touch the parent's RNG.
+Children never mutate shared state and never touch the parent's RNG.
 
 The worker entry point :func:`_mp_worker_main` runs in forked
 children, so module-level mutable state written on both sides of this
 boundary would silently diverge. This module keeps all of its state on
-the campaign object and in the explicit shm segments; the 1/2/4-worker
-bit-identity tests in ``tests/fuzzer/test_batch_engine.py`` pin that.
+the campaign object and in the explicit shm segments; the
+1/2/3/4-worker bit-identity tests in
+``tests/fuzzer/test_batch_engine.py`` pin that.
 """
 
 from __future__ import annotations
@@ -139,12 +146,13 @@ class MPCampaign(Campaign):
         built: optional pre-built benchmark, as for :class:`Campaign`.
         telemetry: optional recorder, as for :class:`Campaign`
             (telemetry stays entirely in the parent).
-        workers: number of worker processes. ``1`` is valid and useful:
-            it exercises the full shm/fork/pipe path while trivially
-            matching the in-process engine.
+        workers: number of processes that compute each front, the
+            parent included: ``workers - 1`` children are forked at the
+            first window. ``1`` forks nothing and allocates no shared
+            memory; it is the in-process front.
 
     Close explicitly (or use as a context manager): the shared-memory
-    segments must be unlinked and the workers joined.
+    segments must be unlinked and the children joined.
     """
 
     def __init__(self, config: CampaignConfig,
@@ -159,7 +167,8 @@ class MPCampaign(Campaign):
         self._procs: List = []
         self._conns: List = []
         self._closed = False
-        self._move_shared_state()
+        if workers > 1:
+            self._move_shared_state()
 
     # -- shared-memory plumbing ----------------------------------------
 
@@ -186,8 +195,9 @@ class MPCampaign(Campaign):
         self._used_key_shm = self._shm_view(np.zeros(1, dtype=np.int64))
 
     def _start_workers(self) -> None:
-        """Fork the pool (lazily, so workers inherit started state)."""
-        for _ in range(self.workers):
+        """Fork the ``workers - 1`` children (lazily, so they inherit
+        started state); the parent is the pool's first worker."""
+        for _ in range(self.workers - 1):
             parent_conn, child_conn = self._ctx.Pipe()
             proc = self._ctx.Process(target=_mp_worker_main,
                                      args=(self, child_conn),
@@ -202,21 +212,29 @@ class MPCampaign(Campaign):
     def _batch_front(self, specs) -> BatchFront:
         """Sharded batch front: deterministic split, ordered reduce.
 
-        Sends each worker the window's specs and width plus the
-        worker's contiguous row shard, and concatenates the replies in
-        worker order.
+        Sends each child the window's specs and width plus its
+        contiguous row shard, computes shard 0 in the parent meanwhile,
+        and concatenates the parent's part and the children's replies
+        in shard order. Every child's reply is received even when the
+        parent's shard raises, so the pipes stay in step with the
+        windows.
         """
-        if not self._procs:
+        w = self.workers
+        if w > 1 and not self._procs:
             self._start_workers()
-        self._used_key_shm[0] = getattr(self.coverage, "used_key", 0)
+        if self._conns:
+            self._used_key_shm[0] = getattr(self.coverage, "used_key", 0)
         width = max(self.mutator.width(data, partner)
                     for _, data, _, partner in specs)
         n = sum(energy for _, _, energy, _ in specs)
-        w = self.workers
-        for k, conn in enumerate(self._conns):
+        for k, conn in enumerate(self._conns, start=1):
             conn.send(("front", specs, width, n * k // w,
                        n * (k + 1) // w))
-        return _concat([conn.recv() for conn in self._conns])
+        try:
+            head = Campaign._batch_front(self, specs, width, 0, n // w)
+        finally:
+            tails = [conn.recv() for conn in self._conns]
+        return _concat([head] + tails) if tails else head
 
     # -- lifecycle -----------------------------------------------------
 
@@ -239,6 +257,8 @@ class MPCampaign(Campaign):
             conn.close()
         self._conns = []
         self._procs = []
+        if not self._shm_segments:
+            return
         # Detach the parent-side views before releasing their buffers
         # (the arrays would otherwise keep the mappings pinned).
         self.virgin.virgin = self.virgin.virgin.copy()

@@ -9,6 +9,10 @@ byte-identical checkpoints. DESIGN.md documents why this holds; these
 tests pin it.
 """
 
+import dataclasses
+import multiprocessing
+from multiprocessing import shared_memory
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from repro.fuzzer import Campaign, CampaignConfig
 from repro.fuzzer.mp import MPCampaign
 from repro.fuzzer.oracle import SerialCampaign
 from repro.target import get_benchmark
+from repro.telemetry.recorder import TelemetryRecorder
 
 
 def _config(fuzzer, benchmark, *, rng_seed=3, **overrides):
@@ -434,6 +439,107 @@ class TestMPBackendEquivalence:
         from repro.fuzzer.mp import MPCampaign
         with pytest.raises(CampaignConfigError, match="workers"):
             MPCampaign(_config("bigmap", "zlib"), workers=0)
+
+
+
+def _assert_records_equal(a, b):
+    """Field by field equality of two fronts (nested records, arrays
+    and lists alike)."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if dataclasses.is_dataclass(x):
+            _assert_records_equal(x, y)
+        elif isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+class _ShardCounting(MPCampaign):
+    """Records every window's row count as the front splits it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.window_rows = []
+
+    def _batch_front(self, specs):
+        self.window_rows.append(sum(energy for _, _, energy, _ in specs))
+        return super()._batch_front(specs)
+
+
+class TestMPProcessPool:
+    """The parent computes shard 0 itself, so ``workers`` processes
+    compute each front from ``workers - 1`` forked children; ``close``
+    leaves no child and no shared-memory segment behind."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_forks_one_child_fewer_than_workers(self, workers):
+        built = get_benchmark("zlib").build(scale=0.2, seed_scale=1.0)
+        config = _config("bigmap", "zlib", batch_window=8,
+                         max_real_execs=500)
+        before = set(multiprocessing.active_children())
+        with MPCampaign(config, built=built, workers=workers) as campaign:
+            campaign.run()
+            children = set(multiprocessing.active_children()) - before
+            assert len(children) == workers - 1
+            # One worker is the in-process front: nothing is re-homed
+            # into shared memory, since no child would read it.
+            assert bool(campaign._shm_segments) == (workers > 1)
+
+    def test_three_workers_identical_then_closed(self):
+        built = get_benchmark("zlib").build(scale=0.2, seed_scale=1.0)
+        config = _config("bigmap", "zlib", batch_window=8)
+        ref_recorder = TelemetryRecorder(instance=0)
+        reference = Campaign(config, built=built, telemetry=ref_recorder)
+        ref_result = reference.run()
+
+        recorder = TelemetryRecorder(instance=0)
+        campaign = _ShardCounting(config, built=built, telemetry=recorder,
+                                  workers=3)
+        try:
+            result = campaign.run()
+            snapshot = campaign.snapshot()
+            procs = list(campaign._procs)
+            names = [shm.name for shm in campaign._shm_segments]
+        finally:
+            campaign.close()
+
+        assert any(rows % 3 for rows in campaign.window_rows)
+        assert result == ref_result
+        assert ref_recorder.artifacts() == recorder.artifacts()
+        assert_checkpoints_equal(reference.snapshot(), snapshot)
+        assert len(procs) == 2 and names
+        assert not any(proc.is_alive() for proc in procs)
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+    def test_parent_shard_failure_keeps_pipes_in_step(self, monkeypatch):
+        """A failed parent shard still drains the children's replies,
+        so the next window's front is its own, not the failed one's."""
+        built = get_benchmark("zlib").build(scale=0.2, seed_scale=1.0)
+        config = _config("bigmap", "zlib", batch_window=8)
+        in_process = Campaign._batch_front
+        failures = []
+
+        def fail_once(self, *args):
+            if not failures:
+                failures.append(args)
+                raise RuntimeError("parent shard failed")
+            return in_process(self, *args)
+
+        with MPCampaign(config, built=built, workers=2) as campaign:
+            campaign.start()
+            campaign._start_workers()
+            # Patched after the fork: only the parent's shard fails.
+            monkeypatch.setattr(Campaign, "_batch_front", fail_once)
+            with pytest.raises(RuntimeError, match="parent shard"):
+                campaign._batch_front(campaign._collect_window()[0])
+            specs = campaign._collect_window()[0]
+            sharded = campaign._batch_front(specs)
+            monkeypatch.undo()
+            _assert_records_equal(sharded, in_process(campaign, specs))
 
 
 class TestCheckpointResumeSweep:
