@@ -91,4 +91,4 @@ class TestEnabledCost:
             if not name.startswith("op.")}
         benchmark.extra_info["events"] = len(recorder.events)
         benchmark(lambda: None)
-        assert profile["execute"]["calls"] == result.execs
+        assert profile["op.execution"]["calls"] == result.execs

@@ -40,9 +40,9 @@ class AflCoverage(CoverageMap):
             identical either way.
     """
 
-    def __init__(self, map_size: int, *, sparse_host_ops: bool = True,
-                 **kwargs) -> None:
-        super().__init__(map_size, **kwargs)
+    def __init__(self, map_size: int, *,
+                 sparse_host_ops: bool = True) -> None:
+        super().__init__(map_size)
         self.sparse_host_ops = sparse_host_ops
         self.trace = np.zeros(map_size, dtype=np.uint8)
         self._touched: List[np.ndarray] = []

@@ -53,8 +53,8 @@ class BigMapCoverage(CoverageMap):
     #: Sentinel marking an unassigned index entry.
     UNASSIGNED = -1
 
-    def __init__(self, map_size: int, **kwargs) -> None:
-        super().__init__(map_size, **kwargs)
+    def __init__(self, map_size: int) -> None:
+        super().__init__(map_size)
         self.index = np.full(map_size, self.UNASSIGNED, dtype=np.int64)
         self.cov = np.zeros(map_size, dtype=np.uint8)
         self.used_key = 0

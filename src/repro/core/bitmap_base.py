@@ -249,11 +249,9 @@ def apply_counts(store: np.ndarray, slots: np.ndarray,
 class CoverageMap(ABC):
     """Per-execution coverage store: the fuzzer's ``trace_bits``."""
 
-    def __init__(self, map_size: int, *,
-                 validate_keys: bool = True) -> None:
+    def __init__(self, map_size: int) -> None:
         _require_power_of_two(map_size)
         self.map_size = map_size
-        self._validate_keys = validate_keys
 
     # -- operations ------------------------------------------------------
 
@@ -459,7 +457,7 @@ class CoverageMap(ABC):
     # -- shared helpers ---------------------------------------------------
 
     def _check_keys(self, keys: np.ndarray) -> None:
-        if not self._validate_keys or keys.size == 0:
+        if keys.size == 0:
             return
         if int(keys.min()) < 0 or int(keys.max()) >= self.map_size:
             raise KeyRangeError(

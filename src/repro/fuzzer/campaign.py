@@ -12,7 +12,7 @@ fewer test cases in the same budget, exactly as on real hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -255,14 +255,10 @@ class Campaign:
         self._tracer = NULL_TRACER if telemetry is None else telemetry.tracer
         if telemetry is not None:
             telemetry.bind_clock(lambda: self.clock.cycles)
-        # Span handles are fetched once; with telemetry off these are
-        # all the shared null span, so entering one costs two no-op
-        # method calls (the benchmark-guarded disabled path).
+        # The span handle is fetched once; with telemetry off it is the
+        # shared null span, so entering it costs two no-op method calls
+        # (the benchmark-guarded disabled path).
         self._span_run_one = self._tracer.span("run_one")
-        self._span_mutate = self._tracer.span("mutate")
-        self._span_execute = self._tracer.span("execute")
-        self._span_classify = self._tracer.span("classify_compare")
-        self._span_cost = self._tracer.span("cost_eval")
         self.shape_stats = RunningShape()
         self.op_cycles: Dict[str, float] = dict.fromkeys(
             OP_CATEGORIES, 0.0)
@@ -287,7 +283,7 @@ class Campaign:
 
     def _make_coverage_map(self) -> CoverageMap:
         cls = AflCoverage if self.config.fuzzer == AFL else BigMapCoverage
-        return cls(self.config.map_size, validate_keys=False)
+        return cls(self.config.map_size)
 
     def _aggregated(self, result: ExecResult,
                     inp: np.ndarray) -> AggregatedTrace:
@@ -297,32 +293,31 @@ class Campaign:
         return AggregatedTrace(*aggregate_keys(keys, counts),
                                result.traversals, result.crash)
 
-    def _pipeline(self, data: bytes, want_snapshot: bool = False,
-                  trace: Optional[AggregatedTrace] = None):
-        """Execute one test case through the full coverage pipeline.
+    def _traces(self, inputs: Sequence[bytes]) -> List[AggregatedTrace]:
+        """Execute ``inputs`` as one batch: each input's aggregated trace.
 
-        ``trace`` may carry the aggregated trace from a batched
-        execution of the same input — ``executor.execute(data)`` is the
-        same kernel on one row, and the map loads the same aggregate
-        either way — so replays skip the re-execution and the
-        re-aggregation. The execute span is still entered (zero clock
-        delta) to keep telemetry call counts engine-independent.
-
-        Returns ``(trace, compare_result, shape, snapshot)`` where
-        ``snapshot`` is ``(covered_locations, coverage_hash)`` captured
-        while the trace is still in the map (None unless the run is
-        interesting or ``want_snapshot`` is set).
+        Every input the campaign runs that is not a window's mutant (the
+        seeds, the all-crashed filler, peers' entries, trim probes and
+        the serial oracle's mutants) executes here. A trace does not
+        depend on its batch (:meth:`Executor.execute_inputs`).
         """
-        with self._span_execute:
-            if trace is None:
-                trace = self._aggregated(
-                    self.executor.execute(data),
-                    np.frombuffer(data, dtype=np.uint8))
+        bres = self.executor.execute_inputs(inputs)
+        return [self._aggregated(bres.result_for(i),
+                                 np.frombuffer(data, dtype=np.uint8))
+                for i, data in enumerate(inputs)]
 
+    def _pipeline(self, trace: AggregatedTrace, want_snapshot: bool = False):
+        """Load one execution's aggregated trace through the coverage
+        pipeline: map update, classify + compare against virgin.
+
+        Returns ``(compare_result, shape, snapshot)`` where ``snapshot``
+        is ``(covered_locations, coverage_hash)`` captured while the
+        trace is still in the map (None unless the run is interesting or
+        ``want_snapshot`` is set).
+        """
         self.coverage.reset()
         n_unique = self.coverage.update_aggregated(trace.keys, trace.summed)
-        with self._span_classify:
-            compare = self.coverage.classify_and_compare(self.virgin)
+        compare = self.coverage.classify_and_compare(self.virgin)
 
         interesting = compare.interesting
         hash_bytes = 0
@@ -338,12 +333,11 @@ class Campaign:
             if self.config.fuzzer == BIGMAP else 0,
             interesting=interesting,
             hash_bytes=hash_bytes)
-        return trace, compare, shape, snapshot
+        return compare, shape, snapshot
 
     def _charge(self, shape: ExecShape) -> float:
         """Charge one execution's modeled cost to the virtual clock."""
-        with self._span_cost:
-            ops = self.model.exec_cycles(shape)
+        ops = self.model.exec_cycles(shape)
         total = ops.total
         multiplier = self.cycle_multiplier * self.fault_multiplier
         self.clock.charge(total * multiplier)
@@ -392,8 +386,7 @@ class Campaign:
     def _trace_hash(self, data: bytes) -> int:
         """Classified-trace hash of one execution, without touching
         the virgin map (the trim oracle). Charged like a normal run."""
-        trace = self._aggregated(self.executor.execute(data),
-                                 np.frombuffer(data, dtype=np.uint8))
+        trace = self._traces([data])[0]
         self.coverage.reset()
         n_unique = self.coverage.update_aggregated(trace.keys, trace.summed)
         self.coverage.classify()
@@ -449,16 +442,13 @@ class Campaign:
         The model needs a representative execution shape, which only
         exists after running the seeds — so seed executions are recorded
         first and charged retroactively once the model exists. The
-        seeds execute as one zero-padded batch; each trace then runs
-        the scalar pipeline as a precomputed ``trace``.
+        seeds execute as one batch (:meth:`_traces`).
         """
         seeds = self.built.seeds
-        bres = self.executor.execute_inputs(seeds)
         pending = []
-        for i, data in enumerate(seeds):
-            trace, compare, shape, snapshot = self._pipeline(
-                data, want_snapshot=True, trace=self._aggregated(
-                    bres.result_for(i), np.frombuffer(data, dtype=np.uint8)))
+        for data, trace in zip(seeds, self._traces(seeds)):
+            compare, shape, snapshot = self._pipeline(trace,
+                                                      want_snapshot=True)
             pending.append((data, trace, compare, shape, snapshot))
 
         shapes = [p[3] for p in pending]
@@ -574,8 +564,9 @@ class Campaign:
                 filler = self.rng.integers(
                     0, 256, size=self.program.input_len,
                     dtype=np.uint8).tobytes()
-                trace, compare, shape, snapshot = self._pipeline(
-                    filler, want_snapshot=True)
+                trace = self._traces([filler])[0]
+                compare, shape, snapshot = self._pipeline(
+                    trace, want_snapshot=True)
                 cycles = self._charge(shape)
                 if trace.crash is None:
                     self._admit(filler, cycles, 0, None, snapshot)
@@ -625,10 +616,9 @@ class Campaign:
             partner = self.pool.pick_splice_partner(self.rng, seed.seed_id)
             if energy <= 0:
                 continue
-            with self._span_mutate:
-                specs.append((self.rng.bit_generator.random_raw(),
-                              seed.data, energy,
-                              partner.data if partner else None))
+            specs.append((self.rng.bit_generator.random_raw(),
+                          seed.data, energy,
+                          partner.data if partner else None))
             seeds.append(seed)
         if not seeds:
             return None
@@ -637,11 +627,11 @@ class Campaign:
         return specs, seeds, bounds
 
     def _run_mutant(self, mutant: bytes, seed: Seed,
-                    trace: Optional[AggregatedTrace] = None) -> None:
-        """One mutant of ``seed`` through the scalar pipeline: charge
-        it, then dispatch the crash / hang / interesting verdict."""
-        trace, compare, shape, snapshot = self._pipeline(mutant,
-                                                         trace=trace)
+                    trace: AggregatedTrace) -> None:
+        """One mutant of ``seed`` (executed as ``trace``) through the
+        scalar pipeline: charge it, then dispatch the crash / hang /
+        interesting verdict."""
+        compare, shape, snapshot = self._pipeline(trace)
         cycles = self._charge(shape)
         if trace.crash is not None:
             self._handle_crash(trace)
@@ -754,11 +744,6 @@ class Campaign:
         exactly one seed portion (``bounds``), and its verdicts are
         computed from its own totals and attributed to its own parent.
         """
-        # No spans around the batch kernels: the serial engine records
-        # one {execute, classify_compare, cost_eval} call per execution
-        # (zero clock delta — charging happens later), so the cheap-run
-        # sweep deposits the same per-exec calls instead of phantom
-        # per-batch entries, keeping profiles bit-identical.
         specs, seeds, bounds = window
         front = self._batch_front(specs)
 
@@ -899,10 +884,6 @@ class Campaign:
         n_unique = front.n_unique[lo:lo + t]
         if self.telemetry is not None:
             self._observe_costs(ops, traversals, n_unique, used_bytes=used)
-            # The per-exec span calls the scalar pipeline records (zero
-            # clock delta: the cost is charged outside those spans).
-            for name in ("execute", "classify_compare", "cost_eval"):
-                self._tracer.add(name, 0.0, calls=t)
         stats = self.shape_stats
         stats.execs += t
         stats.traversals += int(np.sum(traversals))
@@ -935,21 +916,26 @@ class Campaign:
         from .checkpoint import restore_campaign
         restore_campaign(self, checkpoint)
 
-    def import_input(self, data: bytes) -> bool:
-        """Run a peer's queue entry; admit it if it covers new ground.
+    def import_inputs(self, entries: Sequence[bytes]) -> List[bool]:
+        """Run peers' queue entries; admit each that covers new ground.
 
-        This is AFL's ``-M``/``-S`` corpus synchronization: imported
-        entries are executed (and charged) like any test case.
+        This is AFL's ``-M``/``-S`` corpus synchronization: the entries
+        execute as one batch, then each is charged and triaged in order
+        like any test case, and admitted at depth 0 with no parent. An
+        import gets no hang check, curve sample, deadline or exec cap.
+        Returns, per entry, whether it was admitted.
         """
-        trace, compare, shape, snapshot = self._pipeline(data)
-        cycles = self._charge(shape)
-        if trace.crash is not None:
-            self._handle_crash(trace)
-            return False
-        if compare.interesting:
-            self._admit(data, cycles, 0, None, snapshot)
-            return True
-        return False
+        admitted = []
+        for data, trace in zip(entries, self._traces(entries)):
+            compare, shape, snapshot = self._pipeline(trace)
+            cycles = self._charge(shape)
+            new = trace.crash is None and compare.interesting
+            if trace.crash is not None:
+                self._handle_crash(trace)
+            elif new:
+                self._admit(data, cycles, 0, None, snapshot)
+            admitted.append(bool(new))
+        return admitted
 
     def finish(self) -> CampaignResult:
         """Close curves and assemble the result record."""

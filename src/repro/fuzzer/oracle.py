@@ -1,10 +1,10 @@
 """Reference implementations kept only as test oracles.
 
 :class:`SerialCampaign` walks every mutant of a collected window through
-the scalar pipeline, one at a time — the classic AFL inner loop. The
-batch equivalence tests (DESIGN.md §8) import it by name and check that
-:class:`Campaign` and :class:`~repro.fuzzer.mp.MPCampaign` produce
-bit-identical campaigns.
+the scalar pipeline, one at a time — the classic AFL inner loop, each
+mutant executed as its own one-row batch. The batch equivalence tests
+(DESIGN.md §8) import it by name and check that :class:`Campaign` and
+:class:`~repro.fuzzer.mp.MPCampaign` produce bit-identical campaigns.
 
 :class:`DictSeedPool` is the per-location dict form of
 :class:`~repro.fuzzer.pool.SeedPool`; a property test checks that the
@@ -34,7 +34,8 @@ class SerialCampaign(Campaign):
                 for i in range(int(bounds[k]), int(bounds[k + 1])):
                     if self._exhausted(deadline):
                         return
-                    self._run_mutant(mega.tobytes(i), seed)
+                    data = mega.tobytes(i)
+                    self._run_mutant(data, seed, self._traces([data])[0])
                     self._record_curve()
 
 

@@ -4,11 +4,11 @@ Runs *k* campaign instances of the same configuration in interleaved
 virtual-time slices. Between slices:
 
 * **corpus synchronization** — each instance imports the queue entries
-  its peers found since the last sync (executing them through its own
-  pipeline, as AFL's ``-M``/``-S`` sync does). Entries an instance
-  already owns — its own exports echoed back through a peer, or the
-  same entry offered by several peers — are skipped, mirroring AFL's
-  ``id:...,sync:`` bookkeeping;
+  its peers found since the last sync, executing each peer's fresh
+  entries as one batch through its own pipeline, as AFL's ``-M``/``-S``
+  sync does. Entries an instance already owns — its own exports echoed
+  back through a peer, or the same entry offered by several peers — are
+  skipped, mirroring AFL's ``id:...,sync:`` bookkeeping;
 * **contention update** — the shared-LLC + DRAM-bandwidth model
   (:func:`repro.memsim.contention.solve_parallel`) recomputes each
   instance's slowdown from its current mean execution shape, and the
@@ -265,16 +265,15 @@ class ParallelSession:
                             now=min(dst.clock.seconds, self._budget()),
                             entries=len(fresh))
                     continue
+                # Our own entries echoed back, and duplicates a third
+                # peer already delivered, are skipped: never re-executed.
+                entries = []
                 for seed in fresh:
-                    if seed.data in self._seen[i]:
-                        # Our own entry echoed back, or a duplicate a
-                        # third peer already delivered: skip the
-                        # re-execution entirely.
-                        continue
-                    self._seen[i].add(seed.data)
-                    self._guarded_import(i, seed.data)
-                    if not self.supervisor[i].live:
-                        break
+                    if seed.data not in self._seen[i]:
+                        self._seen[i].add(seed.data)
+                        entries.append(seed.data)
+                if entries:
+                    self._guarded_import(i, entries)
                 if not self.supervisor[i].live:
                     break
             if not self.supervisor[i].live:
@@ -295,9 +294,12 @@ class ParallelSession:
                 sync_entry, 0.0)
             self.telemetry.session.tracer.add("sync", spent)
 
-    def _guarded_import(self, i: int, data: bytes) -> None:
+    def _guarded_import(self, i: int, entries: List[bytes]) -> None:
+        """Import one exporter's fresh entries into instance ``i`` as one
+        batch. A failure part-way keeps the entries imported before it;
+        the instance then restores its last checkpoint or is lost."""
         try:
-            self.instances[i].import_input(data)
+            self.instances[i].import_inputs(entries)
         except Exception as exc:
             # Chained into the fault taxonomy, not swallowed: the
             # wrapped cause reaches the failure log and the summary.

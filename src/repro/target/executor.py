@@ -42,15 +42,12 @@ class ExecResult:
         traversals: total edge traversals (``counts.sum()``) — the
             execution-cost driver in the memory model.
         crash: the triggered :class:`CrashInfo`, or ``None``.
-        interesting: scratch flag for the coverage pipeline (the
-            executor itself always leaves it ``False``).
     """
 
     edges: np.ndarray
     counts: np.ndarray
     traversals: int
     crash: Optional[CrashInfo] = None
-    interesting: bool = field(default=False, compare=False)
 
     @property
     def n_edges(self) -> int:

@@ -8,8 +8,8 @@ the parallel-session supervisor, and the memsim cost model:
 * :mod:`.spans` — virtual-time span tracing of the hot paths
   (:class:`SpanTracer`, :data:`NULL_TRACER` for the disabled path);
 * :mod:`.events` — the JSONL event schema and validators;
-* :mod:`.sinks` / :mod:`.aflstats` — JSONL log, ring buffer, and
-  AFL-compatible ``fuzzer_stats``/``plot_data`` writers;
+* :mod:`.sinks` / :mod:`.aflstats` — JSONL log and AFL-compatible
+  ``fuzzer_stats``/``plot_data`` writers;
 * :mod:`.recorder` — the per-instance facade
   (:class:`TelemetryRecorder`) and the parallel-session fan-out
   (:class:`SessionTelemetry`);
@@ -29,8 +29,7 @@ from .events import (EVENT_KINDS, EVENT_SCHEMA, make_event,
                      validate_event, validate_stream)
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .recorder import SessionTelemetry, TelemetryRecorder
-from .sinks import (AflStatsSink, JsonlEventLog, RingBufferSink,
-                    encode_event)
+from .sinks import AflStatsSink, JsonlEventLog, encode_event
 from .spans import NULL_TRACER, NullTracer, SpanTracer
 from .validate import validate_directory, validate_tree
 
@@ -39,7 +38,7 @@ __all__ = [
     "validate_stream",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "SessionTelemetry", "TelemetryRecorder",
-    "AflStatsSink", "JsonlEventLog", "RingBufferSink", "encode_event",
+    "AflStatsSink", "JsonlEventLog", "encode_event",
     "NULL_TRACER", "NullTracer", "SpanTracer",
     "validate_directory", "validate_tree",
 ]

@@ -3,9 +3,7 @@
 Renders the ``afl-whatsup``-style live view behind
 ``repro-fuzz telemetry --telemetry-dir DIR`` and the post-run summary
 the CLI prints when a campaign was run with telemetry enabled. Works
-from either a live :class:`~repro.telemetry.recorder.TelemetryRecorder`
-(ring buffer + derived stats, no filesystem) or a flushed directory
-tree (parsed artifacts).
+from a flushed directory tree (parsed artifacts).
 """
 
 from __future__ import annotations
@@ -14,10 +12,9 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from .aflstats import parse_fuzzer_stats
-from .recorder import TelemetryRecorder
 from .validate import load_events
 
-__all__ = ["render_status", "render_recorder", "render_tree",
+__all__ = ["render_status", "render_tree",
            "load_directory", "StatusTracker"]
 
 #: (fuzzer_stats key, display label) rows of the status card.
@@ -54,16 +51,6 @@ def render_status(title: str, stats: Dict[str, object],
             lines.append(
                 f"    [t={event['t']:.2f}] {event['kind']} {extras}".rstrip())
     return "\n".join(lines)
-
-
-def render_recorder(recorder: TelemetryRecorder,
-                    title: Optional[str] = None) -> str:
-    """Status card straight from a live recorder (ring buffer view)."""
-    if title is None:
-        title = ("session" if recorder.instance < 0
-                 else f"instance {recorder.instance}")
-    return render_status(title, recorder.afl.fuzzer_stats(),
-                         recorder.ring.events)
 
 
 def load_directory(directory: str) -> Tuple[Dict[str, str], List[dict]]:

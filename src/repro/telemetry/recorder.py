@@ -1,8 +1,8 @@
 """Recorder: the per-instance facade the rest of the stack talks to.
 
 A :class:`TelemetryRecorder` bundles one metrics registry, one span
-tracer, and the standard sink set (JSONL log, AFL artifact derivation,
-ring buffer) behind a single ``emit()``/``flush()`` surface. A
+tracer, and the standard sink set (JSONL log, AFL artifact derivation)
+behind a single ``emit()``/``flush()`` surface. A
 :class:`Campaign` owns at most one recorder; a parallel session owns a
 :class:`SessionTelemetry`, which hands each instance its own recorder
 (so AFL artifacts land in per-instance directories, AFL-style) plus a
@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 from .events import make_event
 from .metrics import MetricsRegistry
-from .sinks import AflStatsSink, JsonlEventLog, RingBufferSink
+from .sinks import AflStatsSink, JsonlEventLog
 from .spans import SpanTracer
 
 __all__ = ["TelemetryRecorder", "SessionTelemetry"]
@@ -36,14 +36,13 @@ METRICS_FILENAME = "metrics.json"
 class TelemetryRecorder:
     """One instance's metrics, spans, and event sinks."""
 
-    def __init__(self, instance: int = -1, ring_size: int = 256) -> None:
+    def __init__(self, instance: int = -1) -> None:
         self.instance = instance
         self.registry = MetricsRegistry()
         self.tracer = SpanTracer()
         self.event_log = JsonlEventLog()
         self.afl = AflStatsSink()
-        self.ring = RingBufferSink(ring_size)
-        self._sinks = (self.event_log, self.afl, self.ring)
+        self._sinks = (self.event_log, self.afl)
 
     # -- producing -----------------------------------------------------
 
@@ -72,7 +71,6 @@ class TelemetryRecorder:
         return {
             "log": self.event_log.dump_state(),
             "afl": self.afl.dump_state(),
-            "ring": self.ring.dump_state(),
             "registry": self.registry.dump_state(),
             "tracer": self.tracer.dump_state(),
         }
@@ -80,7 +78,6 @@ class TelemetryRecorder:
     def restore_state(self, state: Dict[str, object]) -> None:
         self.event_log.load_state(state["log"])
         self.afl.load_state(state["afl"])
-        self.ring.load_state(state["ring"])
         self.registry.load_state(state["registry"])
         self.tracer.load_state(state["tracer"])
 
@@ -132,16 +129,14 @@ class SessionTelemetry:
             ...
     """
 
-    def __init__(self, ring_size: int = 256) -> None:
-        self.ring_size = ring_size
-        self.session = TelemetryRecorder(instance=-1, ring_size=ring_size)
+    def __init__(self) -> None:
+        self.session = TelemetryRecorder(instance=-1)
         self._instances: Dict[int, TelemetryRecorder] = {}
 
     def for_instance(self, instance: int) -> TelemetryRecorder:
         recorder = self._instances.get(instance)
         if recorder is None:
-            recorder = TelemetryRecorder(
-                instance=instance, ring_size=self.ring_size)
+            recorder = TelemetryRecorder(instance=instance)
             self._instances[instance] = recorder
         return recorder
 

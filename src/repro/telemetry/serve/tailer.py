@@ -3,7 +3,7 @@
 The live service (and the refreshing CLI status view) must not re-read
 a growing ``events.jsonl`` from offset 0 on every poll: a long campaign
 accumulates tens of thousands of events, and the whole point of the
-ring-buffer/status substrate is that observation stays cheap. A
+status substrate is that observation stays cheap. A
 :class:`FileTailer` remembers the byte offset of the last fully
 consumed line and each :meth:`FileTailer.poll` reads only the bytes
 appended since, never handing out a partially written trailing line. A

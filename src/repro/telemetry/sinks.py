@@ -1,4 +1,4 @@
-"""Event sinks: JSONL log, AFL artifact derivation, ring buffer.
+"""Event sinks: JSONL log and AFL artifact derivation.
 
 A sink consumes the validated event stream (:mod:`.events`) and turns
 it into one consumption surface:
@@ -7,9 +7,7 @@ it into one consumption surface:
   object per line (``events.jsonl``);
 * :class:`AflStatsSink` — AFL-compatible ``fuzzer_stats`` and
   ``plot_data`` derived from lifecycle + snapshot events
-  (:mod:`.aflstats` does the formatting);
-* :class:`RingBufferSink` — the last *N* events in memory, powering the
-  ``repro-fuzz telemetry`` live status view without unbounded growth.
+  (:mod:`.aflstats` does the formatting).
 
 Sinks never touch the filesystem; they expose ``artifacts()`` (file
 name → rendered text) and the recorder decides where files land. Every
@@ -28,8 +26,7 @@ from typing import Dict, List
 
 from .aflstats import plot_row, render_fuzzer_stats, render_plot_data
 
-__all__ = ["encode_event", "Sink", "JsonlEventLog", "RingBufferSink",
-           "AflStatsSink"]
+__all__ = ["encode_event", "Sink", "JsonlEventLog", "AflStatsSink"]
 
 
 def encode_event(event: dict) -> str:
@@ -76,25 +73,6 @@ class JsonlEventLog(Sink):
 
     def load_state(self, state: List[dict]) -> None:
         self.events = [dict(e) for e in state]
-
-
-class RingBufferSink(Sink):
-    """Keeps the most recent ``size`` events for live introspection."""
-
-    def __init__(self, size: int = 256) -> None:
-        self.size = size
-        self.events: List[dict] = []
-
-    def emit(self, event: dict) -> None:
-        self.events.append(event)
-        if len(self.events) > self.size:
-            del self.events[:len(self.events) - self.size]
-
-    def dump_state(self) -> List[dict]:
-        return [dict(e) for e in self.events]
-
-    def load_state(self, state: List[dict]) -> None:
-        self.events = [dict(e) for e in state][-self.size:]
 
 
 class AflStatsSink(Sink):

@@ -1,7 +1,7 @@
 """Span tracing over the campaign's virtual clock.
 
 A *span* is a named region of the fuzzing hot path (``run_one``,
-``mutate``, ``execute``, ``classify_compare``, ``sync``, ...). The
+``sync``, ...). The
 tracer accumulates, per span name, how many times the region ran and
 how many **virtual cycles** elapsed inside it — virtual because the
 campaign's notion of time is the modeled :class:`VirtualClock`, not the
@@ -42,10 +42,6 @@ __all__ = [
 #: status view. Instrumentation may add more; these are the contract.
 SPAN_TAXONOMY: Dict[str, str] = {
     "run_one": "one seed's full fuzzing round (energy loop included)",
-    "mutate": "havoc mutation of a single input",
-    "execute": "synthetic target execution producing an edge trace",
-    "classify_compare": "bitmap classify + compare against virgin map",
-    "cost_eval": "memsim cost-model evaluation of an execution shape",
     "sync": "parallel-session corpus synchronisation",
 }
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.errors import CampaignConfigError
+from repro.core.errors import CampaignConfigError, KeyRangeError
 from repro.fuzzer import Campaign, CampaignConfig, run_campaign
 from repro.target import get_benchmark
 
@@ -33,6 +33,19 @@ class TestConfigValidation:
     def test_nonpositive_exec_cap(self):
         with pytest.raises(CampaignConfigError):
             config(max_real_execs=0)
+
+
+class TestKeyRangeCheck:
+    @pytest.mark.parametrize("fuzzer", ["afl", "bigmap"])
+    def test_out_of_range_key_raises(self, built_small, fuzzer):
+        """A metric that emits a key outside ``[0, map_size)`` fails
+        loudly at the first window instead of aliasing to the end of
+        the map: the campaign's map always range-checks keys."""
+        campaign = Campaign(config(fuzzer, max_real_execs=300),
+                            built=built_small)
+        campaign.instrumentation.edge_keys[0] = -1
+        with pytest.raises(KeyRangeError):
+            campaign.run()
 
 
 class TestCampaignRuns:

@@ -2,14 +2,39 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fuzzer import Campaign, CampaignConfig, run_campaign
+from repro.telemetry.recorder import TelemetryRecorder
 from repro.target import get_benchmark
+from tests.fuzzer.test_batch_engine import assert_checkpoints_equal
+
+#: Entries the batch-split property draws from: six donor queue
+#: entries, the empty input and one crashing input.
+POOL_SIZE = 8
 
 
 @pytest.fixture(scope="module")
 def built():
     return get_benchmark("libpng").build(scale=0.3, seed_scale=1.0)
+
+
+@pytest.fixture(scope="module")
+def import_pool(built):
+    """Peer entries to import: a longer campaign's queue entries, the
+    empty input, and the first mutant that campaign saw crash."""
+    crashes = []
+
+    class Recording(Campaign):
+        def _run_mutant(self, mutant, seed, trace):
+            if trace.crash is not None:
+                crashes.append(mutant)
+            super()._run_mutant(mutant, seed, trace)
+
+    corpus = Recording(config(rng_seed=1), built=built).run().corpus
+    assert len(corpus) >= 6 and crashes
+    return corpus[-6:] + [b"", crashes[0]]
 
 
 def config(**kwargs):
@@ -67,10 +92,7 @@ class TestSteppingApi:
             built=built)
         receiver.start()
         before = len(receiver.pool)
-        admitted = 0
-        for data in donor_result.corpus:
-            if receiver.import_input(data):
-                admitted += 1
+        admitted = sum(receiver.import_inputs(donor_result.corpus))
         assert len(receiver.pool) == before + admitted
         # The receiver must learn something from a longer campaign.
         assert admitted > 0
@@ -80,7 +102,7 @@ class TestSteppingApi:
                                    max_real_execs=200), built=built)
         campaign.start()
         seed_data = campaign.pool.seeds[0].data
-        assert campaign.import_input(seed_data) is False
+        assert campaign.import_inputs([seed_data]) == [False]
 
 
 class TestPaperClaims:
@@ -126,3 +148,45 @@ class TestPaperClaims:
         first_growth = curve[mid][1] - curve[0][1]
         second_growth = curve[-1][1] - curve[mid][1]
         assert second_growth <= first_growth
+
+
+class TestImportBatches:
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(picks=st.lists(st.integers(0, POOL_SIZE - 1), min_size=1,
+                          max_size=10),
+           cuts=st.sets(st.integers(1, 9)))
+    def test_batch_split_is_invisible(self, built, import_pool, picks,
+                                      cuts):
+        """Importing entries as one batch equals importing them as
+        consecutive smaller batches, for any split: the same admitted
+        flags, result, checkpoint and telemetry artifacts. Picks repeat
+        entries, so duplicates, the empty input and the crash recur."""
+        entries = [import_pool[k] for k in picks]
+        bounds = [0] + sorted(c for c in cuts if c < len(entries)) \
+            + [len(entries)]
+        campaigns, recorders, flags = [], [], []
+        for batches in ([entries], [entries[lo:hi] for lo, hi
+                                    in zip(bounds, bounds[1:])]):
+            recorder = TelemetryRecorder(instance=0)
+            campaign = Campaign(config(
+                rng_seed=2, virtual_seconds=0.05, max_real_execs=200),
+                built=built, telemetry=recorder)
+            campaign.start()
+            flags.append([flag for batch in batches
+                          for flag in campaign.import_inputs(batch)])
+            campaigns.append(campaign)
+            recorders.append(recorder)
+        assert flags[0] == flags[1]
+        assert len(flags[0]) == len(entries)
+        assert_checkpoints_equal(campaigns[0].snapshot(),
+                                 campaigns[1].snapshot())
+        assert campaigns[0].finish() == campaigns[1].finish()
+        assert recorders[0].artifacts() == recorders[1].artifacts()
+
+    def test_empty_batch_is_a_no_op(self, built):
+        campaign = Campaign(config(virtual_seconds=0.05,
+                                   max_real_execs=200), built=built)
+        campaign.start()
+        execs, cycles = campaign.execs, campaign.clock.cycles
+        assert campaign.import_inputs([]) == []
+        assert (campaign.execs, campaign.clock.cycles) == (execs, cycles)

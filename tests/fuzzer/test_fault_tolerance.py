@@ -13,6 +13,7 @@ from repro.faults import (CORRUPT_SYNC, CRASH, SLOW, STALL, FaultEvent,
 from repro.core.errors import FaultPlanError
 from repro.fuzzer import CampaignConfig, ParallelSession
 from repro.target import get_benchmark
+from tests.fuzzer.test_batch_engine import assert_checkpoints_equal
 
 #: Virtual budget large enough for several sync slices.
 BUDGET = 0.4
@@ -42,6 +43,38 @@ def session(built, k=4, **kwargs):
 def plain_pair(built):
     """The no-plan 2-instance session, run once for the module."""
     return session(built, 2).run()
+
+
+def fail_first_big_import(inst, at=3, imported_first=False):
+    """Make ``inst``'s first sync batch of at least ``at`` entries
+    raise at entry ``at``: its ``at``-th ``_pipeline`` call raises, or,
+    with ``imported_first``, the entries before it import as their own
+    batch and the import raises after them. Returns a record of that
+    batch (filled in when it arrives)."""
+    record = {}
+    import_inputs, pipeline = inst.import_inputs, inst._pipeline
+
+    def flaky_pipeline(*args, **kwargs):
+        record["calls"] += 1
+        if record["calls"] == at:
+            raise RuntimeError("import failed mid-batch")
+        return pipeline(*args, **kwargs)
+
+    def flaky_import(entries):
+        if record or len(entries) < at:
+            return import_inputs(entries)
+        record.update(entries=list(entries), execs=inst.execs, calls=0)
+        if imported_first:
+            import_inputs(entries[:at - 1])
+            raise RuntimeError("import failed mid-batch")
+        inst._pipeline = flaky_pipeline
+        try:
+            return import_inputs(entries)
+        finally:
+            del inst._pipeline
+
+    inst.import_inputs = flaky_import
+    return record
 
 
 def summary_key(summary):
@@ -214,6 +247,65 @@ class TestUnplannedFailures:
         assert summary.instance_restarts[1] >= 1
         assert summary.lost_instances == []
         assert summary.unplanned_failures
+
+    def test_import_failure_mid_batch_keeps_earlier_entries(self, built):
+        """Without checkpointing, an import that fails part-way through
+        a peer's batch loses the instance, which keeps the entries
+        imported before the failing one: it ends exactly as if those
+        entries had been imported and the next one had failed."""
+        sessions, records, summaries = [], [], []
+        for imported_first in (False, True):
+            sess = session(built, 2)
+            records.append(fail_first_big_import(
+                sess.instances[1], imported_first=imported_first))
+            summaries.append(sess.run())
+            sessions.append(sess)
+        record = records[0]
+        assert record, "no sync batch reached the failing entry"
+        assert records[1]["entries"] == record["entries"]
+        summary = summaries[0]
+        assert summary.lost_instances == [1]
+        assert "import failed mid-batch" in summary.unplanned_failures[0]
+        assert summary.per_instance[0].execs > 0
+        lost = sessions[0].instances[1]
+        # Entries 1 and 2 were imported; entry 3 failed.
+        assert lost.execs == record["execs"] + 2
+        assert summary_key(summary) == summary_key(summaries[1])
+        assert_checkpoints_equal(lost.snapshot(),
+                                 sessions[1].instances[1].snapshot())
+
+    def test_import_failure_mid_batch_restores_checkpoint(self, built):
+        """With a restart policy, an import that fails part-way through
+        a batch restores the instance's last checkpoint: campaign
+        state, seen set and import cursors, so the whole batch is
+        offered again at the next sync."""
+        sess = session(built, 2, restart_policy=RestartPolicy(
+            max_restarts=2, backoff_base=SYNC / 4))
+        record = fail_first_big_import(sess.instances[1])
+        guarded_import = sess._guarded_import
+        restored, offered_again = [], []
+
+        def checked_import(i, entries):
+            if i == 1 and restored:
+                offered_again.extend(entries)
+            guarded_import(i, entries)
+            if i == 1 and record and not restored:
+                checkpoint = sess._checkpoints[1]
+                assert_checkpoints_equal(sess.instances[1].snapshot(),
+                                         checkpoint["campaign"])
+                assert sess._seen[1] == checkpoint["seen"]
+                assert sess._seen_cursor[1] == checkpoint["seen_cursor"]
+                assert {j: sess._import_cursors.get((1, j), 0)
+                        for j in range(2)} == checkpoint["cursors"]
+                restored.append(True)
+
+        sess._guarded_import = checked_import
+        summary = sess.run()
+        assert restored
+        assert set(record["entries"]) <= set(offered_again)
+        assert summary.lost_instances == []
+        assert summary.instance_restarts[1] == 1
+        assert "import failed mid-batch" in summary.unplanned_failures[0]
 
 
 class TestPlanValidation:

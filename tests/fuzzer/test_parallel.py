@@ -146,15 +146,16 @@ class TestSyncDedup:
                                   built=built, sync_interval=0.1)
         imports = {i: [] for i in range(3)}
         for i, inst in enumerate(session.instances):
-            original = inst.import_input
+            original = inst.import_inputs
 
-            def wrapped(data, _original=original, _inst=inst, _i=i):
+            def wrapped(entries, _original=original, _inst=inst, _i=i):
                 held = {s.data for s in _inst.pool.seeds}
-                assert data not in held, "echoed payload re-imported"
-                imports[_i].append(data)
-                return _original(data)
+                for data in entries:
+                    assert data not in held, "echoed payload re-imported"
+                    imports[_i].append(data)
+                return _original(entries)
 
-            inst.import_input = wrapped
+            inst.import_inputs = wrapped
         session.run()
         for payloads in imports.values():
             # ... and never imports the same payload twice, even when

@@ -289,10 +289,9 @@ SNAPSHOT_EXEMPT = (
     "restarts", "faults_injected",
     # Transient fault state, explicitly reset to 1.0 by restore_campaign.
     "fault_multiplier",
-    # Telemetry span handles, fixed after __init__ (the tracer's state
-    # rides inside telemetry_state; the handles are stable bindings).
-    "_tracer", "_span_run_one", "_span_mutate", "_span_execute",
-    "_span_classify", "_span_cost",
+    # Telemetry span handle, fixed after __init__ (the tracer's state
+    # rides inside telemetry_state; the handle is a stable binding).
+    "_tracer", "_span_run_one",
 )
 
 

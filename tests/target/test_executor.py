@@ -77,7 +77,7 @@ class TestTraceCorrectness:
         # Loop edge 3: 1 + inp[3] % 8 = 6; others hit once.
         assert r.counts.tolist() == [1, 1, 1, 6]
         assert r.traversals == 9
-        assert r.crash is None and r.interesting is False
+        assert r.crash is None
 
     def test_guards_block_subtrees(self, five_edge_program):
         ex = Executor(five_edge_program)

@@ -77,15 +77,12 @@ class TestStreamContents:
     def test_hot_path_span_accounting(self, built):
         result, recorder = run_recorded(built)
         profile = recorder.tracer.profile()
-        for name in ("run_one", "mutate", "execute", "classify_compare",
-                     "cost_eval"):
-            assert profile[name]["calls"] > 0, name
-        # One execution == one trace + one classify + one pricing.
-        assert profile["execute"]["calls"] == result.execs
-        assert profile["classify_compare"]["calls"] == result.execs
-        assert profile["cost_eval"]["calls"] == result.execs
-        # run_one wraps the whole round: it cannot out-count mutations.
-        assert profile["run_one"]["calls"] <= profile["mutate"]["calls"]
+        assert profile["run_one"]["calls"] > 0
+        # Every charged execution deposits its priced cycles once.
+        assert profile["op.execution"]["calls"] == result.execs
+        # Spans the clock is never charged inside do not exist.
+        for name in ("mutate", "execute", "classify_compare", "cost_eval"):
+            assert name not in profile, name
 
     def test_memsim_share_histograms_recorded(self, built):
         result, recorder = run_recorded(built)

@@ -1,12 +1,11 @@
-"""Event schema enforcement and sink behavior (JSONL, ring, AFL)."""
+"""Event schema enforcement and sink behavior (JSONL, AFL)."""
 
 import pytest
 
 from repro.core.errors import TelemetryError
 from repro.telemetry.events import (EVENT_SCHEMA, make_event,
                                     validate_event, validate_stream)
-from repro.telemetry.sinks import (AflStatsSink, JsonlEventLog,
-                                   RingBufferSink, encode_event)
+from repro.telemetry.sinks import AflStatsSink, JsonlEventLog, encode_event
 
 
 def snapshot_event(t=1.0, **overrides):
@@ -84,21 +83,6 @@ class TestJsonlEventLog:
         fresh = JsonlEventLog()
         fresh.load_state(state)
         assert len(fresh.events) == 1
-
-
-class TestRingBuffer:
-    def test_keeps_most_recent(self):
-        ring = RingBufferSink(size=3)
-        for i in range(5):
-            ring.emit(make_event("restart", float(i), restarts=i))
-        assert [e["restarts"] for e in ring.events] == [2, 3, 4]
-
-    def test_load_state_respects_capacity(self):
-        big = [make_event("restart", float(i), restarts=i)
-               for i in range(10)]
-        ring = RingBufferSink(size=4)
-        ring.load_state(big)
-        assert [e["restarts"] for e in ring.events] == [6, 7, 8, 9]
 
 
 class TestAflStatsSink:
